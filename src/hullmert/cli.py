@@ -23,7 +23,7 @@ from .io import (
     load_corpus,
     load_vector_map,
 )
-from .linesearch import line_search, optimize, sweep
+from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET, line_search, optimize, sweep
 from .metrics import get_metric
 from .oracle import duality_report
 
@@ -41,7 +41,7 @@ def _add_common(p: argparse.ArgumentParser, direction: bool) -> None:
     if direction:
         p.add_argument("--direction", required=True, help="JSON {feature: value} map")
     p.add_argument("--metric", choices=["exact", "bleu"], default="exact")
-    p.add_argument("--merge-eps", type=float, default=1e-9,
+    p.add_argument("--merge-eps", type=float, default=DEFAULT_MERGE_EPS,
                    help="coalesce surface boundaries closer than this")
     p.add_argument("--threads", type=int, default=1)
 
@@ -57,7 +57,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("linesearch", help="exact error minimization along a direction")
     _add_common(p, direction=True)
-    p.add_argument("--offset", type=float, default=0.1,
+    p.add_argument("--offset", type=float, default=DEFAULT_OFFSET,
                    help="step beyond the outermost boundary for unbounded intervals")
 
     p = sub.add_parser("sweep", help="corpus loss on an eta grid, as TSV rows")
@@ -67,7 +67,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="iterated line search along coordinate axes")
     _add_common(p, direction=False)
-    p.add_argument("--offset", type=float, default=0.1)
+    p.add_argument("--offset", type=float, default=DEFAULT_OFFSET)
     p.add_argument("--iterations", type=int, default=1)
 
     p = sub.add_parser("verify", help="cross-check envelopes against max-plus scoring")
@@ -76,21 +76,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_nonempty(path: str) -> Corpus:
+def _load_searchable(path: str) -> Corpus:
+    """Load a non-empty corpus, failing with the position of the first bad
+    sentence before any search work starts."""
     corpus = load_corpus(path)
     if not len(corpus):
         raise UsageError(f"corpus {path} contains no sentences")
-    return corpus
-
-
-def _precheck(corpus: Corpus) -> None:
-    """Fail with the sentence's position before any search work starts."""
     for idx, s in enumerate(corpus.sentences):
         report = s.graph.validate()
         if not report.ok:
             raise DataError(f"sentence {idx} (id {s.sid!r}): {report.errors[0]}")
         if not report.goal_derivable:
             raise DataError(f"sentence {idx} (id {s.sid!r}): goal derives nothing")
+    return corpus
 
 
 def _vectors(corpus: Corpus, args, direction: bool):
@@ -104,8 +102,8 @@ def _vectors(corpus: Corpus, args, direction: bool):
 def _config(args, **overrides) -> RunConfig:
     fields = {
         "metric": getattr(args, "metric", "exact"),
-        "merge_eps": getattr(args, "merge_eps", 1e-9),
-        "offset": getattr(args, "offset", 0.1),
+        "merge_eps": getattr(args, "merge_eps", DEFAULT_MERGE_EPS),
+        "offset": getattr(args, "offset", DEFAULT_OFFSET),
         "threads": getattr(args, "threads", 1),
     }
     fields.update(overrides)
@@ -167,8 +165,7 @@ def cmd_validate(args) -> tuple[str, int]:
 
 
 def cmd_linesearch(args) -> tuple[str, int]:
-    corpus = _load_nonempty(args.corpus)
-    _precheck(corpus)
+    corpus = _load_searchable(args.corpus)
     config = _config(args)
     metric = get_metric(config.metric)
     w0, v = _vectors(corpus, args, direction=True)
@@ -210,8 +207,7 @@ def cmd_linesearch(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    corpus = _load_nonempty(args.corpus)
-    _precheck(corpus)
+    corpus = _load_searchable(args.corpus)
     config = _config(args)
     metric = get_metric(config.metric)
     w0, v = _vectors(corpus, args, direction=True)
@@ -228,8 +224,7 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 
 def cmd_optimize(args) -> tuple[str, int]:
-    corpus = _load_nonempty(args.corpus)
-    _precheck(corpus)
+    corpus = _load_searchable(args.corpus)
     config = _config(args, iterations=args.iterations)
     metric = get_metric(config.metric)
     w0, _ = _vectors(corpus, args, direction=False)
@@ -262,8 +257,7 @@ def cmd_optimize(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    corpus = _load_nonempty(args.corpus)
-    _precheck(corpus)
+    corpus = _load_searchable(args.corpus)
     w0, v = _vectors(corpus, args, direction=True)
     sentences = []
     all_ok = True
@@ -303,10 +297,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except MertError as exc:

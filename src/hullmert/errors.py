@@ -46,7 +46,7 @@ class ForestFormatError(DataError):
 
 
 class ConfigError(DataError):
-    """Bad run configuration (unknown keys, unsupported strategy, ...)."""
+    """Bad run configuration (unknown metric, out-of-range knob, ...)."""
 
 
 class UsageError(MertError):

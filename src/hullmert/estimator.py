@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .forest import Hypergraph
 from .io import Corpus, FeatureIndex, RunConfig
-from .linesearch import build_envelope, decode_loss, optimize
+from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET, _decode, decode_loss, optimize
 from .metrics import get_metric
 
 Pairs = Sequence[tuple[Hypergraph, Sequence[str]]]
@@ -37,8 +37,8 @@ class MertEstimator:
         self,
         metric: str = "exact",
         iterations: int = 1,
-        merge_eps: float = 1e-9,
-        offset: float = 0.1,
+        merge_eps: float = DEFAULT_MERGE_EPS,
+        offset: float = DEFAULT_OFFSET,
         threads: int = 1,
         initial_weights: Mapping[str, float] | Sequence[float] | None = None,
     ):
@@ -117,12 +117,7 @@ class MertEstimator:
         """Decode each sentence's best yield at the fitted weights."""
         self._check_fitted()
         pairs, _, _ = self._materialize(X)
-        zero_v = np.zeros_like(self.weights_)
-        out = []
-        for graph, _ in pairs:
-            env = build_envelope(graph, self.weights_, zero_v)
-            out.append(env.derivations[env.segment_at(0.0)].tokens)
-        return out
+        return [d.tokens for d in _decode(pairs, self.weights_)]
 
     def score(self, X: Corpus | Pairs, y=None) -> float:
         """Negated corpus loss at the fitted weights (larger is better)."""

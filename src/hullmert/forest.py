@@ -290,47 +290,53 @@ def _substitute(template: tuple[str | int, ...], child_tokens: Sequence[tuple[st
     return tuple(toks)
 
 
-def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
-    """Build the Derivation for a tree: summed features and substituted yield.
+def _build_derivation(graph: Hypergraph, root, expand: Callable) -> Derivation:
+    """Build a Derivation from ``expand(item) -> (edge_id, child items)``.
 
-    Iterative throughout, so chain-shaped derivations thousands of edges
-    deep (long lattices) do not hit the recursion limit.
+    ``expand`` is called in preorder, children left to right.  One iterative
+    post-order pass builds the tree and the yield, so derivations thousands
+    of edges deep (long lattices) do not hit the recursion limit.
     """
-    feats = np.zeros(graph.n_features)
-    stack = [tree]
-    while stack:
-        eid, children = stack.pop()
-        for i, val in graph.edges[eid].features:
-            feats[i] += val
-        stack.extend(children)
-    # frames: [(eid, children), next child index, built child yields]
-    frames: list[list] = [[tree, 0, []]]
-    tokens: tuple[str, ...] = ()
-    while frames:
-        frame = frames[-1]
-        (eid, children), cursor, built = frame
-        if cursor < len(children):
-            frame[1] += 1
-            frames.append([children[cursor], 0, []])
+    edges = graph.edges
+    post: list[int] = []
+    # frame: (edge_id, child items, built child trees, built child yields)
+    frames = [(*expand(root), [], [])]
+    while True:
+        eid, items, trees, yields = frames[-1]
+        if len(trees) < len(items):
+            frames.append((*expand(items[len(trees)]), [], []))
             continue
-        toks = _substitute(graph.edges[eid].template, built)
         frames.pop()
-        if frames:
-            frames[-1][2].append(toks)
-        else:
-            tokens = toks
-    return Derivation(tree, tokens, feats)
+        post.append(eid)
+        tree, tokens = (eid, tuple(trees)), _substitute(edges[eid].template, yields)
+        if not frames:
+            break
+        frames[-1][2].append(tree)
+        frames[-1][3].append(tokens)
+    # Reversed post-order is the preorder of Derivation.edge_ids, the order
+    # features are summed in.
+    feats = [0.0] * graph.n_features
+    for eid in reversed(post):
+        for i, val in edges[eid].features:
+            feats[i] += val
+    return Derivation(tree, tokens, np.array(feats, dtype=float))
 
 
-def _resolve_spine(value: ConvexHullValue, index: int, n_edges: int):
-    """Follow one point's provenance down the product spine.
+def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
+    """Build the Derivation for a tree: summed features and substituted yield."""
+    return _build_derivation(graph, tree, lambda node: node)
 
-    Returns (edge_id, tail point sources): inside builds each edge value as
-    edge projection * tail1 * tail2 * ..., so the leftmost factor is always
-    the edge's own leaf record.
+
+def _resolve_spine(graph: Hypergraph, item) -> tuple[int, list]:
+    """Expand one reconstruct item into (edge_id, tail items).
+
+    An item is (value, point index, parent edge id or None, tail slot).
+    Inside builds each edge value as edge projection * tail1 * tail2 * ...,
+    so the product spine ends at the edge's own leaf record.
     """
-    tail_sources: list[tuple[ConvexHullValue, int]] = []
-    v, i = value, index
+    v, i, parent, slot = item
+    edges = graph.edges
+    sources: list[tuple[ConvexHullValue, int]] = []
     while True:
         if not 0 <= i < len(v.provenance):
             raise ProvenanceError(f"point index {i} out of range")
@@ -338,12 +344,24 @@ def _resolve_spine(value: ConvexHullValue, index: int, n_edges: int):
         if prov is None:
             raise ProvenanceError("point has opaque provenance; not produced by inside")
         if isinstance(prov, LeafProvenance):
-            if not 0 <= prov.edge_id < n_edges:
-                raise ProvenanceError(f"edge id {prov.edge_id} not in this forest")
-            tail_sources.reverse()
-            return prov.edge_id, tail_sources
-        tail_sources.append((prov.right, prov.right_index))
+            break
+        sources.append((prov.right, prov.right_index))
         v, i = prov.left, prov.left_index
+    eid = prov.edge_id
+    if not 0 <= eid < len(edges):
+        raise ProvenanceError(f"edge id {eid} not in this forest")
+    edge = edges[eid]
+    if parent is not None and edge.head != edges[parent].tails[slot]:
+        raise ProvenanceError(
+            f"edge {parent} tail {slot} is node {edges[parent].tails[slot]}, "
+            f"provenance supplies node {edge.head}"
+        )
+    if len(sources) != len(edge.tails):
+        raise ProvenanceError(
+            f"edge {eid} expects {len(edge.tails)} tails, provenance recorded {len(sources)}"
+        )
+    sources.reverse()
+    return eid, [(value, index, eid, k) for k, (value, index) in enumerate(sources)]
 
 
 def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Derivation:
@@ -353,34 +371,7 @@ def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Deriva
     (exactly when features and weights are integral).  Raises
     ProvenanceError when the provenance does not fit this forest.
     """
-    # Iterative tree assembly: each frame waits for its tails' subtrees.
-    root_holder: list[DerivationTree] = []
-    # frame: [edge_id, pending sources, built children, parent slot list]
-    eid, sources = _resolve_spine(value, index, graph.n_edges)
-    stack: list[list] = [[eid, sources, [], root_holder]]
-    while stack:
-        frame = stack[-1]
-        eid, sources, built, sink = frame
-        if len(built) < len(sources):
-            src_value, src_index = sources[len(built)]
-            child_eid, child_sources = _resolve_spine(src_value, src_index, graph.n_edges)
-            stack.append([child_eid, child_sources, [], built])
-            continue
-        edge = graph.edges[eid]
-        if len(built) != len(edge.tails):
-            raise ProvenanceError(
-                f"edge {eid} expects {len(edge.tails)} tails, provenance recorded {len(built)}"
-            )
-        for pos, child in enumerate(built):
-            child_head = graph.edges[child[0]].head
-            if child_head != edge.tails[pos]:
-                raise ProvenanceError(
-                    f"edge {eid} tail {pos} is node {edge.tails[pos]}, "
-                    f"provenance supplies node {child_head}"
-                )
-        stack.pop()
-        sink.append((eid, tuple(built)))
-    return realize(graph, root_holder[0])
+    return _build_derivation(graph, (value, index, None, 0), lambda it: _resolve_spine(graph, it))
 
 
 def count_derivations(graph: Hypergraph) -> int:

@@ -119,6 +119,17 @@ class ConvexChain:
                 raise InvalidGeometryError(f"full hull not strictly convex at {a}")
 
 
+def _monotone_chain(pts: Iterable[Point2]) -> list[Point2]:
+    """Andrew's monotone-chain pass: the strictly convex chain that turns
+    left at every vertex, over points given in sorted order."""
+    chain: list[Point2] = []
+    for p in pts:
+        while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def lower_hull(points: Iterable[Point2]) -> ConvexChain:
     """Strict lower convex hull, sorted by x.
 
@@ -133,12 +144,7 @@ def lower_hull(points: Iterable[Point2]) -> ConvexChain:
         if keep and keep[-1].x == p.x:
             continue  # sorted order means keep[-1].y <= p.y
         keep.append(p)
-    chain: list[Point2] = []
-    for p in keep:
-        while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) <= 0:
-            chain.pop()
-        chain.append(p)
-    return ConvexChain(tuple(chain))
+    return ConvexChain(tuple(_monotone_chain(keep)))
 
 
 def full_hull(points: Iterable[Point2]) -> ConvexChain:
@@ -151,16 +157,8 @@ def full_hull(points: Iterable[Point2]) -> ConvexChain:
     pts = sorted(set(points))
     if len(pts) <= 1:
         return ConvexChain(tuple(pts))
-    lower: list[Point2] = []
-    for p in pts:
-        while len(lower) >= 2 and orientation(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point2] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and orientation(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+    lower = _monotone_chain(pts)
+    upper = _monotone_chain(reversed(pts))
     return ConvexChain(tuple(lower[:-1] + upper[:-1]))
 
 

@@ -40,6 +40,7 @@ from .errors import (
     UnknownFeatureWarning,
 )
 from .forest import Edge, Hypergraph
+from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET
 from .metrics import tokenize
 
 _SLOT_RE = re.compile(r"^\$(\d+)$")
@@ -307,15 +308,12 @@ class RunConfig:
     """Validated knobs shared by the search commands."""
 
     metric: str = "exact"
-    merge_eps: float = 1e-9
-    offset: float = 0.1
-    strategy: str = "midpoint"
+    merge_eps: float = DEFAULT_MERGE_EPS
+    offset: float = DEFAULT_OFFSET
     iterations: int = 1
     threads: int = 1
 
     def __post_init__(self):
-        if self.strategy != "midpoint":
-            raise ConfigError(f"unknown step strategy {self.strategy!r}")
         if self.merge_eps < 0:
             raise ConfigError(f"merge-eps must be >= 0, got {self.merge_eps}")
         if self.offset <= 0:

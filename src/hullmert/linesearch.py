@@ -17,7 +17,7 @@ import warnings
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -134,17 +134,22 @@ class CorpusSurface:
         self.boundaries = tuple(c[0] for c in clusters)
         self._cluster_max = tuple(c[1] for c in clusters)
         self.stats = tuple(
-            self._sum_stats(self._probe_point(k)) for k in range(len(clusters) + 1)
+            self._sum_stats(self._interval_point(k)) for k in range(len(clusters) + 1)
         )
 
-    def _probe_point(self, k: int) -> float:
-        """A point interior to interval k for every sentence's surface."""
+    def _interval_point(self, k: int, offset: float = DEFAULT_OFFSET) -> float:
+        """A point interior to interval k for every sentence's surface.
+
+        The step right of the last cluster starts from its maximum only
+        when a step from its minimum would stay inside the cluster.
+        """
         if not self.boundaries:
             return 0.0
         if k == 0:
-            return self.boundaries[0] - DEFAULT_OFFSET
+            return self.boundaries[0] - offset
         if k == len(self.boundaries):
-            return self._cluster_max[-1] + DEFAULT_OFFSET
+            eta = self.boundaries[-1] + offset
+            return eta if eta > self._cluster_max[-1] else self._cluster_max[-1] + offset
         return 0.5 * (self._cluster_max[k - 1] + self.boundaries[k])
 
     def _sum_stats(self, eta: float) -> np.ndarray:
@@ -192,6 +197,11 @@ def build_envelopes(
     return [build_envelope(g, w0, v) for g, _ in sentences]
 
 
+def _merge_surfaces(envelopes, sentences, metric: Metric, merge_eps: float) -> CorpusSurface:
+    surfaces = [sentence_surface(env, ref, metric) for env, (_, ref) in zip(envelopes, sentences)]
+    return CorpusSurface(metric, surfaces, merge_eps)
+
+
 def corpus_surface(
     sentences: Sequence[tuple[Hypergraph, Sequence[str]]],
     w0: np.ndarray,
@@ -202,11 +212,7 @@ def corpus_surface(
 ) -> CorpusSurface:
     """Per-sentence envelopes and surfaces, merged into one corpus surface."""
     envelopes = build_envelopes(sentences, w0, v, threads)
-    surfaces = [
-        sentence_surface(env, ref, metric)
-        for env, (_, ref) in zip(envelopes, sentences)
-    ]
-    return CorpusSurface(metric, surfaces, merge_eps)
+    return _merge_surfaces(envelopes, sentences, metric, merge_eps)
 
 
 @dataclass(frozen=True)
@@ -229,22 +235,17 @@ def pick_eta(surface: CorpusSurface, offset: float = DEFAULT_OFFSET) -> tuple[in
     """Choose the minimizing interval and a concrete eta inside it.
 
     Ties prefer the interval containing eta = 0, then the leftmost one.
-    Bounded intervals yield their midpoint; unbounded ones step ``offset``
-    beyond the outermost boundary; a surface with no boundaries yields 0.
+    The chosen eta lies strictly beyond every boundary of the clusters
+    around its interval: bounded intervals yield their midpoint, unbounded
+    ones step ``offset`` beyond the outermost cluster, and a surface with
+    no boundaries yields 0.
     """
     losses = surface.interval_losses()
     best = min(losses)
     tied = [k for k, loss in enumerate(losses) if loss == best]
     home = surface.interval_of(0.0)
     chosen = home if home in tied else tied[0]
-    if not surface.boundaries:
-        return chosen, 0.0
-    if chosen == 0:
-        return chosen, surface.boundaries[0] - offset
-    if chosen == len(surface.boundaries):
-        return chosen, surface.boundaries[-1] + offset
-    eta = 0.5 * (surface._cluster_max[chosen - 1] + surface.boundaries[chosen])
-    return chosen, eta
+    return chosen, surface._interval_point(chosen, offset)
 
 
 def line_search(
@@ -260,11 +261,7 @@ def line_search(
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
     envelopes = build_envelopes(sentences, w0, v, threads)
-    surfaces = [
-        sentence_surface(env, ref, metric)
-        for env, (_, ref) in zip(envelopes, sentences)
-    ]
-    surface = CorpusSurface(metric, surfaces, merge_eps)
+    surface = _merge_surfaces(envelopes, sentences, metric, merge_eps)
     losses = surface.interval_losses()
     chosen, eta = pick_eta(surface, offset)
     return LineSearchResult(
@@ -279,12 +276,8 @@ def line_search(
     )
 
 
-def decode_loss(
-    sentences: Sequence[tuple[Hypergraph, Sequence[str]]],
-    weights: np.ndarray,
-    metric: Metric,
-) -> float:
-    """Corpus loss of the highest-scoring derivations at fixed weights.
+def _decode(sentences, weights: np.ndarray) -> Iterator[Derivation]:
+    """The highest-scoring derivation of each sentence at fixed weights.
 
     Runs the hull inside pass with a zero direction: all dual points then
     share x = 0 and only the best-scoring hypothesis survives on the lower
@@ -292,10 +285,20 @@ def decode_loss(
     """
     weights = np.asarray(weights, dtype=float)
     zero_v = np.zeros_like(weights)
-    total = metric.zero_stats()
-    for graph, ref in sentences:
+    for graph, _ in sentences:
         env = build_envelope(graph, weights, zero_v)
-        total += metric.stats(env.derivations[env.segment_at(0.0)].tokens, ref)
+        yield env.derivations[env.segment_at(0.0)]
+
+
+def decode_loss(
+    sentences: Sequence[tuple[Hypergraph, Sequence[str]]],
+    weights: np.ndarray,
+    metric: Metric,
+) -> float:
+    """Corpus loss of the highest-scoring derivations at fixed weights."""
+    total = metric.zero_stats()
+    for d, (_, ref) in zip(_decode(sentences, weights), sentences):
+        total += metric.stats(d.tokens, ref)
     return metric.loss(total)
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forest import Derivation, Edge, Hypergraph, realize
+from .forest import Derivation, Edge, Hypergraph, _build_derivation
 from .semiring import ConvexHullValue
 
 DEFAULT_VOCAB = ("a", "b", "c", "d", "e")
@@ -93,24 +93,16 @@ def random_forest(
 def random_derivation(rng: np.random.Generator, graph: Hypergraph) -> Derivation:
     """One uniform-per-edge top-down sample from a fully derivable forest.
 
-    Iterative, so it works on lattices far deeper than the recursion limit.
+    Edges are drawn root first, then tails left to right, depth first.
     """
     graph.topo_order()
-    root_holder: list = []
-    ei = int(rng.choice(graph.in_edges[graph.goal]))
-    # frame: [edge_id, tails, built child trees, parent's child list]
-    stack: list[list] = [[ei, graph.edges[ei].tails, [], root_holder]]
-    while stack:
-        frame = stack[-1]
-        eid, tails, built, sink = frame
-        if len(built) < len(tails):
-            node = tails[len(built)]
-            cei = int(rng.choice(graph.in_edges[node]))
-            stack.append([cei, graph.edges[cei].tails, [], built])
-            continue
-        stack.pop()
-        sink.append((eid, tuple(built)))
-    return realize(graph, root_holder[0])
+    edges, in_edges = graph.edges, graph.in_edges
+
+    def expand(node: int):
+        ei = int(rng.choice(in_edges[node]))
+        return ei, edges[ei].tails
+
+    return _build_derivation(graph, graph.goal, expand)
 
 
 def random_corpus(

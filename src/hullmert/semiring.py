@@ -158,14 +158,6 @@ ConvexHullValue.zero = ConvexHullValue(ConvexChain(), ())
 ConvexHullValue.one = ConvexHullValue.singleton(0.0, 0.0)
 
 
-def hull_plus(a: ConvexHullValue, b: ConvexHullValue) -> ConvexHullValue:
-    return a + b
-
-
-def hull_times(a: ConvexHullValue, b: ConvexHullValue) -> ConvexHullValue:
-    return a * b
-
-
 @dataclass(frozen=True)
 class AxiomFailure:
     law: str

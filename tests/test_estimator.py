@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hullmert import MertEstimator
+from hullmert import Edge, Hypergraph, MertEstimator
 from hullmert.errors import ConfigError
 from hullmert.io import loads_corpus
+from hullmert.linesearch import decode_loss
+from hullmert.metrics import ExactMatch
 from hullmert.sampling import random_corpus
 
 CORPUS_TEXT = (
@@ -99,3 +101,34 @@ class TestPredictAndScore:
         pairs = random_corpus(rng, n_sentences=3, n_nodes=5)
         est = MertEstimator(metric="bleu", iterations=1).fit(pairs)
         assert est.score(pairs) == pytest.approx(-est.loss_, abs=1e-12)
+
+
+class TestDecodeTies:
+    """Exact ties at the decode weights go to the first edge in in-edge
+    order, in ``decode_loss`` and ``predict`` alike."""
+
+    @staticmethod
+    def tied_sentence(ref: str) -> tuple[Hypergraph, tuple[str, ...]]:
+        # At weights [1, 1] all three word edges score exactly 1.
+        g = Hypergraph(
+            2,
+            [
+                Edge.make(0, (), {}, ("s",)),
+                Edge.make(1, (0,), {0: 1.0}, (0, "first")),
+                Edge.make(1, (0,), {1: 1.0}, (0, "second")),
+                Edge.make(1, (0,), {0: 0.5, 1: 0.5}, (0, "third")),
+            ],
+            goal=1,
+            n_features=2,
+        )
+        return g, ("s", ref)
+
+    def test_predict_takes_the_first_edge(self) -> None:
+        corpus = [self.tied_sentence("third")]
+        est = MertEstimator(iterations=0, initial_weights=[1.0, 1.0]).fit(corpus)
+        assert est.predict(corpus) == [("s", "first")]
+
+    @pytest.mark.parametrize("ref, loss", [("first", 0.0), ("second", 1.0), ("third", 1.0)])
+    def test_decode_loss_takes_the_first_edge(self, ref: str, loss: float) -> None:
+        corpus = [self.tied_sentence(ref)]
+        assert decode_loss(corpus, np.array([1.0, 1.0]), ExactMatch()) == loss

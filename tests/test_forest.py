@@ -22,7 +22,7 @@ from hullmert.forest import (
 )
 from hullmert.geometry import full_hull
 from hullmert.oracle import dual_points
-from hullmert.sampling import random_forest, random_lattice
+from hullmert.sampling import random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LeafProvenance, Tropical
 
 
@@ -37,6 +37,20 @@ def binary_forest() -> Hypergraph:
         Edge.make(2, (0, 1), {0: -1.0}, (0, "x", 1)),
     ]
     return Hypergraph(3, edges, goal=2, n_features=2)
+
+
+def chain_graph(n: int) -> Hypergraph:
+    """A single path of n edges: a start edge, then one word per node."""
+    edges = [Edge.make(0, (), {}, ("s",))]
+    edges += [Edge.make(i, (i - 1,), {}, (0, "w")) for i in range(1, n)]
+    return Hypergraph(n, edges, goal=n - 1, n_features=0)
+
+
+def chain_tree(n: int) -> tuple:
+    tree = (0, ())
+    for ei in range(1, n):
+        tree = (ei, (tree,))
+    return tree
 
 
 class TestConstruction:
@@ -221,16 +235,25 @@ class TestRealize:
         assert d.tokens == ("a1", "x", "b2")
         assert d.features.tolist() == [1.0, 3.0]
 
-    def test_deep_chain_does_not_recurse(self) -> None:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda g: realize(g, chain_tree(g.n_nodes)), id="realize"),
+            pytest.param(
+                lambda g: reconstruct(g, inside_hull(g, np.zeros(0), np.zeros(0)), 0),
+                id="reconstruct",
+            ),
+            pytest.param(
+                lambda g: random_derivation(np.random.default_rng(0), g),
+                id="random_derivation",
+            ),
+        ],
+    )
+    def test_deep_chain_does_not_recurse(self, build) -> None:
         n = 4000
-        edges = [Edge.make(0, (), {}, ("s",))]
-        edges += [Edge.make(i, (i - 1,), {}, (0, "w")) for i in range(1, n)]
-        g = Hypergraph(n, edges, goal=n - 1, n_features=0)
-        tree = (0, ())
-        for ei in range(1, n):
-            tree = (ei, (tree,))
-        d = realize(g, tree)
+        d = build(chain_graph(n))
         assert len(d.tokens) == n - 1 + 1  # start token plus one word per step
+        assert d.edge_ids() == list(range(n - 1, -1, -1))
 
     def test_derivation_equality_is_by_tree(self) -> None:
         g = binary_forest()
@@ -299,6 +322,53 @@ class TestReconstruct:
         small = Hypergraph(1, [Edge.make(0, (), {}, ("w",))], goal=0, n_features=2)
         with pytest.raises(ProvenanceError):
             reconstruct(small, value, 0)
+
+
+    def test_provenance_arity_must_match_the_edge(self) -> None:
+        value = ConvexHullValue.singleton(0, 0, LeafProvenance(5))
+        with pytest.raises(ProvenanceError, match="edge 5 expects 2 tails, provenance recorded 0"):
+            reconstruct(binary_forest(), value, 0)
+
+    def test_provenance_tails_must_head_the_edge_tails(self) -> None:
+        # Edge 5 rewrites node 2 from (node 0, node 1); supply them swapped.
+        leaf = [ConvexHullValue.singleton(0, 0, LeafProvenance(ei)) for ei in (5, 2, 0)]
+        value = leaf[0] * leaf[1] * leaf[2]
+        with pytest.raises(
+            ProvenanceError, match="edge 5 tail 0 is node 0, provenance supplies node 1"
+        ):
+            reconstruct(binary_forest(), value, 0)
+
+
+class TestRandomDerivation:
+    def test_draws_are_pinned(self) -> None:
+        # Benchmark references are drawn with random_derivation from a
+        # shared generator: the draw order (root first, then tails left to
+        # right, depth first) and the number of draws must not change.
+        edges = [
+            Edge.make(0, (), {0: 1.0}, ("a0",)),
+            Edge.make(0, (), {0: 2.0}, ("a1",)),
+            Edge.make(1, (), {1: 1.0}, ("b0",)),
+            Edge.make(1, (), {1: 2.0}, ("b1",)),
+            Edge.make(1, (), {1: 3.0}, ("b2",)),
+            Edge.make(2, (0, 1), {0: -1.0}, (0, "x", 1)),
+            Edge.make(2, (1, 0), {1: -1.0}, (1, "y", 0)),
+            Edge.make(3, (2, 1), {0: 0.5}, (0, 1)),
+            Edge.make(3, (0, 2), {1: 0.5}, (1, "z", 0)),
+            Edge.make(3, (), {}, ("leaf",)),
+        ]
+        g = Hypergraph(4, edges, goal=3, n_features=2)
+        rng = np.random.default_rng(0)
+        drawn = [random_derivation(rng, g) for _ in range(5)]
+        assert [d.tree for d in drawn] == [
+            (9, ()),
+            (8, ((1, ()), (5, ((0, ()), (2, ()))))),
+            (7, ((5, ((0, ()), (4, ()))), (3, ()))),
+            (9, ()),
+            (8, ((1, ()), (6, ((4, ()), (1, ()))))),
+        ]
+        assert drawn[1].tokens == ("a0", "x", "b0", "z", "a1")
+        assert drawn[2].features.tolist() == [0.5, 5.0]
+        assert int(rng.integers(0, 1000)) == 543
 
 
 class TestEnumeration:

@@ -20,6 +20,7 @@ from hullmert.io import (
     loads_corpus,
     serialize_corpus,
 )
+from hullmert.linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET
 
 SENTENCE = (
     '{"id": "s1", "nodes": 3, "goal": 2, "edges": ['
@@ -206,12 +207,12 @@ class TestLoadVectorMap:
 class TestRunConfig:
     def test_defaults_are_valid(self) -> None:
         cfg = RunConfig()
-        assert cfg.metric == "exact" and cfg.strategy == "midpoint"
+        assert cfg.metric == "exact"
+        assert cfg.merge_eps == DEFAULT_MERGE_EPS and cfg.offset == DEFAULT_OFFSET
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"strategy": "random"},
             {"merge_eps": -1e-9},
             {"offset": 0.0},
             {"iterations": -1},

@@ -11,6 +11,8 @@ from hullmert.errors import (
 )
 from hullmert.forest import Edge, Hypergraph
 from hullmert.linesearch import (
+    DEFAULT_MERGE_EPS,
+    DEFAULT_OFFSET,
     CorpusSurface,
     ErrorSurface,
     build_envelope,
@@ -47,6 +49,18 @@ def two_hypothesis_sentence(good: str, bad: str) -> tuple[Hypergraph, tuple[str,
         n_features=2,
     )
     return g, (good,)
+
+
+def crossing_sentence(c: float) -> tuple[Hypergraph, tuple[str, ...]]:
+    """Sentence whose reference edge overtakes the other one at eta = c
+    along w0 = [0, 1], v = [1, 0]."""
+    g = Hypergraph(
+        1,
+        [Edge.make(0, (), {0: 1.0, 1: -c}, ("good",)), Edge.make(0, (), {}, ("bad",))],
+        goal=0,
+        n_features=2,
+    )
+    return g, ("good",)
 
 
 class TestBuildEnvelope:
@@ -212,6 +226,29 @@ class TestPickEta:
         surface = surface_with(ExactMatch(), (-3.0, -2.0, -1.0), [5.0, 1.0, 1.0, 5.0])
         chosen, eta = pick_eta(surface)
         assert chosen == 1 and eta == pytest.approx(-2.5)
+
+    @pytest.mark.parametrize(
+        "crossings, merge_eps, offset",
+        [
+            ((0.0, 0.04, 0.08, 0.12), 0.05, DEFAULT_OFFSET),
+            ((0.12, 0.12 + 1e-10), DEFAULT_MERGE_EPS, 1e-11),
+        ],
+        ids=["wide-merge-eps", "tiny-offset"],
+    )
+    def test_right_unbounded_eta_clears_a_chained_last_cluster(
+        self, crossings, merge_eps, offset
+    ) -> None:
+        # The crossings chain into one cluster reported at its minimum; the
+        # chosen eta must lie beyond the cluster's maximum, or the reported
+        # loss is not the loss at the returned weights.
+        corpus = [crossing_sentence(c) for c in crossings]
+        w0, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        metric = ExactMatch()
+        result = line_search(corpus, w0, v, metric, merge_eps=merge_eps, offset=offset)
+        assert result.boundaries == (crossings[0],)
+        assert result.best_interval == 1 and result.loss == 0.0
+        assert result.eta > crossings[-1]
+        assert decode_loss(corpus, result.weights, metric) == result.loss
 
     def test_never_worse_than_staying_put(self, rng) -> None:
         metric = ExactMatch()
