@@ -8,12 +8,17 @@ where every edge has at most one tail; no separate code path exists.
 
 ``inside`` runs the standard recursion node value = sum over incoming edges
 of (edge value * product of tail values) in any semiring.  With the convex
-hull semiring the goal value is the set of dual points of all envelope
-hypotheses, each traceable back to its derivation via provenance.
+hull semiring (``inside_hull``, the reference) the goal value is the set of
+dual points of all envelope hypotheses, each traceable back to its
+derivation via provenance.  The line search runs the same recursion in the
+lower-chain semiring (``envelope_points``), which keeps only the face of
+the hull that reaches the envelope and reads derivations off flat
+back-pointers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections import deque
 from itertools import product as iter_product
@@ -26,9 +31,11 @@ from .errors import (
     DimensionMismatchError,
     EnumerationOverflowError,
     ForestFormatError,
+    InvalidGeometryError,
     ProvenanceError,
 )
-from .semiring import ConvexHullValue, LeafProvenance, ProductProvenance, Semiring
+from .geometry import ConvexChain
+from .semiring import ConvexHullValue, LeafProvenance, LowerChainValue, Semiring
 
 K = TypeVar("K", bound=Semiring)
 
@@ -199,16 +206,10 @@ class Hypergraph:
         return out
 
 
-def inside(
-    graph: Hypergraph,
-    edge_value: Callable[[int, Edge], K],
-    semiring: type[K] = ConvexHullValue,
-) -> K:
-    """Generic inside recursion; returns the goal node's value.
-
-    Nodes with no incoming edges keep the additive identity, which
-    annihilates any edge using them as a tail.
-    """
+def _inside_values(
+    graph: Hypergraph, edge_value: Callable[[int, Edge], K], semiring: type[K]
+) -> list[K]:
+    """The inside recursion; every node's value, indexed by node."""
     order = graph.topo_order()
     zero = semiring.zero
     values: list[K] = [zero] * graph.n_nodes
@@ -221,12 +222,36 @@ def inside(
                 k = k * values[t]
             total = total + k
         values[node] = total
-    return values[graph.goal]
+    return values
+
+
+def inside(
+    graph: Hypergraph,
+    edge_value: Callable[[int, Edge], K],
+    semiring: type[K] = ConvexHullValue,
+) -> K:
+    """Generic inside recursion; returns the goal node's value.
+
+    Nodes with no incoming edges keep the additive identity, which
+    annihilates any edge using them as a tail.
+    """
+    return _inside_values(graph, edge_value, semiring)[graph.goal]
 
 
 def edge_dot(edge: Edge, vec: np.ndarray) -> float:
     """Sparse dot product of an edge's features with a dense vector."""
     return float(sum(vec[i] * v for i, v in edge.features))
+
+
+def _dual_coordinates(edge: Edge, w0: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(v.H, -w0.H) for one edge, after the dimension checks."""
+    if len(w0) != len(v):
+        raise DimensionMismatchError(f"w0 has {len(w0)} features, direction has {len(v)}")
+    if edge.features and edge.features[-1][0] >= len(w0):
+        raise DimensionMismatchError(
+            f"edge uses feature id {edge.features[-1][0]} but vectors have {len(w0)}"
+        )
+    return edge_dot(edge, v), -edge_dot(edge, w0)
 
 
 def project_edge(
@@ -238,19 +263,51 @@ def project_edge(
     and -y is its score at the starting weights.  A zero-feature edge
     projects to {(0, 0)}, the multiplicative identity value.
     """
-    if len(w0) != len(v):
-        raise DimensionMismatchError(f"w0 has {len(w0)} features, direction has {len(v)}")
-    if edge.features and edge.features[-1][0] >= len(w0):
-        raise DimensionMismatchError(
-            f"edge uses feature id {edge.features[-1][0]} but vectors have {len(w0)}"
-        )
     prov = None if edge_id is None else LeafProvenance(edge_id)
-    return ConvexHullValue.singleton(edge_dot(edge, v), -edge_dot(edge, w0), prov)
+    return ConvexHullValue.singleton(*_dual_coordinates(edge, w0, v), prov)
 
 
 def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullValue:
     """Inside computation in the convex hull semiring with edge projections."""
     return inside(graph, lambda ei, e: project_edge(e, w0, v, ei), ConvexHullValue)
+
+
+def _project_lower(edge: Edge, w0: np.ndarray, v: np.ndarray, edge_id: int) -> LowerChainValue:
+    x, y = _dual_coordinates(edge, w0, v)
+    # +0.0 canonicalizes -0.0 as Point2 does; sums of canonical coordinates
+    # stay canonical, so products need no second pass.
+    x += 0.0
+    y += 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
+    return LowerChainValue.singleton(x, y, (edge_id,))
+
+
+def envelope_points(
+    graph: Hypergraph, w0: np.ndarray, v: np.ndarray
+) -> tuple[ConvexChain, tuple["Derivation", ...]]:
+    """The goal's lower chain and one derivation per chain point.
+
+    Runs the inside recursion in the lower-chain semiring.  Its goal chain
+    equals ``lower_chain(inside_hull(graph, w0, v).hull)``, and each
+    derivation is the one ``reconstruct`` recovers for that hull point.
+    """
+    values = _inside_values(
+        graph, lambda ei, e: _project_lower(e, w0, v, ei), LowerChainValue
+    )
+    edges = graph.edges
+
+    def expand(item: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
+        node, i = item
+        back = values[node].back[i]
+        eid = back[0]
+        return eid, list(zip(edges[eid].tails, back[1:]))
+
+    goal = graph.goal
+    derivations = tuple(
+        _build_derivation(graph, (goal, i), expand) for i in range(len(values[goal]))
+    )
+    return values[goal].chain(), derivations
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,18 +51,22 @@ def cross(o: Point2, a: Point2, b: Point2) -> float:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def orientation(o: Point2, a: Point2, b: Point2) -> int:
-    """Robust sign of ``cross(o, a, b)``: +1 left turn, -1 right, 0 collinear.
+def difference_sign(t1: float, t2: float) -> int:
+    """Robust sign of ``t1 - t2``: +1, -1, or 0 inside the zero band.
 
-    The zero band scales with the magnitude of the two products being
+    The band scales with the magnitude of the two products being
     subtracted (EPS_GEOM relative), so integer inputs are decided exactly.
+    Every orientation and edge-angle decision goes through this test.
     """
-    t1 = (a.x - o.x) * (b.y - o.y)
-    t2 = (a.y - o.y) * (b.x - o.x)
     c = t1 - t2
     if abs(c) <= EPS_GEOM * (abs(t1) + abs(t2)):
         return 0
     return 1 if c > 0.0 else -1
+
+
+def orientation(o: Point2, a: Point2, b: Point2) -> int:
+    """Robust sign of ``cross(o, a, b)``: +1 left turn, -1 right, 0 collinear."""
+    return difference_sign((a.x - o.x) * (b.y - o.y), (a.y - o.y) * (b.x - o.x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,12 +198,7 @@ def _angle_cmp(u: Point2, v: Point2) -> int:
     hu, hv = _half(u), _half(v)
     if hu != hv:
         return -1 if hu < hv else 1
-    t1 = u.x * v.y
-    t2 = u.y * v.x
-    c = t1 - t2
-    if abs(c) <= EPS_GEOM * (abs(t1) + abs(t2)):
-        return 0
-    return -1 if c > 0.0 else 1
+    return -difference_sign(u.x * v.y, u.y * v.x)
 
 
 def _edge_vectors(pts: tuple[Point2, ...], closed: bool) -> list[Point2]:

@@ -5,14 +5,19 @@ eta, so a sentence's best achievable score is the upper envelope of
 finitely many lines.  The convex hull semiring computes that envelope in
 dual form: the lower chain of the goal hull lists the envelope's
 hypotheses left to right, and consecutive slopes give the eta values where
-the argmax changes.  Realizing each chain point's derivation and scoring
-its yield turns the envelope into a piecewise-constant error surface;
-surfaces add across sentences, so the corpus loss is a step function whose
-exact minimum is read off one representative point per interval.
+the argmax changes.  ``build_envelope`` runs the inside pass in the
+lower-chain (envelope) semiring, which carries only that face of each
+hull; ``ConvexHullValue`` and ``inside_hull`` stay as the reference it
+must agree with point for point.  Realizing each chain point's derivation
+and scoring its yield turns the envelope into a piecewise-constant error
+surface; surfaces add across sentences, so the corpus loss is a step
+function whose exact minimum is read off one representative point per
+interval.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -27,8 +32,8 @@ from .errors import (
     DimensionMismatchError,
     NoHypothesesError,
 )
-from .forest import Derivation, Hypergraph, inside_hull, reconstruct
-from .geometry import Point2, envelope_boundaries, lower_chain
+from .forest import Derivation, Hypergraph, envelope_points
+from .geometry import Point2, envelope_boundaries
 from .metrics import Metric
 
 DEFAULT_MERGE_EPS = 1e-9
@@ -64,14 +69,10 @@ class Envelope:
 
 
 def build_envelope(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> Envelope:
-    """Inside pass in the hull semiring, then walk the lower chain."""
-    value = inside_hull(graph, w0, v)
-    if value.is_zero():
+    """Inside pass in the lower-chain semiring, one derivation per point."""
+    chain, derivations = envelope_points(graph, w0, v)
+    if not chain:
         raise NoHypothesesError("goal node derives nothing; envelope is empty")
-    chain = lower_chain(value.hull)
-    # The goal hull starts at its lexicographic minimum, so the lower chain
-    # occupies indices 0..len(chain)-1 of the full hull.
-    derivations = tuple(reconstruct(graph, value, i) for i in range(len(chain)))
     return Envelope(chain.points, envelope_boundaries(chain), derivations)
 
 
@@ -141,15 +142,24 @@ class CorpusSurface:
         """A point interior to interval k for every sentence's surface.
 
         The step right of the last cluster starts from its maximum only
-        when a step from its minimum would stay inside the cluster.
+        when a step from its minimum would stay inside the cluster.  An
+        unbounded interval's step that rounds back onto its boundary
+        (``offset`` below the boundary's float spacing) becomes the next
+        float beyond it.
         """
         if not self.boundaries:
             return 0.0
         if k == 0:
-            return self.boundaries[0] - offset
+            first = self.boundaries[0]
+            eta = first - offset
+            return eta if eta < first else math.nextafter(first, -math.inf)
         if k == len(self.boundaries):
+            last = self._cluster_max[-1]
             eta = self.boundaries[-1] + offset
-            return eta if eta > self._cluster_max[-1] else self._cluster_max[-1] + offset
+            if eta > last:
+                return eta
+            eta = last + offset
+            return eta if eta > last else math.nextafter(last, math.inf)
         return 0.5 * (self._cluster_max[k - 1] + self.boundaries[k])
 
     def _sum_stats(self, eta: float) -> np.ndarray:
@@ -358,6 +368,8 @@ def optimize(
                 loss = result.loss
                 improved = True
                 steps.append(OptimizeStep(it, axis, result.eta, loss))
+            # Release the envelopes and derivations before the next search.
+            del result
         if not improved:
             break
     return OptimizeResult(

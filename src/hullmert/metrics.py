@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +67,17 @@ def _ngram_counts(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+@lru_cache(maxsize=1024)
+def _reference_counts(ref: tuple[str, ...], max_n: int) -> tuple[Counter, ...]:
+    """N-gram counts of a reference for orders 1..max_n.
+
+    A line search scores every envelope hypothesis of a sentence against
+    the same reference, so the counts are built once per reference.  The
+    Counters are shared: callers only read them.
+    """
+    return tuple(_ngram_counts(ref, n) for n in range(1, max_n + 1))
+
+
 class Bleu(Metric):
     """1 - corpus BLEU against a single reference.
 
@@ -86,8 +98,7 @@ class Bleu(Metric):
 
     def stats(self, hyp: Tokens, ref: Tokens) -> np.ndarray:
         out = np.zeros(self.n_stats)
-        for n in range(1, self.max_n + 1):
-            ref_counts = _ngram_counts(ref, n)
+        for n, ref_counts in enumerate(_reference_counts(tuple(ref), self.max_n), 1):
             matched = 0
             for gram, count in _ngram_counts(hyp, n).items():
                 matched += min(count, ref_counts[gram])

@@ -6,6 +6,7 @@ from hullmert.errors import (
     DimensionMismatchError,
     EnumerationOverflowError,
     ForestFormatError,
+    InvalidGeometryError,
     ProvenanceError,
 )
 from hullmert.forest import (
@@ -14,13 +15,14 @@ from hullmert.forest import (
     count_derivations,
     edge_dot,
     enumerate_derivations,
+    envelope_points,
     inside,
     inside_hull,
     project_edge,
     realize,
     reconstruct,
 )
-from hullmert.geometry import full_hull
+from hullmert.geometry import full_hull, lower_chain
 from hullmert.oracle import dual_points
 from hullmert.sampling import random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LeafProvenance, Tropical
@@ -247,6 +249,10 @@ class TestRealize:
                 lambda g: random_derivation(np.random.default_rng(0), g),
                 id="random_derivation",
             ),
+            pytest.param(
+                lambda g: envelope_points(g, np.zeros(0), np.zeros(0))[1][0],
+                id="envelope_points",
+            ),
         ],
     )
     def test_deep_chain_does_not_recurse(self, build) -> None:
@@ -337,6 +343,103 @@ class TestReconstruct:
             ProvenanceError, match="edge 5 tail 0 is node 0, provenance supplies node 1"
         ):
             reconstruct(binary_forest(), value, 0)
+
+
+def assert_matches_hull_reference(graph: Hypergraph, w0, v) -> None:
+    """The lower-chain pass against the hull semiring, bit for bit."""
+    chain, derivations = envelope_points(graph, w0, v)
+    value = inside_hull(graph, w0, v)
+    want = lower_chain(value.hull)
+    assert [(p.x.hex(), p.y.hex()) for p in chain] == [
+        (p.x.hex(), p.y.hex()) for p in want
+    ]
+    assert len(derivations) == len(want)
+    for i, d in enumerate(derivations):
+        ref = reconstruct(graph, value, i)
+        assert d.tree == ref.tree
+        assert d.tokens == ref.tokens
+        assert d.features.tobytes() == ref.features.tobytes()
+
+
+def random_vectors(rng, n: int, integer: bool):
+    if integer:
+        return (rng.integers(-3, 4, size=n).astype(float),
+                rng.integers(-3, 4, size=n).astype(float))
+    return rng.normal(size=n), rng.normal(size=n)
+
+
+class TestEnvelopePoints:
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
+    @pytest.mark.parametrize(
+        "make, size",
+        [
+            pytest.param(random_lattice, {"max_parallel": 3}, id="lattice"),
+            pytest.param(random_forest, {"max_edges_per_node": 3}, id="forest"),
+        ],
+    )
+    def test_goal_chain_matches_hull_reference(self, rng, make, size, integer) -> None:
+        for _ in range(25):
+            graph = make(rng, n_nodes=14, integer_features=integer, **size)
+            w0, v = random_vectors(rng, 3, integer)
+            assert_matches_hull_reference(graph, w0, v)
+            # v = 0 is the fixed-weight decode: one point per node.
+            assert_matches_hull_reference(graph, w0, np.zeros(3))
+
+    def test_duplicate_dual_points_resolve_like_the_reference(self, rng) -> None:
+        # Two small integer features make many derivations share a point;
+        # which derivation a shared point keeps must follow the reference.
+        with_duplicates = 0
+        for _ in range(40):
+            graph = random_forest(
+                rng, n_nodes=8, n_features=2, max_edges_per_node=3, integer_features=True
+            )
+            w0, v = random_vectors(rng, 2, integer=True)
+            if count_derivations(graph) <= 2000:
+                points = dual_points(graph, w0, v)
+                with_duplicates += len(set(points)) < len(points)
+            assert_matches_hull_reference(graph, w0, v)
+        assert with_duplicates >= 10
+
+    def test_points_project_back_to_their_derivations(self, rng) -> None:
+        for _ in range(10):
+            graph = random_forest(rng, n_nodes=10, integer_features=True)
+            w0, v = random_vectors(rng, 3, integer=True)
+            chain, derivations = envelope_points(graph, w0, v)
+            for p, d in zip(chain, derivations):
+                assert (p.x, p.y) == (float(v @ d.features), -float(w0 @ d.features))
+
+    def test_empty_language_gives_an_empty_chain(self) -> None:
+        g = Hypergraph(2, [Edge.make(0, (), {}, ())], goal=1, n_features=1)
+        chain, derivations = envelope_points(g, np.zeros(1), np.ones(1))
+        assert not chain and derivations == ()
+
+    def test_overflowing_sum_raises(self) -> None:
+        g = Hypergraph(
+            2,
+            [Edge.make(0, (), {0: 1e308}, ("a",)), Edge.make(1, (0,), {0: 1e308}, (0, "b"))],
+            goal=1,
+            n_features=1,
+        )
+        with pytest.raises(InvalidGeometryError):
+            envelope_points(g, np.zeros(1), np.ones(1))
+        with pytest.raises(InvalidGeometryError):
+            envelope_points(g, np.ones(1), np.zeros(1))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_projection_raises(self) -> None:
+        g = Hypergraph(1, [Edge.make(0, (), {0: 1e308}, ("a",))], goal=0, n_features=1)
+        with pytest.raises(InvalidGeometryError):
+            envelope_points(g, np.array([10.0]), np.zeros(1))
+
+    def test_dimension_mismatch(self) -> None:
+        g = Hypergraph(1, [Edge.make(0, (), {1: 1.0}, ())], goal=0, n_features=2)
+        with pytest.raises(DimensionMismatchError):
+            envelope_points(g, np.array([1.0]), np.array([1.0]))
+
+    def test_negative_zero_is_canonical(self) -> None:
+        g = Hypergraph(1, [Edge.make(0, (), {0: 1.0}, ("a",))], goal=0, n_features=1)
+        chain, _ = envelope_points(g, np.array([0.0]), np.array([-0.0]))
+        assert [(p.x.hex(), p.y.hex()) for p in chain] == [("0x0.0p+0", "0x0.0p+0")]
 
 
 class TestRandomDerivation:

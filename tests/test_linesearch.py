@@ -1,15 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hullmert import MertEstimator, cli
 from hullmert.errors import (
     ConfigError,
     DegenerateDirectionWarning,
     DimensionMismatchError,
     NoHypothesesError,
 )
-from hullmert.forest import Edge, Hypergraph
+from hullmert.forest import Edge, Hypergraph, realize
+from hullmert.io import load_corpus
 from hullmert.linesearch import (
     DEFAULT_MERGE_EPS,
     DEFAULT_OFFSET,
@@ -26,12 +29,19 @@ from hullmert.linesearch import (
     sweep,
 )
 from hullmert.metrics import ExactMatch, get_metric
-from hullmert.oracle import decode_corpus_loss, grid_line_search, naive_envelope
+from hullmert.oracle import (
+    decode_corpus_loss,
+    grid_line_search,
+    naive_envelope,
+    viterbi_derivation,
+)
 from hullmert.sampling import random_corpus
+from hullmert.semiring import ConvexHullValue
 
 from helpers import LINE_V, LINE_W0, make_line_graph
 
 INF = float("inf")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def surface_with(metric, boundaries, stats_values) -> CorpusSurface:
@@ -250,6 +260,33 @@ class TestPickEta:
         assert result.eta > crossings[-1]
         assert decode_loss(corpus, result.weights, metric) == result.loss
 
+    @pytest.mark.parametrize("first, second", [("b", "a"), ("a", "b")])
+    def test_unbounded_eta_does_not_round_onto_its_boundary(self, first, second) -> None:
+        # The crossing is at eta = 1e8, where offset 1e-9 is below the float
+        # spacing: a plain step would land on the boundary itself, in the
+        # neighbouring interval.
+        feats = {"a": {1: 1.0}, "b": {0: 1.0}}
+        g = Hypergraph(
+            1,
+            [Edge.make(0, (), feats[first], (first,)), Edge.make(0, (), feats[second], (second,))],
+            goal=0,
+            n_features=2,
+        )
+        corpus = [(g, ("a",))]
+        w0, v = np.array([0.0, 1e8]), np.array([1.0, 0.0])
+        metric = ExactMatch()
+        result = line_search(corpus, w0, v, metric, offset=1e-9)
+        assert result.boundaries == (1e8,)
+        assert result.best_interval == 0 and result.loss == 0.0
+        assert result.surface.interval_of(result.eta) == result.best_interval
+        assert decode_loss(corpus, result.weights, metric) == result.loss
+
+    def test_right_unbounded_eta_does_not_round_onto_its_boundary(self) -> None:
+        surface = surface_with(ExactMatch(), (1e8,), [1.0, 0.0])
+        chosen, eta = pick_eta(surface, offset=1e-9)
+        assert chosen == 1 and eta > 1e8
+        assert surface.interval_of(eta) == chosen
+
     def test_never_worse_than_staying_put(self, rng) -> None:
         metric = ExactMatch()
         for _ in range(20):
@@ -398,3 +435,33 @@ class TestSweep:
             if any(abs(eta - b) < 1e-6 for b in all_bs):
                 continue
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+class TestHotPathRepresentation:
+    def test_golden_fixture_runs_without_hull_operations(self, monkeypatch, capsys) -> None:
+        # The line search, the decode and the estimator run on lower chains
+        # only; ConvexHullValue stays the reference that tests compare with.
+        def forbidden(*_):
+            raise AssertionError("convex hull semiring operation on the hot path")
+
+        monkeypatch.setattr(ConvexHullValue, "__add__", forbidden)
+        monkeypatch.setattr(ConvexHullValue, "__mul__", forbidden)
+        corpus_path = str(FIXTURES / "corpus.jsonl")
+        code = cli.run([
+            "linesearch", corpus_path,
+            "--weights", str(FIXTURES / "weights.json"),
+            "--direction", str(FIXTURES / "direction.json"),
+            "--metric", "bleu",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == (FIXTURES / "golden_linesearch.json").read_text()
+
+        corpus = load_corpus(corpus_path)
+        pairs = corpus.pairs()
+        metric = get_metric("bleu")
+        weights = corpus.features.vectorize({"lm": 0.8, "tm": -0.3}, "weights")
+        assert decode_loss(pairs, weights, metric) == decode_corpus_loss(pairs, weights, metric)
+
+        est = MertEstimator(metric="bleu").fit(corpus)
+        want = [realize(g, viterbi_derivation(g, est.weights_)[1]).tokens for g, _ in pairs]
+        assert est.predict(corpus) == want

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullmert.errors import CapExceededError, NoHypothesesError
 from hullmert.forest import Edge, Hypergraph, realize
@@ -8,6 +10,7 @@ from hullmert.linesearch import build_envelope
 from hullmert.metrics import ExactMatch
 from hullmert.oracle import (
     DEFAULT_GRID_POINTS,
+    DEFAULT_REL_TOL,
     best_derivation,
     dual_points,
     duality_report,
@@ -19,7 +22,7 @@ from hullmert.oracle import (
     tropical_best,
     viterbi_derivation,
 )
-from hullmert.sampling import random_forest, random_hull_value
+from hullmert.sampling import random_forest, random_hull_value, random_lattice
 
 
 class TestNaiveMinkowski:
@@ -141,3 +144,48 @@ class TestDualityReport:
         report = duality_report(two_line_graph, np.array([2.0]), np.array([1.0]))
         assert report.boundaries == (-2.0,)
         assert report.n_segments == 2
+
+
+def scaled(graph: Hypergraph, scale: float) -> Hypergraph:
+    edges = [
+        Edge.make(e.head, e.tails, {i: v * scale for i, v in e.features}, e.template)
+        for e in graph.edges
+    ]
+    return Hypergraph(graph.n_nodes, edges, graph.goal, graph.n_features)
+
+
+class TestExactnessFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        forest=st.booleans(),
+        scale_exp=st.integers(-20, 40),
+        tilt_exp=st.integers(0, 10),
+        eta_exp=st.integers(0, 16),
+        eta_steps=st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=8),
+    )
+    def test_envelope_equals_max_plus_scoring(
+        self, seed, forest, scale_exp, tilt_exp, eta_exp, eta_steps
+    ):
+        # Integer features times 2**scale_exp span about 1e-6 to 1e12.  With
+        # integer weights and etas on a 2**-eta_exp grid every score on both
+        # sides is exact, so any gap is an envelope error.  The direction is
+        # w0 * 2**tilt_exp plus a unit nudge: for large tilts it is nearly
+        # parallel to w0 and the crossings crowd together.
+        rng = np.random.default_rng(seed)
+        if forest:
+            graph = random_forest(rng, n_nodes=10, integer_features=True)
+        else:
+            graph = random_lattice(rng, n_nodes=10, max_parallel=3, integer_features=True)
+        graph = scaled(graph, 2.0**scale_exp)
+        w0 = rng.integers(-3, 4, size=3).astype(float)
+        v = w0 * 2.0**tilt_exp + rng.integers(-1, 2, size=3)
+        env = build_envelope(graph, w0, v)
+        grid = 2.0**eta_exp
+        etas = [k / grid for k in eta_steps]
+        # Every segment's probe point, snapped to the grid.
+        etas += [round(e * 2**16) / 2**16 for e in probe_etas(env) if abs(e) < 2**12]
+        for eta in etas:
+            best, _ = viterbi_derivation(graph, w0 + eta * v)
+            got = env.max_at(eta)
+            assert abs(got - best) <= DEFAULT_REL_TOL * max(1.0, abs(got), abs(best))

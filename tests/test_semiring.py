@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullmert.geometry import ConvexChain, Point2, full_hull
+from hullmert.errors import InvalidGeometryError
+from hullmert.geometry import ConvexChain, Point2, full_hull, lower_hull
 from hullmert.semiring import (
     ConvexHullValue,
     LeafProvenance,
+    LowerChainValue,
     ProductProvenance,
     Tropical,
     check_axioms,
@@ -18,6 +20,13 @@ int_pairs = st.tuples(
 raw_values = st.lists(int_pairs, min_size=1, max_size=8).map(
     ConvexHullValue.from_raw_points
 )
+raw_chains = st.lists(int_pairs, min_size=1, max_size=8).map(
+    LowerChainValue.from_raw_points
+)
+
+
+def chain_points(value: LowerChainValue) -> tuple[Point2, ...]:
+    return value.chain().points
 
 
 class TestTropical:
@@ -170,6 +179,92 @@ class TestAxioms:
         first = report.first_failure
         assert first is not None and first.law == "distributive_left"
         assert first.lhs != first.rhs
+
+
+class TestLowerChainValue:
+    def test_from_raw_points_is_the_lower_hull(self) -> None:
+        v = LowerChainValue.from_raw_points([(0, 0), (2, 0), (1, 1), (1, -1), (2, 3)])
+        assert (v.xs, v.ys) == ([0.0, 1.0, 2.0], [0.0, -1.0, 0.0])
+        assert v.back == [None, None, None]
+
+    def test_sum_merges_by_x_and_keeps_the_lower_point(self) -> None:
+        a = LowerChainValue.from_raw_points([(0, 0), (2, 0)])
+        b = LowerChainValue.from_raw_points([(1, -1), (2, -3)])
+        got = a + b
+        assert (got.xs, got.ys) == ([0.0, 2.0], [0.0, -3.0])
+
+    def test_coincident_point_keeps_left_back_pointer(self) -> None:
+        a = LowerChainValue.singleton(1.0, 1.0, (1,))
+        b = LowerChainValue.singleton(1.0, 1.0, (2,))
+        assert (a + b).back == [(1,)]
+        assert (b + a).back == [(2,)]
+        assert a + b == b + a
+
+    def test_zero_is_identity_object(self) -> None:
+        a = LowerChainValue.from_raw_points([(1, 1), (2, 2)])
+        assert (a + LowerChainValue.zero) is a
+        assert (LowerChainValue.zero + a) is a
+        assert (a * LowerChainValue.zero) is LowerChainValue.zero
+        assert (LowerChainValue.one * a) is a
+
+    def test_product_appends_the_right_index(self) -> None:
+        edge = LowerChainValue.singleton(1.0, 2.0, (7,))
+        tail = LowerChainValue.from_raw_points([(0, 0), (1, -1), (3, 0)])
+        got = edge * tail
+        assert (got.xs, got.ys) == ([1.0, 2.0, 4.0], [2.0, 1.0, 2.0])
+        assert got.back == [(7, 0), (7, 1), (7, 2)]
+        two = LowerChainValue([0.0, 1.0], [0.0, 0.0], [(3, 0), (3, 1)])
+        assert (two * tail).back == [(3, 0, 0), (3, 0, 1), (3, 1, 1), (3, 1, 2)]
+
+    @given(raw_chains, raw_chains)
+    def test_sum_is_the_lower_hull_of_the_union(self, a, b) -> None:
+        got = a + b
+        assert chain_points(got) == lower_hull(chain_points(a) + chain_points(b)).points
+        assert len(got) <= len(a) + len(b)
+        got.chain().check_lower()
+
+    @given(raw_values, raw_values)
+    def test_operations_keep_the_lower_face_of_hull_operations(self, a, b) -> None:
+        # Reference: the hull semiring, lowered afterwards.
+        la = LowerChainValue.from_raw_points(a.points)
+        lb = LowerChainValue.from_raw_points(b.points)
+        assert chain_points(la + lb) == lower_hull((a + b).points).points
+        assert chain_points(la * lb) == lower_hull((a * b).points).points
+        (la * lb).chain().check_lower()
+
+    def test_random_integer_values_satisfy_all_laws(self, rng) -> None:
+        values = [
+            LowerChainValue.from_raw_points(
+                rng.integers(-20, 21, size=(rng.integers(1, 7), 2)).tolist()
+            )
+            for _ in range(8)
+        ]
+        values += [LowerChainValue.zero, LowerChainValue.one]
+        report = check_axioms(values)
+        assert report.ok, report.failures
+        assert report.n_triples == len(values) ** 3
+
+    def test_non_canonical_value_is_caught(self) -> None:
+        # The identity elements come from the values' own type, so the
+        # collinear middle point is seen by LowerChainValue's operations.
+        bad = LowerChainValue([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [None] * 3)
+        report = check_axioms([bad])
+        assert "plus_idempotent" in report.failed_laws()
+
+    def test_overflowing_product_raises(self) -> None:
+        big = LowerChainValue.from_raw_points([(0, 1e308), (1, 1.5e308)])
+        with pytest.raises(InvalidGeometryError):
+            big * big
+        wide = LowerChainValue.singleton(1.5e308, 0.0, (0,))
+        with pytest.raises(InvalidGeometryError):
+            wide * wide
+
+    def test_product_rounding_x_together_stays_strict(self) -> None:
+        # Adding 1e20 rounds the tail's x values 0 and 1 onto one float.
+        edge = LowerChainValue.singleton(1e20, 0.0, (0,))
+        tail = LowerChainValue([0.0, 1.0], [0.0, -1.0], [(1,), (2,)])
+        got = edge * tail
+        assert (got.xs, got.ys, got.back) == ([1e20], [-1.0], [(0, 1)])
 
 
 class TestConvexifyEquivalence:
