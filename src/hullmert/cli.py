@@ -119,8 +119,8 @@ def _parse_grid(args) -> tuple[float, float, int]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"--range must be LO:HI, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"--range must be finite, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"--range must have a finite width, got {text!r}")
     if lo > hi:
         raise UsageError(f"--range is empty: {text!r}")
     if args.steps < 1:

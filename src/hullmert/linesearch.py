@@ -10,9 +10,11 @@ lower-chain (envelope) semiring, which carries only that face of each
 hull; ``ConvexHullValue`` and ``inside_hull`` stay as the reference it
 must agree with point for point.  Realizing each chain point's derivation
 and scoring its yield turns the envelope into a piecewise-constant error
-surface; surfaces add across sentences, so the corpus loss is a step
-function whose exact minimum is read off one representative point per
-interval.
+surface.  Surfaces add across sentences: one sorted pass over all sentence
+boundaries takes a prefix sum of each sentence's step in statistics, so
+the corpus loss is a step function with one loss per interval, and its
+exact minimum is read off those.  Integer statistics sum exactly; float
+statistics from a user-defined ``Metric`` are summed in boundary order.
 """
 
 from __future__ import annotations
@@ -96,86 +98,81 @@ def sentence_surface(envelope: Envelope, ref: Sequence[str], metric: Metric) -> 
     return ErrorSurface(envelope.boundaries, stats)
 
 
-def _coalesce(boundaries: Sequence[float], merge_eps: float) -> list[tuple[float, float]]:
-    """Group sorted boundaries into chained clusters of spacing <= merge_eps.
+def _interval_point(starts, ends, k: int, offset: float = DEFAULT_OFFSET) -> float:
+    """A point strictly inside interval k, where boundary cluster j spans
+    [starts[j], ends[j]]; no boundaries yield 0.
 
-    Returns (min, max) per cluster.  The minimum is the reported boundary;
-    the extent matters when placing evaluation points, since a chained
-    cluster can spread wider than merge_eps.
+    Bounded intervals yield the midpoint between their clusters; unbounded
+    ones step ``offset`` beyond the outermost cluster, from the last
+    cluster's maximum only when a step from its minimum stays inside it.
+    A step that rounds back onto its boundary (``offset`` below the float
+    spacing) becomes the next float beyond it.
     """
-    clusters: list[tuple[float, float]] = []
-    i = 0
-    n = len(boundaries)
-    while i < n:
-        j = i
-        while j + 1 < n and boundaries[j + 1] - boundaries[j] <= merge_eps:
-            j += 1
-        clusters.append((boundaries[i], boundaries[j]))
-        i = j + 1
-    return clusters
+    if not starts:
+        return 0.0
+    if k == 0:
+        first = starts[0]
+        eta = first - offset
+        return eta if eta < first else math.nextafter(first, -math.inf)
+    if k == len(starts):
+        last = ends[-1]
+        eta = starts[-1] + offset
+        if eta > last:
+            return eta
+        eta = last + offset
+        return eta if eta > last else math.nextafter(last, math.inf)
+    return 0.5 * (ends[k - 1] + starts[k])
 
 
 class CorpusSurface:
     """Sum of per-sentence surfaces on the merged interval decomposition.
 
-    Nearby sentence boundaries (within ``merge_eps``, chained) collapse to
-    one reported boundary, the cluster minimum.  Interval statistics are
-    the sums of sentence statistics at a point strictly between adjacent
-    cluster extents, so every sentence is read on the correct side of all
-    of its own boundaries.
+    One pass over all sentence boundaries in sorted order: the running
+    total starts at the sum of leftmost statistics and adds a sentence's
+    step ``stats[i+1] - stats[i]`` at each of its boundaries.  Boundaries
+    within ``merge_eps`` of the previous one chain into a cluster reported
+    at its minimum; an interval's statistics are the total as its right
+    cluster opens (the last interval's, the final total), so every sentence
+    is read on the correct side of all of its own boundaries.  Integer
+    statistics sum exactly; float ones from a user-defined ``Metric`` are
+    summed in boundary order.  Interval losses are computed once, here.
     """
 
-    __slots__ = ("metric", "surfaces", "boundaries", "_cluster_max", "stats")
+    __slots__ = ("metric", "surfaces", "boundaries", "_cluster_max", "stats", "_losses")
 
     def __init__(self, metric: Metric, surfaces: Sequence[ErrorSurface], merge_eps: float):
         self.metric = metric
         self.surfaces = tuple(surfaces)
-        merged = sorted(b for s in surfaces for b in s.boundaries)
-        clusters = _coalesce(merged, merge_eps)
-        self.boundaries = tuple(c[0] for c in clusters)
-        self._cluster_max = tuple(c[1] for c in clusters)
-        self.stats = tuple(
-            self._sum_stats(self._interval_point(k)) for k in range(len(clusters) + 1)
+        steps = sorted(
+            (b, n, i) for n, s in enumerate(self.surfaces) for i, b in enumerate(s.boundaries)
         )
-
-    def _interval_point(self, k: int, offset: float = DEFAULT_OFFSET) -> float:
-        """A point interior to interval k for every sentence's surface.
-
-        The step right of the last cluster starts from its maximum only
-        when a step from its minimum would stay inside the cluster.  An
-        unbounded interval's step that rounds back onto its boundary
-        (``offset`` below the boundary's float spacing) becomes the next
-        float beyond it.
-        """
-        if not self.boundaries:
-            return 0.0
-        if k == 0:
-            first = self.boundaries[0]
-            eta = first - offset
-            return eta if eta < first else math.nextafter(first, -math.inf)
-        if k == len(self.boundaries):
-            last = self._cluster_max[-1]
-            eta = self.boundaries[-1] + offset
-            if eta > last:
-                return eta
-            eta = last + offset
-            return eta if eta > last else math.nextafter(last, math.inf)
-        return 0.5 * (self._cluster_max[k - 1] + self.boundaries[k])
-
-    def _sum_stats(self, eta: float) -> np.ndarray:
-        total = self.metric.zero_stats()
-        for s in self.surfaces:
-            total += s.stats_at(eta)
-        return total
+        total = sum((s.stats[0] for s in self.surfaces), metric.zero_stats())
+        starts: list[float] = []
+        ends: list[float] = []
+        stats: list[np.ndarray] = []
+        for b, n, i in steps:
+            if ends and b - ends[-1] <= merge_eps:
+                ends[-1] = b
+            else:
+                starts.append(b)
+                ends.append(b)
+                stats.append(total.copy())
+            sentence = self.surfaces[n].stats
+            total += sentence[i + 1] - sentence[i]
+        stats.append(total)
+        self.boundaries = tuple(starts)
+        self._cluster_max = tuple(ends)
+        self.stats = tuple(stats)
+        self._losses = tuple(metric.loss(s) for s in self.stats)
 
     def interval_losses(self) -> tuple[float, ...]:
-        return tuple(self.metric.loss(s) for s in self.stats)
+        return self._losses
 
     def interval_of(self, eta: float) -> int:
         return bisect_right(self.boundaries, eta)
 
     def loss_at(self, eta: float) -> float:
-        return self.metric.loss(self.stats[self.interval_of(eta)])
+        return self._losses[self.interval_of(eta)]
 
 
 def build_envelopes(
@@ -255,7 +252,7 @@ def pick_eta(surface: CorpusSurface, offset: float = DEFAULT_OFFSET) -> tuple[in
     tied = [k for k, loss in enumerate(losses) if loss == best]
     home = surface.interval_of(0.0)
     chosen = home if home in tied else tied[0]
-    return chosen, surface._interval_point(chosen, offset)
+    return chosen, _interval_point(surface.boundaries, surface._cluster_max, chosen, offset)
 
 
 def line_search(
@@ -411,6 +408,8 @@ def sweep(
         raise ConfigError(f"a sweep needs at least 1 grid point, got {steps}")
     if lo > hi:
         raise ConfigError(f"empty sweep range [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"sweep range [{lo}, {hi}] has no finite width")
     surface = corpus_surface(sentences, w0, v, metric, merge_eps, threads)
     if steps == 1:
         etas: tuple[float, ...] = (float(lo),)

@@ -27,7 +27,7 @@ from .forest import (
     realize,
 )
 from .geometry import ConvexChain, Point2, full_hull
-from .linesearch import DEFAULT_OFFSET, Envelope, build_envelope
+from .linesearch import DEFAULT_OFFSET, Envelope, _interval_point, build_envelope
 from .metrics import Metric
 from .semiring import Tropical
 
@@ -191,14 +191,10 @@ class DualityReport:
 
 
 def probe_etas(envelope: Envelope, offset: float = DEFAULT_OFFSET) -> list[float]:
-    """One representative eta strictly inside each envelope segment."""
+    """One representative eta strictly inside each envelope segment, placed
+    by the rule that places a line search's eta."""
     bs = envelope.boundaries
-    if not bs:
-        return [0.0]
-    etas = [bs[0] - offset]
-    etas.extend(0.5 * (bs[i] + bs[i + 1]) for i in range(len(bs) - 1))
-    etas.append(bs[-1] + offset)
-    return etas
+    return [_interval_point(bs, bs, k, offset) for k in range(len(bs) + 1)]
 
 
 def duality_report(

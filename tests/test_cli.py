@@ -236,6 +236,18 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["-1e308:1e308", "-inf:inf", "nan:1"])
+    def test_range_without_finite_width_is_a_usage_error(self, files, capsys, grid) -> None:
+        corpus = files("c.jsonl", TWO_HYP)
+        weights = files("w.json", '{"tm": 0.5}')
+        code = cli.run(
+            ["sweep", corpus, "--weights", weights, "--direction", weights,
+             f"--range={grid}", "--steps", "3"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "--range" in err and "finite width" in err
+
 
 class TestOptimize:
     def test_zero_iterations_echo_weights(self, files, capsys) -> None:

@@ -193,18 +193,38 @@ class TestCorpusSurface:
         assert corpus.boundaries == (1.0,)
         assert [s.tolist() for s in corpus.stats] == [[3.0], [0.0]]
 
-    def test_refinement_invariant_off_boundaries(self, rng) -> None:
-        metric = get_metric("bleu")
-        corpus = random_corpus(rng, n_sentences=5, n_nodes=6)
-        surface = corpus_surface(corpus, rng.normal(size=3), rng.normal(size=3), metric)
-        for _ in range(50):
-            eta = float(rng.uniform(-8, 8))
-            if any(abs(eta - b) < 1e-6 for s in surface.surfaces for b in s.boundaries):
+    @pytest.mark.parametrize("merge_eps", [1e-9, 0.05])
+    @pytest.mark.parametrize("metric_name", ["exact", "bleu"])
+    def test_refinement_invariant_off_boundaries(self, rng, metric_name, merge_eps) -> None:
+        # 60 sentences, two of them identical so that boundaries repeat; at
+        # merge_eps = 0.05 clusters chain.  Off every cluster, interval
+        # statistics are the definition: each sentence's stats_at, summed.
+        metric = get_metric(metric_name)
+        corpus = random_corpus(rng, n_sentences=59, n_nodes=6)
+        corpus.append(corpus[0])
+        surface = corpus_surface(
+            corpus, rng.normal(size=3), rng.normal(size=3), metric, merge_eps
+        )
+        spans: list[list[float]] = []
+        for b in sorted(b for s in surface.surfaces for b in s.boundaries):
+            if spans and b - spans[-1][1] <= merge_eps:
+                spans[-1][1] = b
+            else:
+                spans.append([b, b])
+        assert surface.boundaries == tuple(lo for lo, _ in spans)
+        etas = [spans[0][0] - 1.0, spans[-1][1] + 1.0]
+        etas += [0.5 * (a[1] + b[0]) for a, b in zip(spans, spans[1:])]
+        etas += [float(x) for x in rng.uniform(-8, 8, size=200)]
+        checked = 0
+        for eta in etas:
+            if any(lo - 1e-6 < eta < hi + 1e-6 for lo, hi in spans):
                 continue
             want = metric.zero_stats()
             for s in surface.surfaces:
                 want += s.stats_at(eta)
             assert surface.stats[surface.interval_of(eta)].tolist() == want.tolist()
+            checked += 1
+        assert checked > len(spans)
         assert len(surface.boundaries) <= sum(
             len(s.boundaries) for s in surface.surfaces
         )
@@ -413,6 +433,13 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(corpus, np.array([2.0]), np.ones(1), ExactMatch(), 5, -5, 3)
 
+    @pytest.mark.parametrize("lo, hi", [(-INF, INF), (-1e308, 1e308), (math.nan, 1.0)])
+    def test_range_without_finite_width_is_rejected(self, two_line_graph, lo, hi) -> None:
+        # linspace over such a range yields nan or inf grid points.
+        corpus = [(two_line_graph, ("steep",))]
+        with pytest.raises(ConfigError, match="finite width"):
+            sweep(corpus, np.array([2.0]), np.ones(1), ExactMatch(), lo, hi, 3)
+
     def test_reads_the_exact_surface(self, two_line_graph) -> None:
         corpus = [(two_line_graph, ("steep",))]
         result = sweep(corpus, np.array([2.0]), np.array([1.0]), ExactMatch(), -5, 5, 11)
@@ -465,3 +492,32 @@ class TestHotPathRepresentation:
         est = MertEstimator(metric="bleu").fit(corpus)
         want = [realize(g, viterbi_derivation(g, est.weights_)[1]).tokens for g, _ in pairs]
         assert est.predict(corpus) == want
+
+    def test_corpus_surface_is_one_pass_with_stored_losses(self, monkeypatch, rng) -> None:
+        # The corpus surface is a prefix sum over the sorted sentence
+        # boundaries: no sentence surface is read at a probe eta, and the
+        # metric loss runs once per interval, however often it is read.
+        def forbidden(*_):
+            raise AssertionError("per-eta sentence lookup on the hot path")
+
+        monkeypatch.setattr(ErrorSurface, "stats_at", forbidden)
+        metric = get_metric("bleu")
+        calls = []
+        loss = metric.loss
+        monkeypatch.setattr(metric, "loss", lambda agg: calls.append(1) or loss(agg))
+        corpus = random_corpus(rng, n_sentences=6, n_nodes=6)
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+
+        surface = corpus_surface(corpus, w0, v, metric)
+        intervals = len(surface.stats)
+        assert intervals > 2 and len(calls) == intervals
+
+        result = line_search(corpus, w0, v, metric)
+        assert len(calls) == 2 * intervals
+        assert result.interval_losses == surface.interval_losses()
+        assert result.loss == min(result.interval_losses)
+
+        swept = sweep(corpus, w0, v, metric, -10.0, 10.0, 201)
+        assert len(calls) == 3 * intervals
+        assert swept.losses == tuple(surface.loss_at(eta) for eta in swept.etas)
+        assert len(calls) == 3 * intervals

@@ -140,6 +140,24 @@ class TestDualityReport:
             assert report.max_point_err <= 1e-9
             assert report.n_segments >= 1
 
+    def test_probes_stay_inside_segments_at_a_huge_crossing(self) -> None:
+        # The crossing is at eta = 1e17, where the default offset is below
+        # the float spacing: plain steps would put both probes on the
+        # boundary and leave both segments' interiors unchecked.
+        g = Hypergraph(
+            1,
+            [Edge.make(0, (), {0: 1.0}, ("a",)), Edge.make(0, (), {1: 1.0}, ("b",))],
+            goal=0,
+            n_features=2,
+        )
+        w0, v = np.array([0.0, 1e17]), np.array([1.0, 0.0])
+        env = build_envelope(g, w0, v)
+        assert env.boundaries == (1e17,)
+        etas = probe_etas(env)
+        assert [env.segment_at(e) for e in etas] == [0, 1]
+        assert etas[0] < 1e17 < etas[1]
+        assert duality_report(g, w0, v).ok
+
     def test_boundaries_match_the_envelope(self, two_line_graph) -> None:
         report = duality_report(two_line_graph, np.array([2.0]), np.array([1.0]))
         assert report.boundaries == (-2.0,)
