@@ -13,7 +13,11 @@ dual points of all envelope hypotheses, each traceable back to its
 derivation via provenance.  The line search runs the same recursion in the
 lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
-back-pointers.
+back-pointers.  Envelope hypotheses share sub-derivations, so one
+iterative post-order walk over the back-pointers builds the tree and
+yield of each reached (node, point index) once and every chain point
+above it shares those tuples.  A ``Derivation`` sums its feature vector
+only when ``features`` is first read; the line search never reads it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections import deque
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -291,6 +296,9 @@ def envelope_points(
     Runs the inside recursion in the lower-chain semiring.  Its goal chain
     equals ``lower_chain(inside_hull(graph, w0, v).hull)``, and each
     derivation is the one ``reconstruct`` recovers for that hull point.
+    Chain points share sub-derivations: the tree and yield of each
+    ``(node, point index)`` reached through the back-pointers are built
+    once per call and shared by every derivation above them.
     """
     values = _inside_values(
         graph, lambda ei, e: _project_lower(e, w0, v, ei), LowerChainValue
@@ -304,19 +312,27 @@ def envelope_points(
         return eid, list(zip(edges[eid].tails, back[1:]))
 
     goal = graph.goal
+    built: dict = {}
     derivations = tuple(
-        _build_derivation(graph, (goal, i), expand) for i in range(len(values[goal]))
+        _build_derivation(graph, (goal, i), expand, built) for i in range(len(values[goal]))
     )
     return values[goal].chain(), derivations
 
 
 @dataclass(frozen=True, eq=False)
 class Derivation:
-    """One tree of edges with its realized yield and dense feature vector."""
+    """One tree of edges with its realized yield and dense feature vector.
+
+    Only this module builds derivations.  ``features`` is summed on its
+    first read, over the edges in ``edge_ids`` preorder, and kept; a line
+    search reads only trees and yields, so it never pays for the sum.
+    Trees and yields may share subtrees and sub-yields with other
+    derivations of the same forest.  Equality and hashing look at the tree.
+    """
 
     tree: DerivationTree
     tokens: tuple[str, ...]
-    features: np.ndarray = field(repr=False)
+    _graph: Hypergraph = field(repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
@@ -325,6 +341,16 @@ class Derivation:
 
     def __hash__(self) -> int:
         return hash(self.tree)
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The sum of the tree's edge feature vectors, dense."""
+        edges = self._graph.edges
+        feats = [0.0] * self._graph.n_features
+        for eid in self.edge_ids():
+            for i, val in edges[eid].features:
+                feats[i] += val
+        return np.array(feats, dtype=float)
 
     def edge_ids(self) -> list[int]:
         """All edge ids in the tree (preorder)."""
@@ -347,40 +373,43 @@ def _substitute(template: tuple[str | int, ...], child_tokens: Sequence[tuple[st
     return tuple(toks)
 
 
-def _build_derivation(graph: Hypergraph, root, expand: Callable) -> Derivation:
+def _build_derivation(
+    graph: Hypergraph, root, expand: Callable, built: dict | None = None
+) -> Derivation:
     """Build a Derivation from ``expand(item) -> (edge_id, child items)``.
 
     ``expand`` is called in preorder, children left to right.  One iterative
     post-order pass builds the tree and the yield, so derivations thousands
-    of edges deep (long lattices) do not hit the recursion limit.
+    of edges deep (long lattices) do not hit the recursion limit.  With a
+    ``built`` dict, every item's ``(tree, yield)`` is stored there and an
+    item found there is not expanded again: its tuples are shared.
     """
     edges = graph.edges
-    post: list[int] = []
-    # frame: (edge_id, child items, built child trees, built child yields)
-    frames = [(*expand(root), [], [])]
+    # frame: (item, edge_id, child items, built child trees, built child yields)
+    frames = [(root, *expand(root), [], [])]
     while True:
-        eid, items, trees, yields = frames[-1]
+        item, eid, items, trees, yields = frames[-1]
         if len(trees) < len(items):
-            frames.append((*expand(items[len(trees)]), [], []))
+            child = items[len(trees)]
+            done = None if built is None else built.get(child)
+            if done is None:
+                frames.append((child, *expand(child), [], []))
+            else:
+                trees.append(done[0])
+                yields.append(done[1])
             continue
         frames.pop()
-        post.append(eid)
         tree, tokens = (eid, tuple(trees)), _substitute(edges[eid].template, yields)
+        if built is not None:
+            built[item] = tree, tokens
         if not frames:
-            break
-        frames[-1][2].append(tree)
-        frames[-1][3].append(tokens)
-    # Reversed post-order is the preorder of Derivation.edge_ids, the order
-    # features are summed in.
-    feats = [0.0] * graph.n_features
-    for eid in reversed(post):
-        for i, val in edges[eid].features:
-            feats[i] += val
-    return Derivation(tree, tokens, np.array(feats, dtype=float))
+            return Derivation(tree, tokens, graph)
+        frames[-1][3].append(tree)
+        frames[-1][4].append(tokens)
 
 
 def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
-    """Build the Derivation for a tree: summed features and substituted yield."""
+    """Build the Derivation for a tree: its substituted yield."""
     return _build_derivation(graph, tree, lambda node: node)
 
 
@@ -459,7 +488,7 @@ def enumerate_derivations(
     report = graph.validate()
     derivable = graph._derivable(report.topo_order)
     useful = graph._useful(derivable)
-    per_node: list[list[tuple[DerivationTree, tuple[str, ...], np.ndarray]]] = [
+    per_node: list[list[tuple[DerivationTree, tuple[str, ...]]]] = [
         [] for _ in range(graph.n_nodes)
     ]
     for node in report.topo_order:
@@ -468,14 +497,7 @@ def enumerate_derivations(
         items = per_node[node]
         for ei in graph.in_edges[node]:
             e = graph.edges[ei]
-            base = np.zeros(graph.n_features)
-            for i, val in e.features:
-                base[i] += val
             for combo in iter_product(*(per_node[t] for t in e.tails)):
                 tree = (ei, tuple(c[0] for c in combo))
-                tokens = _substitute(e.template, [c[1] for c in combo])
-                feats = base.copy()
-                for c in combo:
-                    feats += c[2]
-                items.append((tree, tokens, feats))
-    return [Derivation(t, tok, f) for t, tok, f in per_node[graph.goal]]
+                items.append((tree, _substitute(e.template, [c[1] for c in combo])))
+    return [Derivation(tree, tokens, graph) for tree, tokens in per_node[graph.goal]]

@@ -98,15 +98,16 @@ def sentence_surface(envelope: Envelope, ref: Sequence[str], metric: Metric) -> 
     return ErrorSurface(envelope.boundaries, stats)
 
 
-def _interval_point(starts, ends, k: int, offset: float = DEFAULT_OFFSET) -> float:
+def _interval_point(starts, ends, k: int, offset: float = DEFAULT_OFFSET) -> float | None:
     """A point strictly inside interval k, where boundary cluster j spans
     [starts[j], ends[j]]; no boundaries yield 0.
 
-    Bounded intervals yield the midpoint between their clusters; unbounded
-    ones step ``offset`` beyond the outermost cluster, from the last
-    cluster's maximum only when a step from its minimum stays inside it.
-    A step that rounds back onto its boundary (``offset`` below the float
-    spacing) becomes the next float beyond it.
+    Bounded intervals yield the midpoint between their clusters, or None
+    when no float lies strictly between them (the midpoint would round onto
+    a boundary).  Unbounded ones step ``offset`` beyond the outermost
+    cluster, from the last cluster's maximum only when a step from its
+    minimum stays inside it.  A step that rounds back onto its boundary
+    (``offset`` below the float spacing) becomes the next float beyond it.
     """
     if not starts:
         return 0.0
@@ -121,7 +122,9 @@ def _interval_point(starts, ends, k: int, offset: float = DEFAULT_OFFSET) -> flo
             return eta
         eta = last + offset
         return eta if eta > last else math.nextafter(last, math.inf)
-    return 0.5 * (ends[k - 1] + starts[k])
+    lo, hi = ends[k - 1], starts[k]
+    eta = 0.5 * (lo + hi)
+    return eta if lo < eta < hi else None
 
 
 class CorpusSurface:
@@ -245,14 +248,17 @@ def pick_eta(surface: CorpusSurface, offset: float = DEFAULT_OFFSET) -> tuple[in
     The chosen eta lies strictly beyond every boundary of the clusters
     around its interval: bounded intervals yield their midpoint, unbounded
     ones step ``offset`` beyond the outermost cluster, and a surface with
-    no boundaries yields 0.
+    no boundaries yields 0.  A bounded interval with no float strictly
+    between its clusters holds no eta, so it cannot be chosen.
     """
     losses = surface.interval_losses()
-    best = min(losses)
-    tied = [k for k, loss in enumerate(losses) if loss == best]
+    starts, ends = surface.boundaries, surface._cluster_max
+    etas = [_interval_point(starts, ends, k, offset) for k in range(len(losses))]
+    best = min(loss for loss, eta in zip(losses, etas) if eta is not None)
+    tied = [k for k, loss in enumerate(losses) if loss == best and etas[k] is not None]
     home = surface.interval_of(0.0)
     chosen = home if home in tied else tied[0]
-    return chosen, _interval_point(surface.boundaries, surface._cluster_max, chosen, offset)
+    return chosen, etas[chosen]
 
 
 def line_search(

@@ -192,9 +192,11 @@ class DualityReport:
 
 def probe_etas(envelope: Envelope, offset: float = DEFAULT_OFFSET) -> list[float]:
     """One representative eta strictly inside each envelope segment, placed
-    by the rule that places a line search's eta."""
+    by the rule that places a line search's eta; a segment with no float
+    strictly between its boundaries has none and is skipped."""
     bs = envelope.boundaries
-    return [_interval_point(bs, bs, k, offset) for k in range(len(bs) + 1)]
+    etas = (_interval_point(bs, bs, k, offset) for k in range(len(bs) + 1))
+    return [eta for eta in etas if eta is not None]
 
 
 def duality_report(

@@ -86,6 +86,14 @@ class ProductProvenance:
 Provenance = LeafProvenance | ProductProvenance | None
 
 
+def _is_full_hull(chain: ConvexChain) -> bool:
+    try:
+        chain.check_full_hull()
+    except InvalidGeometryError:
+        return False
+    return True
+
+
 class ConvexHullValue(Semiring):
     """A convex hull semiring value: canonical full hull plus per-point
     provenance.  Equality and hashing look at the point set only."""
@@ -111,6 +119,15 @@ class ConvexHullValue(Semiring):
     @classmethod
     def singleton(cls, x: float, y: float, provenance: Provenance = None) -> "ConvexHullValue":
         return cls(ConvexChain((Point2(x, y),)), (provenance,))
+
+    @staticmethod
+    def _hull_of(points: Sequence[Point2], records: Sequence[Provenance]) -> "ConvexHullValue":
+        """Full hull of the points; a repeated point keeps its first record."""
+        chosen: dict[Point2, Provenance] = {}
+        for p, rec in zip(points, records):
+            chosen.setdefault(p, rec)
+        hull = full_hull(chosen.keys())
+        return ConvexHullValue(hull, tuple(chosen[p] for p in hull.points))
 
     @property
     def points(self) -> tuple[Point2, ...]:
@@ -143,20 +160,21 @@ class ConvexHullValue(Semiring):
             return other
         if other.is_zero():
             return self
-        chosen: dict[Point2, Provenance] = {}
-        for value in (self, other):
-            for p, prov in zip(value.hull.points, value.provenance):
-                chosen.setdefault(p, prov)
-        hull = full_hull(chosen.keys())
-        assert len(hull) <= len(self) + len(other), "hull sum size bound violated"
-        return ConvexHullValue(hull, tuple(chosen[p] for p in hull.points))
+        value = ConvexHullValue._hull_of(
+            self.hull.points + other.hull.points, self.provenance + other.provenance
+        )
+        assert len(value) <= len(self) + len(other), "hull sum size bound violated"
+        return value
 
     def __mul__(self, other: "ConvexHullValue") -> "ConvexHullValue":
         """Hull of the Minkowski sum; the empty set annihilates.
 
         The identity shortcut tests object identity, not value equality: a
         zero-feature edge projects to {(0, 0)} too, and its provenance must
-        survive multiplication.
+        survive multiplication.  When sums far beyond the coordinate
+        spacing round the vertices of two canonical operands onto each
+        other or onto a line, the raw sum is re-hulled and each point keeps
+        its first record, as in ``__add__``; other products keep their bits.
         """
         if self.is_zero() or other.is_zero():
             return ConvexHullValue.zero
@@ -167,7 +185,12 @@ class ConvexHullValue(Semiring):
         pts, pairs = minkowski_indexed(self.hull, other.hull)
         assert len(pts) <= len(self) + len(other), "minkowski size bound violated"
         prov = tuple(ProductProvenance(self, i, other, j) for i, j in pairs)
-        return ConvexHullValue(ConvexChain(pts), prov)
+        hull = ConvexChain(pts)
+        if not _is_full_hull(hull) and _is_full_hull(self.hull) and _is_full_hull(other.hull):
+            # A non-canonical operand is multiplied as given, so that
+            # check_axioms still sees what it breaks.
+            return ConvexHullValue._hull_of(pts, prov)
+        return ConvexHullValue(hull, prov)
 
 
 ConvexHullValue.zero = ConvexHullValue(ConvexChain(), ())

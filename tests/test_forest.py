@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hullmert import forest
 from hullmert.errors import (
     CyclicForestError,
     DimensionMismatchError,
@@ -368,22 +369,91 @@ def random_vectors(rng, n: int, integer: bool):
     return rng.normal(size=n), rng.normal(size=n)
 
 
+def subtrees(tree: tuple):
+    """Every subtree of a derivation tree, root first."""
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(t[1])
+
+
 class TestEnvelopePoints:
     @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     @pytest.mark.parametrize(
-        "make, size",
+        "make, size, graphs",
         [
-            pytest.param(random_lattice, {"max_parallel": 3}, id="lattice"),
-            pytest.param(random_forest, {"max_edges_per_node": 3}, id="forest"),
+            pytest.param(random_lattice, {"n_nodes": 14, "max_parallel": 3}, 25, id="lattice"),
+            pytest.param(random_forest, {"n_nodes": 14, "max_edges_per_node": 3}, 25, id="forest"),
+            # Goal derivations here share most of their subtrees.
+            pytest.param(
+                random_forest, {"n_nodes": 120, "max_edges_per_node": 4}, 3, id="shared-forest"
+            ),
         ],
     )
-    def test_goal_chain_matches_hull_reference(self, rng, make, size, integer) -> None:
-        for _ in range(25):
-            graph = make(rng, n_nodes=14, integer_features=integer, **size)
+    def test_goal_chain_matches_hull_reference(self, rng, make, size, graphs, integer) -> None:
+        for _ in range(graphs):
+            graph = make(rng, integer_features=integer, **size)
             w0, v = random_vectors(rng, 3, integer)
             assert_matches_hull_reference(graph, w0, v)
             # v = 0 is the fixed-weight decode: one point per node.
             assert_matches_hull_reference(graph, w0, np.zeros(3))
+
+    def test_products_rounding_together_match_the_reference(self) -> None:
+        # Adding the leaf chain (0, 0), (1, -1), (2, 5) to a goal edge at
+        # x = 1e20 rounds all three x values onto one float; the point
+        # (1e20, -1) scores highest at every eta.
+        g = Hypergraph(
+            2,
+            [
+                Edge.make(0, (), {}, ("p",)),
+                Edge.make(0, (), {0: 1.0, 1: 1.0}, ("q",)),
+                Edge.make(0, (), {0: 2.0, 1: -5.0}, ("r",)),
+                Edge.make(1, (0,), {0: 1e20}, (0,)),
+            ],
+            goal=1,
+            n_features=2,
+        )
+        w0, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        assert_matches_hull_reference(g, w0, v)
+        chain, derivations = envelope_points(g, w0, v)
+        assert chain.as_tuples() == ((1e20, -1.0),) and derivations[0].tokens == ("q",)
+
+    def test_each_reached_subderivation_is_built_once(self, monkeypatch) -> None:
+        # Seeded so that the goal chain reaches deep into the forest.
+        rng = np.random.default_rng(0)
+        graph = random_forest(rng, n_nodes=120, max_edges_per_node=4, integer_features=True)
+        w0, v = random_vectors(rng, 3, integer=True)
+        calls = []
+        substitute = forest._substitute
+        monkeypatch.setattr(
+            forest, "_substitute", lambda *args: calls.append(1) or substitute(*args)
+        )
+        _, derivations = envelope_points(graph, w0, v)
+        # One subtree per reached (node, point index): equal trees are the
+        # same point, and distinct chain points of a node differ in x.
+        objects: dict[tuple, set[int]] = {}
+        for d in derivations:
+            for t in subtrees(d.tree):
+                objects.setdefault(t, set()).add(id(t))
+        visits = sum(len(d.edge_ids()) for d in derivations)
+        assert len(calls) == len(objects) < visits / 2
+        # Goal derivations that share a subtree hold one tuple object.
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_feature_bytes_are_pinned(self) -> None:
+        # Features are summed over edge_ids() preorder; summing the same
+        # trees bottom-up or in post-order moves bits in all four vectors.
+        rng = np.random.default_rng(11)
+        graph = random_forest(rng, n_nodes=12, max_edges_per_node=3)
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        _, derivations = envelope_points(graph, w0, v)
+        assert [[x.hex() for x in d.features] for d in derivations] == [
+            ["0x1.192b0e63cf878p+0", "0x1.6e06b00b9a7a7p+0", "0x1.ac7f4a90c91dbp+2"],
+            ["-0x1.448d7e113e288p-3", "-0x1.fcfd5518fd0f4p-1", "0x1.d1ae28444b1b9p+2"],
+            ["-0x1.91626a730b43dp-1", "-0x1.8872be3e20f42p-2", "0x1.ee5eb3a031e68p+1"],
+            ["0x1.ab47d3e8734c9p+0", "-0x1.311eeb65a1130p-2", "-0x1.b94019f6c70cep+0"],
+        ]
 
     def test_duplicate_dual_points_resolve_like_the_reference(self, rng) -> None:
         # Two small integer features make many derivations share a point;

@@ -11,7 +11,7 @@ from hullmert.errors import (
     DimensionMismatchError,
     NoHypothesesError,
 )
-from hullmert.forest import Edge, Hypergraph, realize
+from hullmert.forest import Derivation, Edge, Hypergraph, realize
 from hullmert.io import load_corpus
 from hullmert.linesearch import (
     DEFAULT_MERGE_EPS,
@@ -307,6 +307,25 @@ class TestPickEta:
         assert chosen == 1 and eta > 1e8
         assert surface.interval_of(eta) == chosen
 
+    def test_bounded_interval_holding_no_float_is_not_chosen(self) -> None:
+        # Crossings at c and the next float are further apart than
+        # merge_eps, so they stay two clusters, but no eta lies strictly
+        # between them: the middle interval's midpoint rounds onto one.
+        def sentence(crossing: float, ref: str, order: str):
+            feats = {"a": {1: crossing}, "b": {0: 1.0}}
+            edges = [Edge.make(0, (), feats[t], (t,)) for t in order]
+            return Hypergraph(1, edges, goal=0, n_features=2), (ref,)
+
+        c = 12345678.9
+        corpus = [sentence(c, "b", "ab"), sentence(math.nextafter(c, INF), "a", "ba")]
+        w0, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        metric = ExactMatch()
+        result = line_search(corpus, w0, v, metric)
+        assert result.interval_losses == (1.0, 0.0, 1.0)
+        assert result.best_interval != 1
+        assert result.surface.interval_of(result.eta) == result.best_interval
+        assert decode_loss(corpus, result.weights, metric) == result.loss
+
     def test_never_worse_than_staying_put(self, rng) -> None:
         metric = ExactMatch()
         for _ in range(20):
@@ -468,11 +487,16 @@ class TestHotPathRepresentation:
     def test_golden_fixture_runs_without_hull_operations(self, monkeypatch, capsys) -> None:
         # The line search, the decode and the estimator run on lower chains
         # only; ConvexHullValue stays the reference that tests compare with.
+        # They read derivation trees and yields, never feature vectors.
         def forbidden(*_):
             raise AssertionError("convex hull semiring operation on the hot path")
 
+        def no_features(_):
+            raise AssertionError("derivation features summed on the hot path")
+
         monkeypatch.setattr(ConvexHullValue, "__add__", forbidden)
         monkeypatch.setattr(ConvexHullValue, "__mul__", forbidden)
+        monkeypatch.setattr(Derivation, "features", property(no_features))
         corpus_path = str(FIXTURES / "corpus.jsonl")
         code = cli.run([
             "linesearch", corpus_path,
@@ -487,6 +511,9 @@ class TestHotPathRepresentation:
         pairs = corpus.pairs()
         metric = get_metric("bleu")
         weights = corpus.features.vectorize({"lm": 0.8, "tm": -0.3}, "weights")
+        direction = corpus.features.vectorize({"lm": 1.0, "tm": 0.5}, "direction")
+        result = line_search(pairs, weights, direction, metric)
+        assert decode_loss(pairs, result.weights, metric) == result.loss
         assert decode_loss(pairs, weights, metric) == decode_corpus_loss(pairs, weights, metric)
 
         est = MertEstimator(metric="bleu").fit(corpus)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from hullmert.errors import CapExceededError, NoHypothesesError
 from hullmert.forest import Edge, Hypergraph, realize
 from hullmert.geometry import Point2, minkowski_sum
-from hullmert.linesearch import build_envelope
+from hullmert.linesearch import Envelope, build_envelope
 from hullmert.metrics import ExactMatch
 from hullmert.oracle import (
     DEFAULT_GRID_POINTS,
@@ -157,6 +159,14 @@ class TestDualityReport:
         assert [env.segment_at(e) for e in etas] == [0, 1]
         assert etas[0] < 1e17 < etas[1]
         assert duality_report(g, w0, v).ok
+
+    def test_probes_skip_a_segment_holding_no_float(self) -> None:
+        # Boundaries one float apart leave the middle segment no interior
+        # point; its midpoint would round onto a boundary.
+        c = 12345678.9
+        bounds = (c, math.nextafter(c, math.inf))
+        etas = probe_etas(Envelope((), bounds, ()))
+        assert len(etas) == 2 and etas[0] < bounds[0] and etas[1] > bounds[1]
 
     def test_boundaries_match_the_envelope(self, two_line_graph) -> None:
         report = duality_report(two_line_graph, np.array([2.0]), np.array([1.0]))
