@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DataError, MertError, UsageError
 from .forest import DEFAULT_DERIVATION_CAP, count_derivations
@@ -89,6 +89,19 @@ def _load_searchable(path: str) -> Corpus:
         if not report.goal_derivable:
             raise DataError(f"sentence {idx} (id {s.sid!r}): goal derives nothing")
     return corpus
+
+
+def _search(corpus: Corpus, search: Callable, *args, **kwargs):
+    """``search(corpus.pairs(), *args, **kwargs)``; a data error raised for
+    one sentence names it as ``_load_searchable`` does."""
+    try:
+        return search(corpus.pairs(), *args, **kwargs)
+    except DataError as exc:
+        idx = getattr(exc, "_sentence", None)
+        if idx is None:
+            raise
+        sid = corpus.sentences[idx].sid
+        raise DataError(f"sentence {idx} (id {sid!r}): {exc}") from exc
 
 
 def _vectors(corpus: Corpus, args, direction: bool):
@@ -169,8 +182,8 @@ def cmd_linesearch(args) -> tuple[str, int]:
     config = _config(args)
     metric = get_metric(config.metric)
     w0, v = _vectors(corpus, args, direction=True)
-    result = line_search(
-        corpus.pairs(), w0, v, metric,
+    result = _search(
+        corpus, line_search, w0, v, metric,
         merge_eps=config.merge_eps, offset=config.offset, threads=config.threads,
     )
     sentences = []
@@ -212,8 +225,8 @@ def cmd_sweep(args) -> tuple[str, int]:
     metric = get_metric(config.metric)
     w0, v = _vectors(corpus, args, direction=True)
     lo, hi, steps = _parse_grid(args)
-    result = sweep(
-        corpus.pairs(), w0, v, metric, lo, hi, steps,
+    result = _search(
+        corpus, sweep, w0, v, metric, lo, hi, steps,
         merge_eps=config.merge_eps, threads=config.threads,
     )
     rows = [
@@ -228,8 +241,8 @@ def cmd_optimize(args) -> tuple[str, int]:
     config = _config(args, iterations=args.iterations)
     metric = get_metric(config.metric)
     w0, _ = _vectors(corpus, args, direction=False)
-    result = optimize(
-        corpus.pairs(), w0, metric, iterations=config.iterations,
+    result = _search(
+        corpus, optimize, w0, metric, iterations=config.iterations,
         merge_eps=config.merge_eps, offset=config.offset, threads=config.threads,
     )
     names = corpus.features.names

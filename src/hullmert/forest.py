@@ -14,9 +14,12 @@ derivation via provenance.  The line search runs the same recursion in the
 lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
 back-pointers.  Envelope hypotheses share sub-derivations, so one
-iterative post-order walk over the back-pointers builds the tree and
-yield of each reached (node, point index) once and every chain point
-above it shares those tuples.  A ``Derivation`` sums its feature vector
+iterative post-order walk over the back-pointers builds the tree of each
+reached (node, point index) once and every chain point above it shares
+that tuple.  Yields are written out only for the chain points, each by one
+walk of its tree that copies the yield of a subtree reached twice from its
+first walk, so a deep lattice path costs linear, not quadratic, time and
+memory.  A ``Derivation`` sums its feature vector
 only when ``features`` is first read; the line search never reads it.
 """
 
@@ -243,12 +246,13 @@ def inside(
     return _inside_values(graph, edge_value, semiring)[graph.goal]
 
 
-def edge_dot(edge: Edge, vec: np.ndarray) -> float:
-    """Sparse dot product of an edge's features with a dense vector."""
+def edge_dot(edge: Edge, vec: Sequence[float]) -> float:
+    """Sparse dot product of an edge's features with a dense vector (an
+    array or a list), summed left to right in feature-id order."""
     return float(sum(vec[i] * v for i, v in edge.features))
 
 
-def _dual_coordinates(edge: Edge, w0: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+def _dual_coordinates(edge: Edge, w0: Sequence[float], v: Sequence[float]) -> tuple[float, float]:
     """(v.H, -w0.H) for one edge, after the dimension checks."""
     if len(w0) != len(v):
         raise DimensionMismatchError(f"w0 has {len(w0)} features, direction has {len(v)}")
@@ -277,7 +281,7 @@ def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullV
     return inside(graph, lambda ei, e: project_edge(e, w0, v, ei), ConvexHullValue)
 
 
-def _project_lower(edge: Edge, w0: np.ndarray, v: np.ndarray, edge_id: int) -> LowerChainValue:
+def _project_lower(edge: Edge, w0: list[float], v: list[float], edge_id: int) -> LowerChainValue:
     x, y = _dual_coordinates(edge, w0, v)
     # +0.0 canonicalizes -0.0 as Point2 does; sums of canonical coordinates
     # stay canonical, so products need no second pass.
@@ -296,10 +300,17 @@ def envelope_points(
     Runs the inside recursion in the lower-chain semiring.  Its goal chain
     equals ``lower_chain(inside_hull(graph, w0, v).hull)``, and each
     derivation is the one ``reconstruct`` recovers for that hull point.
-    Chain points share sub-derivations: the tree and yield of each
-    ``(node, point index)`` reached through the back-pointers are built
-    once per call and shared by every derivation above them.
+    Chain points share sub-derivations: the tree of each ``(node, point
+    index)`` reached through the back-pointers is built once per call and
+    shared by every derivation above it, and so is the yield of a subtree
+    that more than one tree reaches.
+
+    Edges are projected on Python floats: indexing a list is cheaper than
+    indexing an array, and each coordinate is still summed left to right,
+    so every bit matches the float64 array path of ``project_edge``.
     """
+    w0 = np.asarray(w0, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist()
     values = _inside_values(
         graph, lambda ei, e: _project_lower(e, w0, v, ei), LowerChainValue
     )
@@ -313,9 +324,9 @@ def envelope_points(
 
     goal = graph.goal
     built: dict = {}
-    derivations = tuple(
-        _build_derivation(graph, (goal, i), expand, built) for i in range(len(values[goal]))
-    )
+    shared: dict = {}
+    trees = [_build_tree((goal, i), expand, built, shared) for i in range(len(values[goal]))]
+    derivations = tuple(Derivation(t, _tokens(edges, t, shared), graph) for t in trees)
     return values[goal].chain(), derivations
 
 
@@ -326,8 +337,8 @@ class Derivation:
     Only this module builds derivations.  ``features`` is summed on its
     first read, over the edges in ``edge_ids`` preorder, and kept; a line
     search reads only trees and yields, so it never pays for the sum.
-    Trees and yields may share subtrees and sub-yields with other
-    derivations of the same forest.  Equality and hashing look at the tree.
+    Trees may share subtrees with other derivations of the same forest.
+    Equality and hashing look at the tree.
     """
 
     tree: DerivationTree
@@ -373,39 +384,74 @@ def _substitute(template: tuple[str | int, ...], child_tokens: Sequence[tuple[st
     return tuple(toks)
 
 
-def _build_derivation(
-    graph: Hypergraph, root, expand: Callable, built: dict | None = None
-) -> Derivation:
-    """Build a Derivation from ``expand(item) -> (edge_id, child items)``.
+def _build_tree(root, expand: Callable, built: dict | None = None, shared: dict | None = None):
+    """The tree that ``expand(item) -> (edge_id, child items)`` spells from root.
 
-    ``expand`` is called in preorder, children left to right.  One iterative
-    post-order pass builds the tree and the yield, so derivations thousands
-    of edges deep (long lattices) do not hit the recursion limit.  With a
-    ``built`` dict, every item's ``(tree, yield)`` is stored there and an
-    item found there is not expanded again: its tuples are shared.
+    ``expand`` is called in preorder, children left to right, by one
+    iterative post-order pass, so derivations thousands of edges deep (long
+    lattices) do not hit the recursion limit.  With a ``built`` dict, every
+    item's tree is stored there and an item found there is not expanded
+    again: its tree is shared, and ``shared`` gets the tree's id as a key.
     """
-    edges = graph.edges
-    # frame: (item, edge_id, child items, built child trees, built child yields)
-    frames = [(root, *expand(root), [], [])]
+    # frame: (item, edge_id, child items, built child trees)
+    frames = [(root, *expand(root), [])]
     while True:
-        item, eid, items, trees, yields = frames[-1]
+        item, eid, items, trees = frames[-1]
         if len(trees) < len(items):
             child = items[len(trees)]
             done = None if built is None else built.get(child)
             if done is None:
-                frames.append((child, *expand(child), [], []))
+                frames.append((child, *expand(child), []))
             else:
-                trees.append(done[0])
-                yields.append(done[1])
+                trees.append(done)
+                shared[id(done)] = None
             continue
         frames.pop()
-        tree, tokens = (eid, tuple(trees)), _substitute(edges[eid].template, yields)
+        tree = (eid, tuple(trees))
         if built is not None:
-            built[item] = tree, tokens
+            built[item] = tree
         if not frames:
-            return Derivation(tree, tokens, graph)
+            return tree
         frames[-1][3].append(tree)
-        frames[-1][4].append(tokens)
+
+
+def _tokens(edges: Sequence[Edge], tree: DerivationTree, shared: dict) -> tuple[str, ...]:
+    """The yield of ``tree``: each edge's template, slots filled left to right.
+
+    One iterative walk appends every token to one list, so the cost is
+    linear in the tree even for a deep lattice path, whose sub-yields would
+    sum to quadratic length.  ``shared`` maps the id of each subtree that
+    other trees reach too (the caller keeps them alive) to None, and then,
+    once it is first walked, to its yield, which later walks copy whole.
+    """
+    out: list[str] = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        if item.__class__ is list:
+            # [id, start]: a shared subtree's walk ends here.
+            shared[item[0]] = tuple(out[item[1]:])
+            continue
+        key = id(item)
+        if key in shared:
+            done = shared[key]
+            if done is not None:
+                out.extend(done)
+                continue
+            stack.append([key, len(out)])
+        eid, children = item
+        for slot in reversed(edges[eid].template):
+            stack.append(slot if slot.__class__ is str else children[slot])
+    return tuple(out)
+
+
+def _build_derivation(graph: Hypergraph, root, expand: Callable) -> Derivation:
+    """Build one Derivation from ``expand(item) -> (edge_id, child items)``."""
+    tree = _build_tree(root, expand)
+    return Derivation(tree, _tokens(graph.edges, tree, {}), graph)
 
 
 def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:

@@ -10,7 +10,10 @@ lower-chain (envelope) semiring, which carries only that face of each
 hull; ``ConvexHullValue`` and ``inside_hull`` stay as the reference it
 must agree with point for point.  Realizing each chain point's derivation
 and scoring its yield turns the envelope into a piecewise-constant error
-surface.  Surfaces add across sentences: one sorted pass over all sentence
+surface.  Each call scores a distinct yield of a sentence once: a per-call
+memo hands out one read-only statistics array per (sentence, yield), and
+``optimize`` shares its memo between the initial decode and every axis
+search.  Surfaces add across sentences: one sorted pass over all sentence
 boundaries takes a prefix sum of each sentence's step in statistics, so
 the corpus loss is a step function with one loss per interval, and its
 exact minimum is read off those.  Integer statistics sum exactly; float
@@ -30,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateDirectionWarning,
     DimensionMismatchError,
     NoHypothesesError,
@@ -201,14 +205,62 @@ def build_envelopes(
             DegenerateDirectionWarning,
             stacklevel=2,
         )
+    graphs = [g for g, _ in sentences]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: build_envelope(s[0], w0, v), sentences))
-    return [build_envelope(g, w0, v) for g, _ in sentences]
+            return list(
+                pool.map(lambda n: _sentence_envelope(n, graphs[n], w0, v), range(len(graphs)))
+            )
+    return [_sentence_envelope(n, g, w0, v) for n, g in enumerate(graphs)]
 
 
-def _merge_surfaces(envelopes, sentences, metric: Metric, merge_eps: float) -> CorpusSurface:
-    surfaces = [sentence_surface(env, ref, metric) for env, (_, ref) in zip(envelopes, sentences)]
+def _sentence_envelope(n: int, graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> Envelope:
+    """``build_envelope`` for the sentence at position n.
+
+    A ``DataError`` it raises (an overflowing projection, say) leaves with
+    the position in its private ``_sentence`` attribute, so the command
+    line, which holds the sentence ids, can name the sentence.
+    """
+    try:
+        return build_envelope(graph, w0, v)
+    except DataError as exc:
+        exc._sentence = n
+        raise
+
+
+# Per-call metric statistics: one dict per sentence position, from a yield
+# to its read-only statistics.  Keying by position never hashes a reference.
+_StatsMemo = list[dict[tuple[str, ...], np.ndarray]]
+
+
+def _stats_memo(sentences: Sequence) -> _StatsMemo:
+    return [{} for _ in sentences]
+
+
+def _memo_stats(memo: _StatsMemo, n: int, tokens: tuple[str, ...], ref, metric: Metric):
+    """``metric.stats(tokens, ref)`` for sentence n, scored once per call.
+
+    The array is shared by every later lookup, so it is made read-only.
+    """
+    table = memo[n]
+    stats = table.get(tokens)
+    if stats is None:
+        stats = metric.stats(tokens, ref)
+        stats.flags.writeable = False
+        table[tokens] = stats
+    return stats
+
+
+def _merge_surfaces(
+    envelopes, sentences, metric: Metric, merge_eps: float, memo: _StatsMemo
+) -> CorpusSurface:
+    surfaces = [
+        ErrorSurface(
+            env.boundaries,
+            tuple(_memo_stats(memo, n, d.tokens, ref, metric) for d in env.derivations),
+        )
+        for n, (env, (_, ref)) in enumerate(zip(envelopes, sentences))
+    ]
     return CorpusSurface(metric, surfaces, merge_eps)
 
 
@@ -222,7 +274,7 @@ def corpus_surface(
 ) -> CorpusSurface:
     """Per-sentence envelopes and surfaces, merged into one corpus surface."""
     envelopes = build_envelopes(sentences, w0, v, threads)
-    return _merge_surfaces(envelopes, sentences, metric, merge_eps)
+    return _merge_surfaces(envelopes, sentences, metric, merge_eps, _stats_memo(sentences))
 
 
 @dataclass(frozen=True)
@@ -271,10 +323,19 @@ def line_search(
     threads: int = 1,
 ) -> LineSearchResult:
     """Exact minimum of the corpus loss along w0 + eta * v."""
+    return _line_search(
+        sentences, w0, v, metric, merge_eps, offset, threads, _stats_memo(sentences)
+    )
+
+
+def _line_search(
+    sentences, w0, v, metric: Metric, merge_eps: float, offset: float, threads: int,
+    memo: _StatsMemo,
+) -> LineSearchResult:
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
     envelopes = build_envelopes(sentences, w0, v, threads)
-    surface = _merge_surfaces(envelopes, sentences, metric, merge_eps)
+    surface = _merge_surfaces(envelopes, sentences, metric, merge_eps, memo)
     losses = surface.interval_losses()
     chosen, eta = pick_eta(surface, offset)
     return LineSearchResult(
@@ -298,8 +359,8 @@ def _decode(sentences, weights: np.ndarray) -> Iterator[Derivation]:
     """
     weights = np.asarray(weights, dtype=float)
     zero_v = np.zeros_like(weights)
-    for graph, _ in sentences:
-        env = build_envelope(graph, weights, zero_v)
+    for n, (graph, _) in enumerate(sentences):
+        env = _sentence_envelope(n, graph, weights, zero_v)
         yield env.derivations[env.segment_at(0.0)]
 
 
@@ -309,9 +370,13 @@ def decode_loss(
     metric: Metric,
 ) -> float:
     """Corpus loss of the highest-scoring derivations at fixed weights."""
+    return _decode_loss(sentences, weights, metric, _stats_memo(sentences))
+
+
+def _decode_loss(sentences, weights, metric: Metric, memo: _StatsMemo) -> float:
     total = metric.zero_stats()
-    for d, (_, ref) in zip(_decode(sentences, weights), sentences):
-        total += metric.stats(d.tokens, ref)
+    for n, (d, (_, ref)) in enumerate(zip(_decode(sentences, weights), sentences)):
+        total += _memo_stats(memo, n, d.tokens, ref, metric)
     return metric.loss(total)
 
 
@@ -357,7 +422,10 @@ def optimize(
         dirs = _axis_directions(len(w))
     else:
         dirs = [np.asarray(v, dtype=float) for v in directions]
-    initial_loss = decode_loss(sentences, w, metric)
+    # One memo serves the initial decode and every axis search: each
+    # distinct yield of a sentence is scored once per call.
+    memo = _stats_memo(sentences)
+    initial_loss = _decode_loss(sentences, w, metric, memo)
     loss = initial_loss
     steps: list[OptimizeStep] = []
     ran = 0
@@ -365,7 +433,7 @@ def optimize(
         ran = it + 1
         improved = False
         for axis, v in enumerate(dirs):
-            result = line_search(sentences, w, v, metric, merge_eps, offset, threads)
+            result = _line_search(sentences, w, v, metric, merge_eps, offset, threads, memo)
             if result.loss < loss:
                 w = result.weights
                 loss = result.loss

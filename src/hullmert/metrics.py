@@ -37,6 +37,12 @@ class Metric:
     n_stats: int = 0
 
     def stats(self, hyp: Tokens, ref: Tokens) -> np.ndarray:
+        """The statistics vector of one hypothesis against its reference.
+
+        Must be a pure function of ``(hyp, ref)``: a line search, sweep,
+        decode or optimize call scores each distinct yield of a sentence
+        once and shares the returned array, which it marks read-only.
+        """
         raise NotImplementedError
 
     def loss(self, aggregate: np.ndarray) -> float:

@@ -2,7 +2,9 @@
 
 Eleven independent checks, one test each, covering the semiring laws, the
 size and hull bounds, oracle and duality agreement, envelope and search
-correctness, runtime scaling, and the golden CLI report.  Every test
+correctness, runtime scaling, and the golden CLI report.  Checks 3 and 10
+run on the reference ``inside_hull``; their twins 3b and 10b hold
+``envelope_points``, which the line search runs, to the same limits.  Every test
 prints a single ``PASS`` line with its measured numbers; run with ``-s``
 to see them, or rely on the verbose test names.  Thresholds are asserted,
 never logged and ignored.
@@ -17,7 +19,13 @@ import numpy as np
 
 from helpers import LINE_V, LINE_W0, make_line_graph
 from hullmert.errors import CapExceededError
-from hullmert.forest import Edge, Hypergraph, enumerate_derivations, inside_hull
+from hullmert.forest import (
+    Edge,
+    Hypergraph,
+    enumerate_derivations,
+    envelope_points,
+    inside_hull,
+)
 from hullmert.geometry import full_hull
 from hullmert.linesearch import build_envelope, line_search
 from hullmert.metrics import Bleu, ExactMatch
@@ -116,6 +124,26 @@ def test_03_goal_hull_bounded_by_edges():
         checked += 1
     _passed(3, f"goal hull size: {checked} forests <= 50 edges, "
                f"max hull/|E| ratio {worst:.2f}")
+
+
+def test_03b_goal_chain_bounded_by_edges_on_the_hot_path():
+    rng = np.random.default_rng(20240817 + 3)
+    checked = 0
+    worst = 0.0
+    while checked < 200:
+        graph = _random_small_forest(rng, integer=False)
+        if graph.n_edges > 50:
+            continue
+        w0 = rng.normal(size=3)
+        v = _nonzero_direction(rng, 3, integer=False)
+        chain, derivations = envelope_points(graph, w0, v)
+        assert len(chain) == len(derivations) <= graph.n_edges, (
+            f"goal chain {len(chain)} exceeds |E| = {graph.n_edges}"
+        )
+        worst = max(worst, len(chain) / graph.n_edges)
+        checked += 1
+    _passed(3, f"hot-path goal chain size: {checked} forests <= 50 edges, "
+               f"max chain/|E| ratio {worst:.2f}")
 
 
 def test_04_convexification_identity():
@@ -281,6 +309,31 @@ def test_10_inside_scales_near_linearly():
     assert ratio_1 <= 20.0, f"100 -> 1000 edges slowed down {ratio_1:.1f}x"
     assert ratio_2 <= 20.0, f"1000 -> 10000 edges slowed down {ratio_2:.1f}x"
     _passed(10, f"scaling: best-of-run times {best[100]*1e3:.1f} / "
+                f"{best[1000]*1e3:.1f} / {best[10000]*1e3:.1f} ms, "
+                f"ratios {ratio_1:.1f}x and {ratio_2:.1f}x (limit 20x)")
+
+
+def test_10b_envelope_points_scales_near_linearly():
+    # The hot path also builds one derivation per chain point; on a long
+    # chain those are thousands of edges deep.
+    rng = np.random.default_rng(20240817 + 10)
+    w0 = np.array([1.0, -1.0])
+    v = np.array([1.0, 1.0])
+    best: dict[int, float] = {}
+    for n_edges, repeats in ((100, 5), (1000, 3), (10000, 2)):
+        graph = _two_way_chain(rng, n_edges)
+        assert graph.n_edges == n_edges
+        timings = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            envelope_points(graph, w0, v)
+            timings.append(time.perf_counter() - start)
+        best[n_edges] = min(timings)
+    ratio_1 = best[1000] / max(best[100], 1e-9)
+    ratio_2 = best[10000] / max(best[1000], 1e-9)
+    assert ratio_1 <= 20.0, f"100 -> 1000 edges slowed down {ratio_1:.1f}x"
+    assert ratio_2 <= 20.0, f"1000 -> 10000 edges slowed down {ratio_2:.1f}x"
+    _passed(10, f"hot-path scaling: best-of-run times {best[100]*1e3:.1f} / "
                 f"{best[1000]*1e3:.1f} / {best[10000]*1e3:.1f} ms, "
                 f"ratios {ratio_1:.1f}x and {ratio_2:.1f}x (limit 20x)")
 

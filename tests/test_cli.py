@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from hullmert import cli
 from hullmert.errors import MissingFeatureWarning
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 ONE_HYP = (
     '{"id": "only", "nodes": 1, "goal": 0, "edges": ['
@@ -350,3 +353,19 @@ class TestArgumentHandling:
         )
         assert code == 0 and doc["metric"] == "bleu"
         assert doc["loss"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["linesearch", "sweep", "optimize"])
+    def test_overflowing_sentence_reports_index_and_id(self, files, capsys, command) -> None:
+        # lm = 1.7e308 projects each fixture edge finitely, but the
+        # 'lattice' sentence adds two of them and overflows.
+        corpus = str(FIXTURES / "corpus.jsonl")
+        weights = files("w.json", '{"lm": 1.7e308, "tm": 0}')
+        direction = files("v.json", '{"lm": 1.0, "tm": 0.5}')
+        argv = [command, corpus, "--weights", weights]
+        if command != "optimize":
+            argv += ["--direction", direction]
+        code = cli.run(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: sentence 1 (id 'lattice'): "), err
+        assert "non-finite" in err and "Traceback" not in err

@@ -399,6 +399,43 @@ class TestEnvelopePoints:
             # v = 0 is the fixed-weight decode: one point per node.
             assert_matches_hull_reference(graph, w0, np.zeros(3))
 
+    def test_projection_bits_do_not_depend_on_the_vector_type(self, rng) -> None:
+        # Edges are projected on Python floats; float64 arrays, lists and
+        # integer arrays must all give the float64 array path's bits.
+        def bits(chain):
+            return [(p.x.hex(), p.y.hex()) for p in chain.points]
+
+        for integer in (False, True):
+            graph = random_forest(rng, n_nodes=14, max_edges_per_node=3, integer_features=integer)
+            w0, v = random_vectors(rng, 3, integer)
+            want = bits(lower_chain(inside_hull(graph, w0, v).hull))
+            kinds = [(w0, v), (w0.tolist(), v.tolist())]
+            if integer:
+                kinds.append((w0.astype(np.int64), v.astype(np.int64)))
+            for a, b in kinds:
+                assert bits(envelope_points(graph, a, b)[0]) == want
+
+    def test_projection_sums_left_to_right(self) -> None:
+        # (1e16 + 1.0) rounds to 1e16, so the left-to-right sum of the first
+        # edge's terms is 0.0 where math.fsum, and some np.dot or pairwise
+        # orders, give 1.0.
+        g = Hypergraph(
+            1,
+            [
+                Edge.make(0, (), {0: 1e16, 1: 1.0, 2: -1e16}, ("cancel",)),
+                Edge.make(0, (), {0: 1.0}, ("one",)),
+            ],
+            goal=0,
+            n_features=3,
+        )
+        ones = np.ones(3)
+        for w0, v in [(ones, ones), ([1.0] * 3, [1.0] * 3), (np.ones(3, dtype=np.int64),) * 2]:
+            chain, _ = envelope_points(g, w0, v)
+            assert [(p.x.hex(), p.y.hex()) for p in chain.points] == [
+                ((0.0).hex(), (0.0).hex()),
+                ((1.0).hex(), (-1.0).hex()),
+            ]
+
     def test_products_rounding_together_match_the_reference(self) -> None:
         # Adding the leaf chain (0, 0), (1, -1), (2, 5) to a goal edge at
         # x = 1e20 rounds all three x values onto one float; the point
@@ -425,12 +462,14 @@ class TestEnvelopePoints:
         graph = random_forest(rng, n_nodes=120, max_edges_per_node=4, integer_features=True)
         w0, v = random_vectors(rng, 3, integer=True)
         calls = []
-        substitute = forest._substitute
-        monkeypatch.setattr(
-            forest, "_substitute", lambda *args: calls.append(1) or substitute(*args)
-        )
+        build_tree = forest._build_tree
+
+        def counting_build_tree(root, expand, *rest):
+            return build_tree(root, lambda item: calls.append(item) or expand(item), *rest)
+
+        monkeypatch.setattr(forest, "_build_tree", counting_build_tree)
         _, derivations = envelope_points(graph, w0, v)
-        # One subtree per reached (node, point index): equal trees are the
+        # One expansion per reached (node, point index): equal trees are the
         # same point, and distinct chain points of a node differ in x.
         objects: dict[tuple, set[int]] = {}
         for d in derivations:
@@ -440,6 +479,9 @@ class TestEnvelopePoints:
         assert len(calls) == len(objects) < visits / 2
         # Goal derivations that share a subtree hold one tuple object.
         assert all(len(ids) == 1 for ids in objects.values())
+        # Yields, which copy each shared subtree's yield from its first
+        # walk, match the yields of the same trees realized afresh.
+        assert all(d.tokens == realize(graph, d.tree).tokens for d in derivations)
 
     def test_feature_bytes_are_pinned(self) -> None:
         # Features are summed over edge_ids() preorder; summing the same

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullmert import MertEstimator, cli
 from hullmert.errors import (
@@ -18,6 +20,7 @@ from hullmert.linesearch import (
     DEFAULT_OFFSET,
     CorpusSurface,
     ErrorSurface,
+    OptimizeStep,
     build_envelope,
     build_envelopes,
     corpus_surface,
@@ -28,14 +31,15 @@ from hullmert.linesearch import (
     sentence_surface,
     sweep,
 )
-from hullmert.metrics import ExactMatch, get_metric
+from hullmert.metrics import Bleu, ExactMatch, get_metric
 from hullmert.oracle import (
+    DEFAULT_REL_TOL,
     decode_corpus_loss,
     grid_line_search,
     naive_envelope,
     viterbi_derivation,
 )
-from hullmert.sampling import random_corpus
+from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue
 
 from helpers import LINE_V, LINE_W0, make_line_graph
@@ -548,3 +552,158 @@ class TestHotPathRepresentation:
         assert len(calls) == 3 * intervals
         assert swept.losses == tuple(surface.loss_at(eta) for eta in swept.etas)
         assert len(calls) == 3 * intervals
+
+
+class CountingBleu(Bleu):
+    """BLEU that records every (hypothesis, reference) pair it scores."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+
+    def stats(self, hyp, ref) -> np.ndarray:
+        self.calls.append((tuple(hyp), tuple(ref)))
+        return super().stats(hyp, ref)
+
+
+def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_EPS,
+                    offset=DEFAULT_OFFSET):
+    """``optimize`` along the axes, rebuilt from public calls that each
+    score their hypotheses afresh.  Returns the weights, loss and steps,
+    every line search, and the last accepted one."""
+    w = np.asarray(w0, dtype=float).copy()
+    loss = decode_loss(sentences, w, metric)
+    steps, searches, accepted = [], [], None
+    for it in range(iterations):
+        improved = False
+        for axis, v in enumerate(np.eye(len(w))):
+            result = line_search(sentences, w, v, metric, merge_eps, offset)
+            searches.append(result)
+            if result.loss < loss:
+                w, loss, accepted = result.weights, result.loss, result
+                improved = True
+                steps.append(OptimizeStep(it, axis, result.eta, loss))
+        if not improved:
+            break
+    return w, loss, tuple(steps), searches, accepted
+
+
+class TestStatsMemo:
+    @pytest.fixture
+    def corpus(self, rng):
+        # A token of its own in every reference makes a (hypothesis,
+        # reference) pair name its sentence.  The first graph comes twice,
+        # so equal yields must still be scored once per sentence.
+        pairs = random_corpus(rng, n_sentences=5, n_nodes=7, max_parallel=3)
+        pairs.append(pairs[0])
+        return [(g, ref + (f"<s{n}>",)) for n, (g, ref) in enumerate(pairs)]
+
+    def test_optimize_scores_each_distinct_yield_once(self, corpus, rng) -> None:
+        w0 = rng.normal(size=3)
+        metric = CountingBleu()
+        result = optimize(corpus, w0, metric, iterations=2)
+        replayed = CountingBleu()
+        weights, loss, steps, searches, _ = replay_optimize(corpus, w0, replayed, 2)
+        # Every hypothesis the replay meets: the decode at w0, then each
+        # envelope's derivations.
+        zero = np.zeros(3)
+        decoded = [build_envelope(g, w0, zero) for g, _ in corpus]
+        hypotheses = {
+            (d.tokens, ref)
+            for envelopes in [decoded] + [r.envelopes for r in searches]
+            for env, (_, ref) in zip(envelopes, corpus)
+            for d in env.derivations
+        }
+        # The initial decode and every axis search share one memo.
+        assert len(metric.calls) == len(set(metric.calls))
+        assert set(metric.calls) == hypotheses
+        assert len(replayed.calls) > len(metric.calls)
+        assert result.weights.tobytes() == weights.tobytes()
+        assert result.loss == loss and result.steps == steps
+
+    def test_each_call_starts_with_an_empty_memo(self, corpus, rng) -> None:
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        metric = CountingBleu()
+        optimize(corpus, w0, metric, iterations=2)
+        first = len(metric.calls)
+        optimize(corpus, w0, metric, iterations=2)
+        assert len(metric.calls) == 2 * first
+        for search in (
+            lambda: line_search(corpus, w0, v, metric),
+            lambda: corpus_surface(corpus, w0, v, metric),
+            lambda: sweep(corpus, w0, v, metric, -1.0, 1.0, 5),
+            lambda: decode_loss(corpus, w0, metric),
+        ):
+            metric.calls.clear()
+            search()
+            once = len(metric.calls)
+            assert once == len(set(metric.calls))
+            search()
+            assert len(metric.calls) == 2 * once
+
+    def test_shared_statistics_are_read_only(self, corpus, rng) -> None:
+        result = line_search(corpus, rng.normal(size=3), rng.normal(size=3), Bleu())
+        arrays = [a for s in result.surface.surfaces for a in s.stats]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 1.0
+
+
+def assert_loss_is_attained(sentences, result, metric) -> None:
+    """The reported loss is the loss of the derivations the envelopes pick
+    at eta, scored afresh, and each of them is a best derivation at the
+    returned weights up to rounding."""
+    total = metric.zero_stats()
+    for (graph, ref), env in zip(sentences, result.envelopes):
+        d = env.derivations[env.segment_at(result.eta)]
+        total = total + metric.stats(d.tokens, ref)
+        best, _ = viterbi_derivation(graph, result.weights)
+        score = float(d.features @ result.weights)
+        assert abs(score - best) <= DEFAULT_REL_TOL * max(1.0, abs(score), abs(best))
+    assert metric.loss(total) == result.loss
+
+
+class TestLossIsAttained:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        forest=st.booleans(),
+        integer=st.booleans(),
+        bleu=st.booleans(),
+        offset=st.sampled_from([1e-300, 1e-12, DEFAULT_OFFSET]),
+        merge_eps=st.sampled_from([DEFAULT_MERGE_EPS, 1e-3, 0.5]),
+    )
+    def test_reported_loss_is_attained_at_the_returned_weights(
+        self, seed, forest, integer, bleu, offset, merge_eps
+    ) -> None:
+        # A tiny offset puts unbounded-interval etas next to their
+        # boundary; a wide merge_eps chains boundaries into clusters.
+        # Re-decoding is not asserted: when two best derivations tie (equal
+        # feature vectors, or a tiny offset within rounding of a crossing)
+        # the decode may keep the other one.
+        rng = np.random.default_rng(seed)
+        corpus = []
+        for _ in range(int(rng.integers(1, 3))):
+            if forest:
+                graph = random_forest(rng, n_nodes=7, integer_features=integer)
+            else:
+                graph = random_lattice(rng, n_nodes=6, max_parallel=3, integer_features=integer)
+            corpus.append((graph, random_derivation(rng, graph).tokens))
+        # The first graph again, against a reference of its own.
+        corpus.append((corpus[0][0], random_derivation(rng, corpus[0][0]).tokens))
+        metric = get_metric("bleu" if bleu else "exact")
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        searched = line_search(corpus, w0, v, metric, merge_eps, offset)
+        assert_loss_is_attained(corpus, searched, metric)
+        # optimize, which scores with one memo, equals its replay from
+        # public calls, each scoring afresh.
+        result = optimize(corpus, w0, metric, 2, merge_eps=merge_eps, offset=offset)
+        weights, loss, steps, _, accepted = replay_optimize(
+            corpus, w0, metric, 2, merge_eps, offset
+        )
+        assert result.weights.tobytes() == weights.tobytes()
+        assert result.loss == loss and result.steps == steps
+        if accepted is None:
+            assert loss == decode_loss(corpus, w0, metric)
+        else:
+            assert_loss_is_attained(corpus, accepted, metric)
