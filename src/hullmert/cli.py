@@ -2,9 +2,10 @@
 
 Reports go to stdout as canonical JSON (one document), except ``sweep``,
 which emits plot-ready tab-separated (eta, loss) rows.  Exit codes: 0
-success, 1 usage problems, 2 data problems, 3 internal invariant
-violations (including a failed ``verify``).  Output bytes depend only on
-the inputs, never on timing or thread count.
+success, 1 usage problems (including out-of-range or non-finite flag
+values), 2 data problems, 3 internal invariant violations (including a
+failed ``verify``).  Output bytes depend only on the inputs, never on
+timing or thread count.
 """
 
 from __future__ import annotations
@@ -14,15 +15,9 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from .errors import DataError, MertError, UsageError
+from .errors import ConfigError, DataError, MertError, UsageError
 from .forest import DEFAULT_DERIVATION_CAP, count_derivations
-from .io import (
-    Corpus,
-    RunConfig,
-    canonical_json,
-    load_corpus,
-    load_vector_map,
-)
+from .io import Corpus, canonical_json, load_corpus, load_vector_map
 from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET, line_search, optimize, sweep
 from .metrics import get_metric
 from .oracle import duality_report
@@ -35,15 +30,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, direction: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, direction: bool, offset: bool = False) -> None:
     p.add_argument("corpus", help="line-delimited sentence forest file")
     p.add_argument("--weights", required=True, help="JSON {feature: value} map")
     if direction:
         p.add_argument("--direction", required=True, help="JSON {feature: value} map")
     p.add_argument("--metric", choices=["exact", "bleu"], default="exact")
     p.add_argument("--merge-eps", type=float, default=DEFAULT_MERGE_EPS,
-                   help="coalesce surface boundaries closer than this")
-    p.add_argument("--threads", type=int, default=1)
+                   help="coalesce surface boundaries closer than this; >= 0, inf allowed")
+    p.add_argument("--threads", type=int, default=1, help="worker threads; >= 1")
+    if offset:
+        p.add_argument("--offset", type=float, default=DEFAULT_OFFSET,
+                       help="step beyond the outermost boundary for unbounded "
+                       "intervals; positive and finite")
 
 
 def build_parser() -> _Parser:
@@ -56,9 +55,7 @@ def build_parser() -> _Parser:
     p.add_argument("--direction", help="optionally check feature coverage of this map")
 
     p = sub.add_parser("linesearch", help="exact error minimization along a direction")
-    _add_common(p, direction=True)
-    p.add_argument("--offset", type=float, default=DEFAULT_OFFSET,
-                   help="step beyond the outermost boundary for unbounded intervals")
+    _add_common(p, direction=True, offset=True)
 
     p = sub.add_parser("sweep", help="corpus loss on an eta grid, as TSV rows")
     _add_common(p, direction=True)
@@ -66,9 +63,8 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=2001, help="number of grid points")
 
     p = sub.add_parser("optimize", help="iterated line search along coordinate axes")
-    _add_common(p, direction=False)
-    p.add_argument("--offset", type=float, default=DEFAULT_OFFSET)
-    p.add_argument("--iterations", type=int, default=1)
+    _add_common(p, direction=False, offset=True)
+    p.add_argument("--iterations", type=int, default=1, help="outer sweeps over the axes; >= 0")
 
     p = sub.add_parser("verify", help="cross-check envelopes against max-plus scoring")
     _add_common(p, direction=True)
@@ -110,17 +106,6 @@ def _vectors(corpus: Corpus, args, direction: bool):
         return w0, None
     v = corpus.features.vectorize(load_vector_map(args.direction, "direction"), "direction")
     return w0, v
-
-
-def _config(args, **overrides) -> RunConfig:
-    fields = {
-        "metric": getattr(args, "metric", "exact"),
-        "merge_eps": getattr(args, "merge_eps", DEFAULT_MERGE_EPS),
-        "offset": getattr(args, "offset", DEFAULT_OFFSET),
-        "threads": getattr(args, "threads", 1),
-    }
-    fields.update(overrides)
-    return RunConfig(**fields)
 
 
 def _parse_grid(args) -> tuple[float, float, int]:
@@ -179,12 +164,11 @@ def cmd_validate(args) -> tuple[str, int]:
 
 def cmd_linesearch(args) -> tuple[str, int]:
     corpus = _load_searchable(args.corpus)
-    config = _config(args)
-    metric = get_metric(config.metric)
+    metric = get_metric(args.metric)
     w0, v = _vectors(corpus, args, direction=True)
     result = _search(
         corpus, line_search, w0, v, metric,
-        merge_eps=config.merge_eps, offset=config.offset, threads=config.threads,
+        merge_eps=args.merge_eps, offset=args.offset, threads=args.threads,
     )
     sentences = []
     for s, env in zip(corpus.sentences, result.envelopes):
@@ -221,13 +205,12 @@ def cmd_linesearch(args) -> tuple[str, int]:
 
 def cmd_sweep(args) -> tuple[str, int]:
     corpus = _load_searchable(args.corpus)
-    config = _config(args)
-    metric = get_metric(config.metric)
+    metric = get_metric(args.metric)
     w0, v = _vectors(corpus, args, direction=True)
     lo, hi, steps = _parse_grid(args)
     result = _search(
         corpus, sweep, w0, v, metric, lo, hi, steps,
-        merge_eps=config.merge_eps, threads=config.threads,
+        merge_eps=args.merge_eps, threads=args.threads,
     )
     rows = [
         f"{format(eta, '.17g')}\t{format(loss, '.17g')}"
@@ -238,12 +221,11 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 def cmd_optimize(args) -> tuple[str, int]:
     corpus = _load_searchable(args.corpus)
-    config = _config(args, iterations=args.iterations)
-    metric = get_metric(config.metric)
+    metric = get_metric(args.metric)
     w0, _ = _vectors(corpus, args, direction=False)
     result = _search(
-        corpus, optimize, w0, metric, iterations=config.iterations,
-        merge_eps=config.merge_eps, offset=config.offset, threads=config.threads,
+        corpus, optimize, w0, metric, iterations=args.iterations,
+        merge_eps=args.merge_eps, offset=args.offset, threads=args.threads,
     )
     names = corpus.features.names
     trace = [
@@ -307,7 +289,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         text, code = _COMMANDS[args.command](args)
         sys.stdout.write(text)
         return code
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
+        # Only flag values raise ConfigError here; corpus and vector-file
+        # problems are other DataErrors.
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (OSError, DataError) as exc:

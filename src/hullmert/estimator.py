@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .forest import Hypergraph
-from .io import Corpus, FeatureIndex, RunConfig
+from .io import Corpus, FeatureIndex
 from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET, _decode, decode_loss, optimize
 from .metrics import get_metric
 
@@ -83,24 +83,17 @@ class MertEstimator:
 
     def fit(self, X: Corpus | Pairs, y=None) -> "MertEstimator":
         """Tune weights on the corpus; references travel with the forests."""
-        config = RunConfig(
-            metric=self.metric,
-            merge_eps=self.merge_eps,
-            offset=self.offset,
-            iterations=self.iterations,
-            threads=self.threads,
-        )
         pairs, index, dim = self._materialize(X)
-        metric = get_metric(config.metric)
+        metric = get_metric(self.metric)
         w0 = self._initial_vector(index, dim)
         result = optimize(
             pairs,
             w0,
             metric,
-            iterations=config.iterations,
-            merge_eps=config.merge_eps,
-            offset=config.offset,
-            threads=config.threads,
+            iterations=self.iterations,
+            merge_eps=self.merge_eps,
+            offset=self.offset,
+            threads=self.threads,
         )
         self.weights_ = result.weights
         self.loss_ = result.loss

@@ -33,14 +33,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DataError,
     ForestFormatError,
     MissingFeatureWarning,
     UnknownFeatureWarning,
 )
 from .forest import Edge, Hypergraph
-from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET
 from .metrics import tokenize
 
 _SLOT_RE = re.compile(r"^\$(\d+)$")
@@ -301,27 +299,6 @@ def load_vector_map(path: str, label: str) -> dict[str, float]:
             raise DataError(f"{label} file {path}: {name!r} must be finite")
         out[name] = float(val)
     return out
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the search commands."""
-
-    metric: str = "exact"
-    merge_eps: float = DEFAULT_MERGE_EPS
-    offset: float = DEFAULT_OFFSET
-    iterations: int = 1
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.merge_eps < 0:
-            raise ConfigError(f"merge-eps must be >= 0, got {self.merge_eps}")
-        if self.offset <= 0:
-            raise ConfigError(f"offset must be positive, got {self.offset}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
 def _float_repr(x: float) -> str:

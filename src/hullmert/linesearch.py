@@ -46,6 +46,17 @@ DEFAULT_MERGE_EPS = 1e-9
 DEFAULT_OFFSET = 0.1
 
 
+def _check_settings(merge_eps: float = 0.0, offset: float = DEFAULT_OFFSET, threads: int = 1):
+    """Raise ``ConfigError`` unless ``merge_eps >= 0``, ``0 < offset < inf``
+    and ``threads >= 1``; NaN fails every comparison, so it is rejected."""
+    if not merge_eps >= 0:
+        raise ConfigError(f"merge-eps must be >= 0, got {merge_eps}")
+    if not 0 < offset < math.inf:
+        raise ConfigError(f"offset must be positive and finite, got {offset}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Upper envelope of one sentence's derivation scores along a direction.
@@ -148,6 +159,7 @@ class CorpusSurface:
     __slots__ = ("metric", "surfaces", "boundaries", "_cluster_max", "stats", "_losses")
 
     def __init__(self, metric: Metric, surfaces: Sequence[ErrorSurface], merge_eps: float):
+        _check_settings(merge_eps)
         self.metric = metric
         self.surfaces = tuple(surfaces)
         steps = sorted(
@@ -193,6 +205,7 @@ def build_envelopes(
     Sentences are independent, so they may be handed to a thread pool; the
     result list follows the input order either way.
     """
+    _check_settings(threads=threads)
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
     if w0.shape != v.shape:
@@ -273,6 +286,7 @@ def corpus_surface(
     threads: int = 1,
 ) -> CorpusSurface:
     """Per-sentence envelopes and surfaces, merged into one corpus surface."""
+    _check_settings(merge_eps)
     envelopes = build_envelopes(sentences, w0, v, threads)
     return _merge_surfaces(envelopes, sentences, metric, merge_eps, _stats_memo(sentences))
 
@@ -303,6 +317,7 @@ def pick_eta(surface: CorpusSurface, offset: float = DEFAULT_OFFSET) -> tuple[in
     no boundaries yields 0.  A bounded interval with no float strictly
     between its clusters holds no eta, so it cannot be chosen.
     """
+    _check_settings(offset=offset)
     losses = surface.interval_losses()
     starts, ends = surface.boundaries, surface._cluster_max
     etas = [_interval_point(starts, ends, k, offset) for k in range(len(losses))]
@@ -323,6 +338,7 @@ def line_search(
     threads: int = 1,
 ) -> LineSearchResult:
     """Exact minimum of the corpus loss along w0 + eta * v."""
+    _check_settings(merge_eps, offset)
     return _line_search(
         sentences, w0, v, metric, merge_eps, offset, threads, _stats_memo(sentences)
     )
@@ -353,9 +369,9 @@ def _line_search(
 def _decode(sentences, weights: np.ndarray) -> Iterator[Derivation]:
     """The highest-scoring derivation of each sentence at fixed weights.
 
-    Runs the hull inside pass with a zero direction: all dual points then
-    share x = 0 and only the best-scoring hypothesis survives on the lower
-    chain, so the envelope has a single segment.
+    Runs the envelope inside pass with a zero direction: all dual points
+    then share x = 0 and only the best-scoring hypothesis survives on the
+    lower chain, so the envelope has a single segment.
     """
     weights = np.asarray(weights, dtype=float)
     zero_v = np.zeros_like(weights)
@@ -417,6 +433,9 @@ def optimize(
     it strictly lowers the corpus loss, so the loss trace is monotone; an
     iteration with no accepted step stops the search early.
     """
+    _check_settings(merge_eps, offset, threads)
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
     w = np.asarray(w0, dtype=float).copy()
     if directions is None:
         dirs = _axis_directions(len(w))

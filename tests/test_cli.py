@@ -321,6 +321,44 @@ class TestVerify:
         assert code == 3 and not doc["ok"]
 
 
+# Search flags per command, with values outside each flag's range.
+SEARCH_FLAGS = {
+    "linesearch": ("--merge-eps", "--offset", "--threads"),
+    "sweep": ("--merge-eps", "--threads"),
+    "optimize": ("--merge-eps", "--offset", "--iterations", "--threads"),
+}
+OUT_OF_RANGE = {
+    "--merge-eps": ("-1e-9", "nan"),
+    "--offset": ("0", "-1", "nan", "inf"),
+    "--iterations": ("-1",),
+    "--threads": ("0",),
+}
+LEGAL_EDGES = {
+    "--merge-eps": ("0", "inf"),
+    "--offset": ("5e-324",),
+    "--iterations": ("0",),
+    "--threads": ("1",),
+}
+
+
+def flag_cases(values: dict) -> list:
+    return [
+        (command, flag, value)
+        for command, flags in SEARCH_FLAGS.items()
+        for flag in flags
+        for value in values[flag]
+    ]
+
+
+def search_argv(files, command: str, flag: str, value: str) -> list[str]:
+    corpus = files("c.jsonl", TWO_HYP)
+    weights = files("w.json", '{"tm": 0.5}')
+    argv = [command, corpus, "--weights", weights, f"{flag}={value}"]
+    if command != "optimize":
+        argv += ["--direction", files("v.json", '{"tm": 1.0}')]
+    return argv
+
+
 class TestArgumentHandling:
     def test_missing_required_flag(self, files, capsys) -> None:
         corpus = files("c.jsonl", TWO_HYP)
@@ -337,6 +375,18 @@ class TestArgumentHandling:
              "--direction", weights, "--metric", "wer"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command, flag, value", flag_cases(OUT_OF_RANGE))
+    def test_out_of_range_flag_is_a_usage_error(self, files, capsys, command, flag, value) -> None:
+        assert cli.run(search_argv(files, command, flag, value)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: {flag[2:]} must be "), err
+
+    @pytest.mark.parametrize("command, flag, value", flag_cases(LEGAL_EDGES))
+    def test_legal_edge_flag_runs(self, files, capsys, command, flag, value) -> None:
+        assert cli.run(search_argv(files, command, flag, value)) == 0
+        assert capsys.readouterr().out
 
     def test_missing_file_is_a_data_error(self, tmp_path, capsys) -> None:
         missing = str(tmp_path / "nope.jsonl")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hullmert.errors import (
-    ConfigError,
     DataError,
     ForestFormatError,
     MissingFeatureWarning,
@@ -13,14 +12,12 @@ from hullmert.errors import (
 )
 from hullmert.io import (
     FeatureIndex,
-    RunConfig,
     canonical_json,
     load_corpus,
     load_vector_map,
     loads_corpus,
     serialize_corpus,
 )
-from hullmert.linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET
 
 SENTENCE = (
     '{"id": "s1", "nodes": 3, "goal": 2, "edges": ['
@@ -202,26 +199,6 @@ class TestLoadVectorMap:
         p.write_text(content, encoding="utf-8")
         with pytest.raises(DataError, match=fragment):
             load_vector_map(str(p), "weights")
-
-
-class TestRunConfig:
-    def test_defaults_are_valid(self) -> None:
-        cfg = RunConfig()
-        assert cfg.metric == "exact"
-        assert cfg.merge_eps == DEFAULT_MERGE_EPS and cfg.offset == DEFAULT_OFFSET
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"merge_eps": -1e-9},
-            {"offset": 0.0},
-            {"iterations": -1},
-            {"threads": 0},
-        ],
-    )
-    def test_invalid_values(self, kwargs) -> None:
-        with pytest.raises(ConfigError):
-            RunConfig(**kwargs)
 
 
 class TestCanonicalJson:

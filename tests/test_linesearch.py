@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hullmert.linesearch as linesearch_module
 from hullmert import MertEstimator, cli
 from hullmert.errors import (
     ConfigError,
@@ -197,12 +198,13 @@ class TestCorpusSurface:
         assert corpus.boundaries == (1.0,)
         assert [s.tolist() for s in corpus.stats] == [[3.0], [0.0]]
 
-    @pytest.mark.parametrize("merge_eps", [1e-9, 0.05])
+    @pytest.mark.parametrize("merge_eps", [0.0, 1e-9, 0.05, INF])
     @pytest.mark.parametrize("metric_name", ["exact", "bleu"])
     def test_refinement_invariant_off_boundaries(self, rng, metric_name, merge_eps) -> None:
         # 60 sentences, two of them identical so that boundaries repeat; at
-        # merge_eps = 0.05 clusters chain.  Off every cluster, interval
-        # statistics are the definition: each sentence's stats_at, summed.
+        # merge_eps = 0.05 clusters chain, and at inf all form one cluster.
+        # Off every cluster, interval statistics are the definition: each
+        # sentence's stats_at, summed.
         metric = get_metric(metric_name)
         corpus = random_corpus(rng, n_sentences=59, n_nodes=6)
         corpus.append(corpus[0])
@@ -485,6 +487,90 @@ class TestSweep:
             if any(abs(eta - b) < 1e-6 for b in all_bs):
                 continue
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+# Each entry point that takes a search setting, as a call on a corpus,
+# w0, a direction and a metric, with the settings it takes.
+ENTRY_POINTS = {
+    "line_search": (
+        line_search,
+        ("merge_eps", "offset", "threads"),
+    ),
+    "corpus_surface": (
+        corpus_surface,
+        ("merge_eps", "threads"),
+    ),
+    "sweep": (
+        lambda c, w0, v, m, **kw: sweep(c, w0, v, m, -5.0, 5.0, 11, **kw),
+        ("merge_eps", "threads"),
+    ),
+    "optimize": (
+        lambda c, w0, v, m, **kw: optimize(c, w0, m, **kw),
+        ("merge_eps", "offset", "iterations", "threads"),
+    ),
+    "build_envelopes": (
+        lambda c, w0, v, m, **kw: build_envelopes(c, w0, v, **kw),
+        ("threads",),
+    ),
+    "MertEstimator.fit": (
+        lambda c, w0, v, m, **kw: MertEstimator(initial_weights=w0, **kw).fit(c),
+        ("merge_eps", "offset", "iterations", "threads"),
+    ),
+    "pick_eta": (
+        lambda c, w0, v, m, **kw: pick_eta(surface_with(m, [0.5], [1.0, 0.0]), **kw),
+        ("offset",),
+    ),
+    "CorpusSurface": (
+        lambda c, w0, v, m, **kw: CorpusSurface(
+            m, [ErrorSurface((0.5, 0.5), (np.ones(1), np.zeros(1), np.ones(1)))], **kw
+        ),
+        ("merge_eps",),
+    ),
+}
+OUT_OF_RANGE = {
+    "merge_eps": (-1e-9, math.nan),
+    "offset": (0.0, -1.0, math.nan, INF),
+    "iterations": (-1,),
+    "threads": (0,),
+}
+LEGAL_EDGES = {
+    "merge_eps": (0.0, INF),
+    "offset": (5e-324, DEFAULT_OFFSET),
+    "iterations": (0,),
+    "threads": (1,),
+}
+
+
+def settings_cases(values: dict) -> list:
+    return [
+        pytest.param(entry, setting, value, id=f"{entry}-{setting}={value}")
+        for entry, (_, taken) in ENTRY_POINTS.items()
+        for setting in taken
+        for value in values[setting]
+    ]
+
+
+def call_entry(entry: str, **settings):
+    call, _ = ENTRY_POINTS[entry]
+    corpus = [two_hypothesis_sentence("good", "bad"), crossing_sentence(0.5)]
+    return call(corpus, np.array([-1.0, 1.0]), np.array([1.0, 0.0]), ExactMatch(), **settings)
+
+
+class TestSettingsAreChecked:
+    @pytest.mark.parametrize("entry, setting, value", settings_cases(OUT_OF_RANGE))
+    def test_out_of_range_value_raises_before_any_envelope(
+        self, monkeypatch, entry, setting, value
+    ) -> None:
+        def forbidden(*_):
+            raise AssertionError("envelope built before the settings were checked")
+
+        monkeypatch.setattr(linesearch_module, "envelope_points", forbidden)
+        with pytest.raises(ConfigError, match=setting.replace("_", "-")):
+            call_entry(entry, **{setting: value})
+
+    @pytest.mark.parametrize("entry, setting, value", settings_cases(LEGAL_EDGES))
+    def test_legal_edge_value_runs(self, entry, setting, value) -> None:
+        call_entry(entry, **{setting: value})
 
 
 class TestHotPathRepresentation:
