@@ -5,7 +5,8 @@ which emits plot-ready tab-separated (eta, loss) rows.  Exit codes: 0
 success, 1 usage problems (including out-of-range or non-finite flag
 values), 2 data problems, 3 internal invariant violations (including a
 failed ``verify``).  Output bytes depend only on the inputs, never on
-timing or thread count.
+timing or thread count.  No flag moves a reported eta within its interval
+(``linesearch.pick_eta`` places it), and ``verify`` takes no search flags.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 from .errors import ConfigError, DataError, MertError, UsageError
 from .forest import DEFAULT_DERIVATION_CAP, count_derivations
 from .io import Corpus, canonical_json, load_corpus, load_vector_map
-from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET, line_search, optimize, sweep
+from .linesearch import DEFAULT_MERGE_EPS, line_search, optimize, sweep
 from .metrics import get_metric
 from .oracle import duality_report
 
@@ -30,19 +31,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, direction: bool, offset: bool = False) -> None:
+def _add_inputs(p: argparse.ArgumentParser, direction: bool) -> None:
     p.add_argument("corpus", help="line-delimited sentence forest file")
     p.add_argument("--weights", required=True, help="JSON {feature: value} map")
     if direction:
         p.add_argument("--direction", required=True, help="JSON {feature: value} map")
+
+
+def _add_common(p: argparse.ArgumentParser, direction: bool) -> None:
+    _add_inputs(p, direction)
     p.add_argument("--metric", choices=["exact", "bleu"], default="exact")
     p.add_argument("--merge-eps", type=float, default=DEFAULT_MERGE_EPS,
                    help="coalesce surface boundaries closer than this; >= 0, inf allowed")
     p.add_argument("--threads", type=int, default=1, help="worker threads; >= 1")
-    if offset:
-        p.add_argument("--offset", type=float, default=DEFAULT_OFFSET,
-                       help="step beyond the outermost boundary for unbounded "
-                       "intervals; positive and finite")
 
 
 def build_parser() -> _Parser:
@@ -55,7 +56,7 @@ def build_parser() -> _Parser:
     p.add_argument("--direction", help="optionally check feature coverage of this map")
 
     p = sub.add_parser("linesearch", help="exact error minimization along a direction")
-    _add_common(p, direction=True, offset=True)
+    _add_common(p, direction=True)
 
     p = sub.add_parser("sweep", help="corpus loss on an eta grid, as TSV rows")
     _add_common(p, direction=True)
@@ -63,11 +64,11 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=2001, help="number of grid points")
 
     p = sub.add_parser("optimize", help="iterated line search along coordinate axes")
-    _add_common(p, direction=False, offset=True)
+    _add_common(p, direction=False)
     p.add_argument("--iterations", type=int, default=1, help="outer sweeps over the axes; >= 0")
 
     p = sub.add_parser("verify", help="cross-check envelopes against max-plus scoring")
-    _add_common(p, direction=True)
+    _add_inputs(p, direction=True)
 
     return parser
 
@@ -168,7 +169,7 @@ def cmd_linesearch(args) -> tuple[str, int]:
     w0, v = _vectors(corpus, args, direction=True)
     result = _search(
         corpus, line_search, w0, v, metric,
-        merge_eps=args.merge_eps, offset=args.offset, threads=args.threads,
+        merge_eps=args.merge_eps, threads=args.threads,
     )
     sentences = []
     for s, env in zip(corpus.sentences, result.envelopes):
@@ -225,7 +226,7 @@ def cmd_optimize(args) -> tuple[str, int]:
     w0, _ = _vectors(corpus, args, direction=False)
     result = _search(
         corpus, optimize, w0, metric, iterations=args.iterations,
-        merge_eps=args.merge_eps, offset=args.offset, threads=args.threads,
+        merge_eps=args.merge_eps, threads=args.threads,
     )
     names = corpus.features.names
     trace = [

@@ -16,12 +16,12 @@ import numpy as np
 from .errors import ConfigError
 from .forest import Hypergraph
 from .io import Corpus, FeatureIndex
-from .linesearch import DEFAULT_MERGE_EPS, DEFAULT_OFFSET, _decode, decode_loss, optimize
+from .linesearch import DEFAULT_MERGE_EPS, _decode, decode_loss, optimize
 from .metrics import get_metric
 
 Pairs = Sequence[tuple[Hypergraph, Sequence[str]]]
 
-_PARAM_NAMES = ("metric", "iterations", "merge_eps", "offset", "threads", "initial_weights")
+_PARAM_NAMES = ("metric", "iterations", "merge_eps", "threads", "initial_weights")
 
 
 class MertEstimator:
@@ -29,8 +29,9 @@ class MertEstimator:
 
     Parameters mirror the search knobs: ``metric`` ("exact" or "bleu"),
     ``iterations`` (outer sweeps over coordinate axes), ``merge_eps``,
-    ``offset``, ``threads``, and ``initial_weights`` (a {feature: value}
-    mapping, a dense vector, or None for zeros).
+    ``threads``, and ``initial_weights`` (a {feature: value} mapping, a
+    dense vector, or None for zeros).  Where an accepted step lands inside
+    its interval is fixed by ``linesearch.pick_eta``, not a parameter.
     """
 
     def __init__(
@@ -38,14 +39,12 @@ class MertEstimator:
         metric: str = "exact",
         iterations: int = 1,
         merge_eps: float = DEFAULT_MERGE_EPS,
-        offset: float = DEFAULT_OFFSET,
         threads: int = 1,
         initial_weights: Mapping[str, float] | Sequence[float] | None = None,
     ):
         self.metric = metric
         self.iterations = iterations
         self.merge_eps = merge_eps
-        self.offset = offset
         self.threads = threads
         self.initial_weights = initial_weights
 
@@ -92,7 +91,6 @@ class MertEstimator:
             metric,
             iterations=self.iterations,
             merge_eps=self.merge_eps,
-            offset=self.offset,
             threads=self.threads,
         )
         self.weights_ = result.weights

@@ -267,9 +267,14 @@ def envelope_boundaries(chain: ConvexChain) -> tuple[float, ...]:
 
     For k chain points this is the k-1 strictly increasing slopes between
     consecutive points; point i is the envelope's argmax between boundary
-    i-1 and boundary i.  A singleton has no boundaries.
+    i-1 and boundary i.  A singleton has no boundaries.  A crossing that
+    overflows (or is NaN, from inf - inf) raises ``InvalidGeometryError``.
     """
     pts = chain.points
     if not pts:
         raise NoHypothesesError("empty chain has no envelope")
-    return tuple((q.y - p.y) / (q.x - p.x) for p, q in zip(pts, pts[1:]))
+    bounds = tuple((q.y - p.y) / (q.x - p.x) for p, q in zip(pts, pts[1:]))
+    for b, p, q in zip(bounds, pts, pts[1:]):
+        if not math.isfinite(b):
+            raise InvalidGeometryError(f"envelope crossing of {p} and {q} is not finite: {b!r}")
+    return bounds

@@ -43,16 +43,16 @@ from .geometry import Point2, envelope_boundaries
 from .metrics import Metric
 
 DEFAULT_MERGE_EPS = 1e-9
-DEFAULT_OFFSET = 0.1
+# The step from the outermost boundary cluster to an unbounded interval's
+# eta; every eta in an interval has its loss, so this only fixes the report.
+_UNBOUNDED_STEP = 0.1
 
 
-def _check_settings(merge_eps: float = 0.0, offset: float = DEFAULT_OFFSET, threads: int = 1):
-    """Raise ``ConfigError`` unless ``merge_eps >= 0``, ``0 < offset < inf``
-    and ``threads >= 1``; NaN fails every comparison, so it is rejected."""
+def _check_settings(merge_eps: float = 0.0, threads: int = 1):
+    """Raise ``ConfigError`` unless ``merge_eps >= 0`` and ``threads >= 1``;
+    NaN fails every comparison, so it is rejected."""
     if not merge_eps >= 0:
         raise ConfigError(f"merge-eps must be >= 0, got {merge_eps}")
-    if not 0 < offset < math.inf:
-        raise ConfigError(f"offset must be positive and finite, got {offset}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
@@ -113,33 +113,32 @@ def sentence_surface(envelope: Envelope, ref: Sequence[str], metric: Metric) -> 
     return ErrorSurface(envelope.boundaries, stats)
 
 
-def _interval_point(starts, ends, k: int, offset: float = DEFAULT_OFFSET) -> float | None:
+def _interval_point(starts, ends, k: int) -> float | None:
     """A point strictly inside interval k, where boundary cluster j spans
     [starts[j], ends[j]]; no boundaries yield 0.
 
     Bounded intervals yield the midpoint between their clusters, or None
     when no float lies strictly between them (the midpoint would round onto
-    a boundary).  Unbounded ones step ``offset`` beyond the outermost
-    cluster, from the last cluster's maximum only when a step from its
-    minimum stays inside it.  A step that rounds back onto its boundary
-    (``offset`` below the float spacing) becomes the next float beyond it.
+    a boundary).  Unbounded ones step 0.1 beyond the outermost cluster,
+    from the last cluster's maximum only when a step from its minimum stays
+    inside it; a step below the float spacing becomes the next float beyond
+    it, and None when that float is not finite.
     """
     if not starts:
         return 0.0
+    if 0 < k < len(starts):
+        lo, hi = ends[k - 1], starts[k]
+        eta = 0.5 * (lo + hi)
+        return eta if lo < eta < hi else None
     if k == 0:
-        first = starts[0]
-        eta = first - offset
-        return eta if eta < first else math.nextafter(first, -math.inf)
-    if k == len(starts):
-        last = ends[-1]
-        eta = starts[-1] + offset
-        if eta > last:
-            return eta
-        eta = last + offset
-        return eta if eta > last else math.nextafter(last, math.inf)
-    lo, hi = ends[k - 1], starts[k]
-    eta = 0.5 * (lo + hi)
-    return eta if lo < eta < hi else None
+        edge, eta, away = starts[0], starts[0] - _UNBOUNDED_STEP, -math.inf
+    else:
+        edge, eta, away = ends[-1], starts[-1] + _UNBOUNDED_STEP, math.inf
+        if not eta > edge:
+            eta = edge + _UNBOUNDED_STEP
+    if eta == edge:
+        eta = math.nextafter(edge, away)
+    return eta if math.isfinite(eta) else None
 
 
 class CorpusSurface:
@@ -307,20 +306,20 @@ class LineSearchResult:
         return tuple(len(e.chain) for e in self.envelopes)
 
 
-def pick_eta(surface: CorpusSurface, offset: float = DEFAULT_OFFSET) -> tuple[int, float]:
+def pick_eta(surface: CorpusSurface) -> tuple[int, float]:
     """Choose the minimizing interval and a concrete eta inside it.
 
     Ties prefer the interval containing eta = 0, then the leftmost one.
     The chosen eta lies strictly beyond every boundary of the clusters
     around its interval: bounded intervals yield their midpoint, unbounded
-    ones step ``offset`` beyond the outermost cluster, and a surface with
-    no boundaries yields 0.  A bounded interval with no float strictly
-    between its clusters holds no eta, so it cannot be chosen.
+    ones step 0.1 beyond the outermost cluster (or to the next float, when
+    0.1 is below the float spacing), and a surface with no boundaries
+    yields 0.  An interval with no finite float strictly inside it holds no
+    eta, so it cannot be chosen.
     """
-    _check_settings(offset=offset)
     losses = surface.interval_losses()
     starts, ends = surface.boundaries, surface._cluster_max
-    etas = [_interval_point(starts, ends, k, offset) for k in range(len(losses))]
+    etas = [_interval_point(starts, ends, k) for k in range(len(losses))]
     best = min(loss for loss, eta in zip(losses, etas) if eta is not None)
     tied = [k for k, loss in enumerate(losses) if loss == best and etas[k] is not None]
     home = surface.interval_of(0.0)
@@ -334,26 +333,22 @@ def line_search(
     v: np.ndarray,
     metric: Metric,
     merge_eps: float = DEFAULT_MERGE_EPS,
-    offset: float = DEFAULT_OFFSET,
     threads: int = 1,
 ) -> LineSearchResult:
     """Exact minimum of the corpus loss along w0 + eta * v."""
-    _check_settings(merge_eps, offset)
-    return _line_search(
-        sentences, w0, v, metric, merge_eps, offset, threads, _stats_memo(sentences)
-    )
+    _check_settings(merge_eps)
+    return _line_search(sentences, w0, v, metric, merge_eps, threads, _stats_memo(sentences))
 
 
 def _line_search(
-    sentences, w0, v, metric: Metric, merge_eps: float, offset: float, threads: int,
-    memo: _StatsMemo,
+    sentences, w0, v, metric: Metric, merge_eps: float, threads: int, memo: _StatsMemo
 ) -> LineSearchResult:
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
     envelopes = build_envelopes(sentences, w0, v, threads)
     surface = _merge_surfaces(envelopes, sentences, metric, merge_eps, memo)
     losses = surface.interval_losses()
-    chosen, eta = pick_eta(surface, offset)
+    chosen, eta = pick_eta(surface)
     return LineSearchResult(
         boundaries=surface.boundaries,
         interval_losses=losses,
@@ -424,7 +419,6 @@ def optimize(
     iterations: int = 1,
     directions: Sequence[np.ndarray] | None = None,
     merge_eps: float = DEFAULT_MERGE_EPS,
-    offset: float = DEFAULT_OFFSET,
     threads: int = 1,
 ) -> OptimizeResult:
     """Repeated exact line searches along a fixed direction list.
@@ -433,7 +427,7 @@ def optimize(
     it strictly lowers the corpus loss, so the loss trace is monotone; an
     iteration with no accepted step stops the search early.
     """
-    _check_settings(merge_eps, offset, threads)
+    _check_settings(merge_eps, threads)
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     w = np.asarray(w0, dtype=float).copy()
@@ -452,7 +446,7 @@ def optimize(
         ran = it + 1
         improved = False
         for axis, v in enumerate(dirs):
-            result = _line_search(sentences, w, v, metric, merge_eps, offset, threads, memo)
+            result = _line_search(sentences, w, v, metric, merge_eps, threads, memo)
             if result.loss < loss:
                 w = result.weights
                 loss = result.loss

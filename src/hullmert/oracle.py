@@ -27,7 +27,7 @@ from .forest import (
     realize,
 )
 from .geometry import ConvexChain, Point2, full_hull
-from .linesearch import DEFAULT_OFFSET, Envelope, _interval_point, build_envelope
+from .linesearch import Envelope, _interval_point, build_envelope
 from .metrics import Metric
 from .semiring import Tropical
 
@@ -190,12 +190,12 @@ class DualityReport:
     max_point_err: float
 
 
-def probe_etas(envelope: Envelope, offset: float = DEFAULT_OFFSET) -> list[float]:
+def probe_etas(envelope: Envelope) -> list[float]:
     """One representative eta strictly inside each envelope segment, placed
-    by the rule that places a line search's eta; a segment with no float
-    strictly between its boundaries has none and is skipped."""
+    by the rule that places a line search's eta (``linesearch.pick_eta``);
+    a segment that holds no finite float has none and is skipped."""
     bs = envelope.boundaries
-    etas = (_interval_point(bs, bs, k, offset) for k in range(len(bs) + 1))
+    etas = (_interval_point(bs, bs, k) for k in range(len(bs) + 1))
     return [eta for eta in etas if eta is not None]
 
 

@@ -323,19 +323,17 @@ class TestVerify:
 
 # Search flags per command, with values outside each flag's range.
 SEARCH_FLAGS = {
-    "linesearch": ("--merge-eps", "--offset", "--threads"),
+    "linesearch": ("--merge-eps", "--threads"),
     "sweep": ("--merge-eps", "--threads"),
-    "optimize": ("--merge-eps", "--offset", "--iterations", "--threads"),
+    "optimize": ("--merge-eps", "--iterations", "--threads"),
 }
 OUT_OF_RANGE = {
     "--merge-eps": ("-1e-9", "nan"),
-    "--offset": ("0", "-1", "nan", "inf"),
     "--iterations": ("-1",),
     "--threads": ("0",),
 }
 LEGAL_EDGES = {
     "--merge-eps": ("0", "inf"),
-    "--offset": ("5e-324",),
     "--iterations": ("0",),
     "--threads": ("1",),
 }
@@ -388,6 +386,26 @@ class TestArgumentHandling:
         assert cli.run(search_argv(files, command, flag, value)) == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("linesearch", "--offset", "0.1"),
+            ("optimize", "--offset", "0.1"),
+            ("verify", "--metric", "bleu"),
+            ("verify", "--merge-eps", "-1"),
+            ("verify", "--threads", "0"),
+        ],
+    )
+    def test_flag_the_command_does_not_take_is_a_usage_error(
+        self, files, capsys, command, flag, value
+    ) -> None:
+        # An eta's place in its interval is not a setting, and verify runs
+        # no corpus search, so it takes no search flags.
+        assert cli.run(search_argv(files, command, flag, value)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: "), err
+
     def test_missing_file_is_a_data_error(self, tmp_path, capsys) -> None:
         missing = str(tmp_path / "nope.jsonl")
         assert cli.run(["validate", missing]) == 2
@@ -407,10 +425,11 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("command", ["linesearch", "sweep", "optimize"])
     def test_overflowing_sentence_reports_index_and_id(self, files, capsys, command) -> None:
         # lm = 1.7e308 projects each fixture edge finitely, but the
-        # 'lattice' sentence adds two of them and overflows.
+        # 'lattice' sentence adds two of them and overflows.  Along tm the
+        # 'three-way' sentence's one crossing, at 1.7e308, stays finite.
         corpus = str(FIXTURES / "corpus.jsonl")
         weights = files("w.json", '{"lm": 1.7e308, "tm": 0}')
-        direction = files("v.json", '{"lm": 1.0, "tm": 0.5}')
+        direction = files("v.json", '{"lm": 0.0, "tm": 1.0}')
         argv = [command, corpus, "--weights", weights]
         if command != "optimize":
             argv += ["--direction", direction]
@@ -419,3 +438,24 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("data error: sentence 1 (id 'lattice'): "), err
         assert "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["linesearch", "sweep", "optimize"])
+    def test_sentence_with_a_crossing_that_is_not_finite_is_named(
+        self, files, capsys, command
+    ) -> None:
+        # Both edges project finitely, but their crossing is -inf / inf.
+        corpus = files("c.jsonl", (
+            '{"id":"s","nodes":2,"goal":1,"edges":['
+            '{"head":0,"tails":[],"features":{},"yield":[]},'
+            '{"head":1,"tails":[0],"features":{"a":1e308,"b":0},"yield":["$0","a"]},'
+            '{"head":1,"tails":[0],"features":{"a":-1e308,"b":1},"yield":["$0","b"]}],'
+            '"reference":"a"}\n'
+        ))
+        argv = [command, corpus, "--weights", files("w.json", '{"a": 1, "b": 1}')]
+        if command != "optimize":
+            argv += ["--direction", files("v.json", '{"a": 1, "b": 0.5}')]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("data error: sentence 0 (id 's'): "), err
+        assert "not finite" in err

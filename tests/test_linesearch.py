@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,13 @@ from hullmert.errors import (
     ConfigError,
     DegenerateDirectionWarning,
     DimensionMismatchError,
+    InvalidGeometryError,
     NoHypothesesError,
 )
 from hullmert.forest import Derivation, Edge, Hypergraph, realize
 from hullmert.io import load_corpus
 from hullmert.linesearch import (
     DEFAULT_MERGE_EPS,
-    DEFAULT_OFFSET,
     CorpusSurface,
     ErrorSurface,
     OptimizeStep,
@@ -120,6 +121,30 @@ class TestBuildEnvelope:
         for graph, _ in random_corpus(rng, n_sentences=10, n_nodes=7):
             env = build_envelope(graph, rng.normal(size=3), rng.normal(size=3))
             assert len(env.chain) <= graph.n_edges
+
+    @pytest.mark.parametrize(
+        "w0, v",
+        [([1.0, 1.0], [1.0, 0.5]), ([1.0, 0.0], [0.0, 1.0])],
+        ids=["nan", "inf"],
+    )
+    def test_crossing_that_is_not_finite_is_a_data_error(self, w0, v) -> None:
+        # Every dual point is finite, but the crossing divides -inf by inf
+        # (NaN) or overflows (inf); no eta can be placed around it.
+        g = Hypergraph(
+            1,
+            [
+                Edge.make(0, (), {0: 1e308, 1: 0.0}, ("a",)),
+                Edge.make(0, (), {0: -1e308, 1: 1.0}, ("b",)),
+            ],
+            goal=0,
+            n_features=2,
+        )
+        corpus = [(g, ("a",))]
+        w0, v = np.array(w0), np.array(v)
+        with pytest.raises(InvalidGeometryError, match="not finite"):
+            line_search(corpus, w0, v, ExactMatch())
+        with pytest.raises(InvalidGeometryError, match="not finite"):
+            sweep(corpus, w0, v, ExactMatch(), -1.0, 1.0, 3)
 
 
 class TestBuildEnvelopes:
@@ -264,23 +289,21 @@ class TestPickEta:
         assert chosen == 1 and eta == pytest.approx(-2.5)
 
     @pytest.mark.parametrize(
-        "crossings, merge_eps, offset",
-        [
-            ((0.0, 0.04, 0.08, 0.12), 0.05, DEFAULT_OFFSET),
-            ((0.12, 0.12 + 1e-10), DEFAULT_MERGE_EPS, 1e-11),
-        ],
-        ids=["wide-merge-eps", "tiny-offset"],
+        "crossings, merge_eps",
+        [((0.0, 0.04, 0.08, 0.12), 0.05)],
+        ids=["wide-merge-eps"],
     )
     def test_right_unbounded_eta_clears_a_chained_last_cluster(
-        self, crossings, merge_eps, offset
+        self, crossings, merge_eps
     ) -> None:
-        # The crossings chain into one cluster reported at its minimum; the
-        # chosen eta must lie beyond the cluster's maximum, or the reported
-        # loss is not the loss at the returned weights.
+        # The crossings chain into one cluster reported at its minimum, and a
+        # step from the minimum stays inside it: the chosen eta must lie
+        # beyond the cluster's maximum, or the reported loss is not the loss
+        # at the returned weights.
         corpus = [crossing_sentence(c) for c in crossings]
         w0, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
         metric = ExactMatch()
-        result = line_search(corpus, w0, v, metric, merge_eps=merge_eps, offset=offset)
+        result = line_search(corpus, w0, v, metric, merge_eps=merge_eps)
         assert result.boundaries == (crossings[0],)
         assert result.best_interval == 1 and result.loss == 0.0
         assert result.eta > crossings[-1]
@@ -288,9 +311,9 @@ class TestPickEta:
 
     @pytest.mark.parametrize("first, second", [("b", "a"), ("a", "b")])
     def test_unbounded_eta_does_not_round_onto_its_boundary(self, first, second) -> None:
-        # The crossing is at eta = 1e8, where offset 1e-9 is below the float
-        # spacing: a plain step would land on the boundary itself, in the
-        # neighbouring interval.
+        # The crossing is at eta = 1e17, where the 0.1 step is below the
+        # float spacing of 16: a plain step would land on the boundary
+        # itself, in the neighbouring interval.
         feats = {"a": {1: 1.0}, "b": {0: 1.0}}
         g = Hypergraph(
             1,
@@ -299,18 +322,27 @@ class TestPickEta:
             n_features=2,
         )
         corpus = [(g, ("a",))]
-        w0, v = np.array([0.0, 1e8]), np.array([1.0, 0.0])
+        w0, v = np.array([0.0, 1e17]), np.array([1.0, 0.0])
         metric = ExactMatch()
-        result = line_search(corpus, w0, v, metric, offset=1e-9)
-        assert result.boundaries == (1e8,)
+        result = line_search(corpus, w0, v, metric)
+        assert result.boundaries == (1e17,)
         assert result.best_interval == 0 and result.loss == 0.0
+        assert result.eta == math.nextafter(1e17, -INF)
         assert result.surface.interval_of(result.eta) == result.best_interval
         assert decode_loss(corpus, result.weights, metric) == result.loss
 
     def test_right_unbounded_eta_does_not_round_onto_its_boundary(self) -> None:
-        surface = surface_with(ExactMatch(), (1e8,), [1.0, 0.0])
-        chosen, eta = pick_eta(surface, offset=1e-9)
-        assert chosen == 1 and eta > 1e8
+        surface = surface_with(ExactMatch(), (1e17,), [1.0, 0.0])
+        chosen, eta = pick_eta(surface)
+        assert chosen == 1 and eta == math.nextafter(1e17, INF)
+        assert surface.interval_of(eta) == chosen
+
+    def test_unbounded_interval_with_no_finite_float_beyond_is_not_chosen(self) -> None:
+        # Beyond the largest float there is only inf, which is no eta: the
+        # other interval is chosen although its loss is higher.
+        surface = surface_with(ExactMatch(), (sys.float_info.max,), [1.0, 0.0])
+        chosen, eta = pick_eta(surface)
+        assert chosen == 0 and math.isfinite(eta)
         assert surface.interval_of(eta) == chosen
 
     def test_bounded_interval_holding_no_float_is_not_chosen(self) -> None:
@@ -494,7 +526,7 @@ class TestSweep:
 ENTRY_POINTS = {
     "line_search": (
         line_search,
-        ("merge_eps", "offset", "threads"),
+        ("merge_eps", "threads"),
     ),
     "corpus_surface": (
         corpus_surface,
@@ -506,7 +538,7 @@ ENTRY_POINTS = {
     ),
     "optimize": (
         lambda c, w0, v, m, **kw: optimize(c, w0, m, **kw),
-        ("merge_eps", "offset", "iterations", "threads"),
+        ("merge_eps", "iterations", "threads"),
     ),
     "build_envelopes": (
         lambda c, w0, v, m, **kw: build_envelopes(c, w0, v, **kw),
@@ -514,11 +546,7 @@ ENTRY_POINTS = {
     ),
     "MertEstimator.fit": (
         lambda c, w0, v, m, **kw: MertEstimator(initial_weights=w0, **kw).fit(c),
-        ("merge_eps", "offset", "iterations", "threads"),
-    ),
-    "pick_eta": (
-        lambda c, w0, v, m, **kw: pick_eta(surface_with(m, [0.5], [1.0, 0.0]), **kw),
-        ("offset",),
+        ("merge_eps", "iterations", "threads"),
     ),
     "CorpusSurface": (
         lambda c, w0, v, m, **kw: CorpusSurface(
@@ -529,13 +557,11 @@ ENTRY_POINTS = {
 }
 OUT_OF_RANGE = {
     "merge_eps": (-1e-9, math.nan),
-    "offset": (0.0, -1.0, math.nan, INF),
     "iterations": (-1,),
     "threads": (0,),
 }
 LEGAL_EDGES = {
     "merge_eps": (0.0, INF),
-    "offset": (5e-324, DEFAULT_OFFSET),
     "iterations": (0,),
     "threads": (1,),
 }
@@ -652,8 +678,7 @@ class CountingBleu(Bleu):
         return super().stats(hyp, ref)
 
 
-def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_EPS,
-                    offset=DEFAULT_OFFSET):
+def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_EPS):
     """``optimize`` along the axes, rebuilt from public calls that each
     score their hypotheses afresh.  Returns the weights, loss and steps,
     every line search, and the last accepted one."""
@@ -663,7 +688,7 @@ def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_E
     for it in range(iterations):
         improved = False
         for axis, v in enumerate(np.eye(len(w))):
-            result = line_search(sentences, w, v, metric, merge_eps, offset)
+            result = line_search(sentences, w, v, metric, merge_eps)
             searches.append(result)
             if result.loss < loss:
                 w, loss, accepted = result.weights, result.loss, result
@@ -756,17 +781,14 @@ class TestLossIsAttained:
         forest=st.booleans(),
         integer=st.booleans(),
         bleu=st.booleans(),
-        offset=st.sampled_from([1e-300, 1e-12, DEFAULT_OFFSET]),
         merge_eps=st.sampled_from([DEFAULT_MERGE_EPS, 1e-3, 0.5]),
     )
     def test_reported_loss_is_attained_at_the_returned_weights(
-        self, seed, forest, integer, bleu, offset, merge_eps
+        self, seed, forest, integer, bleu, merge_eps
     ) -> None:
-        # A tiny offset puts unbounded-interval etas next to their
-        # boundary; a wide merge_eps chains boundaries into clusters.
-        # Re-decoding is not asserted: when two best derivations tie (equal
-        # feature vectors, or a tiny offset within rounding of a crossing)
-        # the decode may keep the other one.
+        # A wide merge_eps chains boundaries into clusters.  Re-decoding is
+        # not asserted: when two best derivations tie (equal feature
+        # vectors) the decode may keep the other one.
         rng = np.random.default_rng(seed)
         corpus = []
         for _ in range(int(rng.integers(1, 3))):
@@ -779,14 +801,12 @@ class TestLossIsAttained:
         corpus.append((corpus[0][0], random_derivation(rng, corpus[0][0]).tokens))
         metric = get_metric("bleu" if bleu else "exact")
         w0, v = rng.normal(size=3), rng.normal(size=3)
-        searched = line_search(corpus, w0, v, metric, merge_eps, offset)
+        searched = line_search(corpus, w0, v, metric, merge_eps)
         assert_loss_is_attained(corpus, searched, metric)
         # optimize, which scores with one memo, equals its replay from
         # public calls, each scoring afresh.
-        result = optimize(corpus, w0, metric, 2, merge_eps=merge_eps, offset=offset)
-        weights, loss, steps, _, accepted = replay_optimize(
-            corpus, w0, metric, 2, merge_eps, offset
-        )
+        result = optimize(corpus, w0, metric, 2, merge_eps=merge_eps)
+        weights, loss, steps, _, accepted = replay_optimize(corpus, w0, metric, 2, merge_eps)
         assert result.weights.tobytes() == weights.tobytes()
         assert result.loss == loss and result.steps == steps
         if accepted is None:

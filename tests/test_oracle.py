@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,9 +144,9 @@ class TestDualityReport:
             assert report.n_segments >= 1
 
     def test_probes_stay_inside_segments_at_a_huge_crossing(self) -> None:
-        # The crossing is at eta = 1e17, where the default offset is below
-        # the float spacing: plain steps would put both probes on the
-        # boundary and leave both segments' interiors unchecked.
+        # The crossing is at eta = 1e17, where the 0.1 step is below the
+        # float spacing: plain steps would put both probes on the boundary
+        # and leave both segments' interiors unchecked.
         g = Hypergraph(
             1,
             [Edge.make(0, (), {0: 1.0}, ("a",)), Edge.make(0, (), {1: 1.0}, ("b",))],
@@ -167,6 +168,11 @@ class TestDualityReport:
         bounds = (c, math.nextafter(c, math.inf))
         etas = probe_etas(Envelope((), bounds, ()))
         assert len(etas) == 2 and etas[0] < bounds[0] and etas[1] > bounds[1]
+
+    def test_probes_skip_a_segment_with_no_finite_float(self) -> None:
+        # Beyond the largest float there is only inf, which is no probe.
+        etas = probe_etas(Envelope((), (sys.float_info.max,), ()))
+        assert etas == [math.nextafter(sys.float_info.max, -math.inf)]
 
     def test_boundaries_match_the_envelope(self, two_line_graph) -> None:
         report = duality_report(two_line_graph, np.array([2.0]), np.array([1.0]))
