@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -39,12 +40,13 @@ from hullmert.oracle import (
     decode_corpus_loss,
     grid_line_search,
     naive_envelope,
+    probe_etas,
     viterbi_derivation,
 )
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue
 
-from helpers import LINE_V, LINE_W0, make_line_graph
+from helpers import LINE_V, LINE_W0, UNBOUNDED_ETAS, make_line_graph
 
 INF = float("inf")
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -337,6 +339,24 @@ class TestPickEta:
         assert chosen == 1 and eta == math.nextafter(1e17, INF)
         assert surface.interval_of(eta) == chosen
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("crossing", list(UNBOUNDED_ETAS))
+    def test_unbounded_eta_is_a_fixed_step_beyond_the_crossing(self, crossing, side) -> None:
+        # The reference edge wins right of the crossing, the other one left
+        # of it; either way the eta is 0.1 beyond the crossing, or the next
+        # float where the step rounds back onto it.
+        c, left, right = UNBOUNDED_ETAS[crossing]
+        g, good = crossing_sentence(c)
+        corpus = [(g, good if side == "right" else ("bad",))]
+        w0, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        metric = ExactMatch()
+        result = line_search(corpus, w0, v, metric)
+        assert result.boundaries == (c,)
+        assert result.best_interval == ["left", "right"].index(side)
+        assert result.loss == 0.0
+        assert result.eta == (left if side == "left" else right)
+        assert decode_loss(corpus, result.weights, metric) == result.loss
+
     def test_unbounded_interval_with_no_finite_float_beyond_is_not_chosen(self) -> None:
         # Beyond the largest float there is only inf, which is no eta: the
         # other interval is chosen although its loss is higher.
@@ -597,6 +617,16 @@ class TestSettingsAreChecked:
     @pytest.mark.parametrize("entry, setting, value", settings_cases(LEGAL_EDGES))
     def test_legal_edge_value_runs(self, entry, setting, value) -> None:
         call_entry(entry, **{setting: value})
+
+    @pytest.mark.parametrize(
+        "call",
+        [line_search, optimize, pick_eta, MertEstimator, probe_etas],
+        ids=lambda call: call.__name__,
+    )
+    def test_eta_placement_is_not_a_setting(self, call) -> None:
+        # Every eta inside the winning interval has its loss, so where the
+        # eta lands in an unbounded one is fixed by the line search.
+        assert "offset" not in inspect.signature(call).parameters
 
 
 class TestHotPathRepresentation:

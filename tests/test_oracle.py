@@ -27,6 +27,8 @@ from hullmert.oracle import (
 )
 from hullmert.sampling import random_forest, random_hull_value, random_lattice
 
+from helpers import LINE_V, LINE_W0, UNBOUNDED_ETAS, make_line_graph
+
 
 class TestNaiveMinkowski:
     def test_matches_merge_based_sum(self, rng) -> None:
@@ -168,6 +170,15 @@ class TestDualityReport:
         bounds = (c, math.nextafter(c, math.inf))
         etas = probe_etas(Envelope((), bounds, ()))
         assert len(etas) == 2 and etas[0] < bounds[0] and etas[1] > bounds[1]
+
+    @pytest.mark.parametrize("crossing", list(UNBOUNDED_ETAS))
+    def test_probes_follow_the_line_search_eta_rule(self, crossing) -> None:
+        c, left, right = UNBOUNDED_ETAS[crossing]
+        g = make_line_graph([(1.0, -c), (0.0, 0.0)])
+        env = build_envelope(g, LINE_W0, LINE_V)
+        assert env.boundaries == (c,)
+        assert probe_etas(env) == [left, right]
+        assert duality_report(g, LINE_W0, LINE_V).ok
 
     def test_probes_skip_a_segment_with_no_finite_float(self) -> None:
         # Beyond the largest float there is only inf, which is no probe.
