@@ -7,12 +7,13 @@ values), 2 data problems, 3 internal invariant violations (including a
 failed ``verify``).  Output bytes depend only on the inputs, never on
 timing or thread count.  No flag moves a reported eta within its interval
 (``linesearch.pick_eta`` places it), and ``verify`` takes no search flags.
+The library checks flag values and sentences; the search commands and
+``verify`` name a sentence with a data error as ``sentence <i> (id '<id>')``.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Callable, Sequence
 
@@ -74,31 +75,27 @@ def build_parser() -> _Parser:
 
 
 def _load_searchable(path: str) -> Corpus:
-    """Load a non-empty corpus, failing with the position of the first bad
-    sentence before any search work starts."""
     corpus = load_corpus(path)
     if not len(corpus):
         raise UsageError(f"corpus {path} contains no sentences")
-    for idx, s in enumerate(corpus.sentences):
-        report = s.graph.validate()
-        if not report.ok:
-            raise DataError(f"sentence {idx} (id {s.sid!r}): {report.errors[0]}")
-        if not report.goal_derivable:
-            raise DataError(f"sentence {idx} (id {s.sid!r}): goal derives nothing")
     return corpus
+
+
+def _in_sentence(corpus: Corpus, idx: int, exc: DataError) -> DataError:
+    """``exc`` as a data error that names sentence idx by position and id."""
+    return DataError(f"sentence {idx} (id {corpus.sentences[idx].sid!r}): {exc}")
 
 
 def _search(corpus: Corpus, search: Callable, *args, **kwargs):
     """``search(corpus.pairs(), *args, **kwargs)``; a data error raised for
-    one sentence names it as ``_load_searchable`` does."""
+    one sentence names it."""
     try:
         return search(corpus.pairs(), *args, **kwargs)
     except DataError as exc:
         idx = getattr(exc, "_sentence", None)
         if idx is None:
             raise
-        sid = corpus.sentences[idx].sid
-        raise DataError(f"sentence {idx} (id {sid!r}): {exc}") from exc
+        raise _in_sentence(corpus, idx, exc) from exc
 
 
 def _vectors(corpus: Corpus, args, direction: bool):
@@ -109,22 +106,13 @@ def _vectors(corpus: Corpus, args, direction: bool):
     return w0, v
 
 
-def _parse_grid(args) -> tuple[float, float, int]:
-    text = args.range
-    parts = text.split(":")
+def _parse_grid(text: str) -> tuple[float, float]:
+    """LO and HI of ``--range LO:HI``; ``sweep`` checks the values."""
     try:
-        if len(parts) != 2:
-            raise ValueError
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:  # not two parts, or not numbers
         raise UsageError(f"--range must be LO:HI, got {text!r}") from None
-    if not math.isfinite(hi - lo):
-        raise UsageError(f"--range must have a finite width, got {text!r}")
-    if lo > hi:
-        raise UsageError(f"--range is empty: {text!r}")
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    return lo, hi, args.steps
+    return lo, hi
 
 
 def cmd_validate(args) -> tuple[str, int]:
@@ -208,9 +196,9 @@ def cmd_sweep(args) -> tuple[str, int]:
     corpus = _load_searchable(args.corpus)
     metric = get_metric(args.metric)
     w0, v = _vectors(corpus, args, direction=True)
-    lo, hi, steps = _parse_grid(args)
+    lo, hi = _parse_grid(args.range)
     result = _search(
-        corpus, sweep, w0, v, metric, lo, hi, steps,
+        corpus, sweep, w0, v, metric, lo, hi, args.steps,
         merge_eps=args.merge_eps, threads=args.threads,
     )
     rows = [
@@ -257,8 +245,11 @@ def cmd_verify(args) -> tuple[str, int]:
     w0, v = _vectors(corpus, args, direction=True)
     sentences = []
     all_ok = True
-    for s in corpus.sentences:
-        report = duality_report(s.graph, w0, v)
+    for idx, s in enumerate(corpus.sentences):
+        try:
+            report = duality_report(s.graph, w0, v)
+        except DataError as exc:
+            raise _in_sentence(corpus, idx, exc) from exc
         all_ok = all_ok and report.ok
         sentences.append(
             {

@@ -201,16 +201,15 @@ def _angle_cmp(u: Point2, v: Point2) -> int:
     return -difference_sign(u.x * v.y, u.y * v.x)
 
 
-def _edge_vectors(pts: tuple[Point2, ...], closed: bool) -> list[Point2]:
+def _edge_vectors(pts: tuple[Point2, ...]) -> list[Point2]:
+    """The edges of a closed polygon, from each vertex to the next."""
     if len(pts) <= 1:
         return []
-    if closed:
-        return [pts[(i + 1) % len(pts)] - pts[i] for i in range(len(pts))]
-    return [q - p for p, q in zip(pts, pts[1:])]
+    return [pts[(i + 1) % len(pts)] - pts[i] for i in range(len(pts))]
 
 
 def minkowski_indexed(
-    a: ConvexChain, b: ConvexChain, closed: bool = True
+    a: ConvexChain, b: ConvexChain
 ) -> tuple[tuple[Point2, ...], tuple[tuple[int, int], ...]]:
     """Minkowski sum via the linear-time edge merge, with vertex pairing.
 
@@ -222,8 +221,8 @@ def minkowski_indexed(
     pa, pb = a.points, b.points
     if not pa or not pb:
         return (), ()
-    ea = _edge_vectors(pa, closed)
-    eb = _edge_vectors(pb, closed)
+    ea = _edge_vectors(pa)
+    eb = _edge_vectors(pb)
     na, nb = len(ea), len(eb)
     i = j = 0
     out_pts = [pa[0] + pb[0]]
@@ -242,7 +241,7 @@ def minkowski_indexed(
             else:
                 i += 1
                 j += 1
-        if closed and i == na and j == nb:
+        if i == na and j == nb:
             break  # closing the polygon: back at the start vertex
         vi = i % len(pa)
         vj = j % len(pb)
@@ -251,14 +250,14 @@ def minkowski_indexed(
     return tuple(out_pts), tuple(out_idx)
 
 
-def minkowski_sum(a: ConvexChain, b: ConvexChain, closed: bool = True) -> ConvexChain:
+def minkowski_sum(a: ConvexChain, b: ConvexChain) -> ConvexChain:
     """Hull of {p + q : p in a, q in b} in O(|a| + |b|).
 
-    Operands must both be canonical full hulls (default) or both lower
-    chains (``closed=False``).  An empty operand yields the empty chain.
+    Operands must both be canonical full hulls; ``LowerChainValue``
+    multiplies lower chains.  An empty operand yields the empty chain.
     The output has at most |a| + |b| points.
     """
-    pts, _ = minkowski_indexed(a, b, closed)
+    pts, _ = minkowski_indexed(a, b)
     return ConvexChain(pts)
 
 

@@ -36,6 +36,7 @@ from .errors import (
     DataError,
     DegenerateDirectionWarning,
     DimensionMismatchError,
+    InvalidGeometryError,
     NoHypothesesError,
 )
 from .forest import Derivation, Hypergraph, envelope_points
@@ -117,9 +118,10 @@ def _interval_point(starts, ends, k: int) -> float | None:
     """A point strictly inside interval k, where boundary cluster j spans
     [starts[j], ends[j]]; no boundaries yield 0.
 
-    Bounded intervals yield the midpoint between their clusters, or None
-    when no float lies strictly between them (the midpoint would round onto
-    a boundary).  Unbounded ones step 0.1 beyond the outermost cluster,
+    Bounded intervals yield the midpoint between their clusters (summed
+    as halves when the clusters' sum overflows), or None when no float
+    lies strictly between them (the midpoint would round onto a
+    boundary).  Unbounded ones step 0.1 beyond the outermost cluster,
     from the last cluster's maximum only when a step from its minimum stays
     inside it; a step below the float spacing becomes the next float beyond
     it, and None when that float is not finite.
@@ -129,6 +131,8 @@ def _interval_point(starts, ends, k: int) -> float | None:
     if 0 < k < len(starts):
         lo, hi = ends[k - 1], starts[k]
         eta = 0.5 * (lo + hi)
+        if math.isinf(eta):  # lo + hi overflowed
+            eta = 0.5 * lo + 0.5 * hi
         return eta if lo < eta < hi else None
     if k == 0:
         edge, eta, away = starts[0], starts[0] - _UNBOUNDED_STEP, -math.inf
@@ -315,13 +319,17 @@ def pick_eta(surface: CorpusSurface) -> tuple[int, float]:
     ones step 0.1 beyond the outermost cluster (or to the next float, when
     0.1 is below the float spacing), and a surface with no boundaries
     yields 0.  An interval with no finite float strictly inside it holds no
-    eta, so it cannot be chosen.
+    eta, so it cannot be chosen; ``InvalidGeometryError`` says when no
+    interval holds one.
     """
     losses = surface.interval_losses()
     starts, ends = surface.boundaries, surface._cluster_max
     etas = [_interval_point(starts, ends, k) for k in range(len(losses))]
-    best = min(loss for loss, eta in zip(losses, etas) if eta is not None)
-    tied = [k for k, loss in enumerate(losses) if loss == best and etas[k] is not None]
+    held = [k for k, eta in enumerate(etas) if eta is not None]
+    if not held:
+        raise InvalidGeometryError("no interval of the surface holds a finite eta")
+    best = min(losses[k] for k in held)
+    tied = [k for k in held if losses[k] == best]
     home = surface.interval_of(0.0)
     chosen = home if home in tied else tied[0]
     return chosen, etas[chosen]
@@ -492,11 +500,11 @@ def sweep(
     to the smallest eta.  A single step evaluates the range start only.
     """
     if steps < 1:
-        raise ConfigError(f"a sweep needs at least 1 grid point, got {steps}")
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     if lo > hi:
-        raise ConfigError(f"empty sweep range [{lo}, {hi}]")
+        raise ConfigError(f"range must not be empty, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
-        raise ConfigError(f"sweep range [{lo}, {hi}] has no finite width")
+        raise ConfigError(f"range must have a finite width, got [{lo}, {hi}]")
     surface = corpus_surface(sentences, w0, v, metric, merge_eps, threads)
     if steps == 1:
         etas: tuple[float, ...] = (float(lo),)

@@ -318,9 +318,9 @@ class LowerChainValue(Semiring):
     def __mul__(self, other: "LowerChainValue") -> "LowerChainValue":
         """Minkowski sum of the chains by the open edge merge.
 
-        Matches ``minkowski_indexed(closed=False)`` point for point; each
-        output point extends the left point's back-pointer by the index of
-        the right point.  Object identity with ``one`` short-circuits, as
+        ``minkowski_indexed`` without the wrap-around edge; each output
+        point extends the left point's back-pointer by the index of the
+        right point.  Object identity with ``one`` short-circuits, as
         in ``ConvexHullValue``.
         """
         xa, xb = self.xs, other.xs

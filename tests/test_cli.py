@@ -29,6 +29,23 @@ CYCLIC = (
     ' "reference": ""}\n'
 )
 
+# Node 1 is the goal, but node 0 has no edge, so the goal derives nothing.
+NO_GOAL = (
+    '{"id": "void", "nodes": 2, "goal": 1, "edges": ['
+    '{"head": 1, "tails": [0], "features": {"tm": 1.0}, "yield": ["$0"]}],'
+    ' "reference": ""}\n'
+)
+
+# Both edges project finitely, but their crossing is -inf / inf under
+# weights {a: 1, b: 1} and direction {a: 1, b: 0.5}.
+NOT_FINITE = (
+    '{"id":"s","nodes":2,"goal":1,"edges":['
+    '{"head":0,"tails":[],"features":{},"yield":[]},'
+    '{"head":1,"tails":[0],"features":{"a":1e308,"b":0},"yield":["$0","a"]},'
+    '{"head":1,"tails":[0],"features":{"a":-1e308,"b":1},"yield":["$0","b"]}],'
+    '"reference":"a"}\n'
+)
+
 OPTIMIZE_CORPUS = (
     '{"id": "s", "nodes": 1, "goal": 0, "edges": ['
     '{"head": 0, "tails": [], "features": {"tm": 1.0, "lm": 0.0}, "yield": ["good"]},'
@@ -249,7 +266,8 @@ class TestSweep:
         )
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert "--range" in err and "finite width" in err
+        assert err.startswith("usage error: range "), err
+        assert "finite width" in err
 
 
 class TestOptimize:
@@ -443,14 +461,7 @@ class TestArgumentHandling:
     def test_sentence_with_a_crossing_that_is_not_finite_is_named(
         self, files, capsys, command
     ) -> None:
-        # Both edges project finitely, but their crossing is -inf / inf.
-        corpus = files("c.jsonl", (
-            '{"id":"s","nodes":2,"goal":1,"edges":['
-            '{"head":0,"tails":[],"features":{},"yield":[]},'
-            '{"head":1,"tails":[0],"features":{"a":1e308,"b":0},"yield":["$0","a"]},'
-            '{"head":1,"tails":[0],"features":{"a":-1e308,"b":1},"yield":["$0","b"]}],'
-            '"reference":"a"}\n'
-        ))
+        corpus = files("c.jsonl", NOT_FINITE)
         argv = [command, corpus, "--weights", files("w.json", '{"a": 1, "b": 1}')]
         if command != "optimize":
             argv += ["--direction", files("v.json", '{"a": 1, "b": 0.5}')]
@@ -459,3 +470,24 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("data error: sentence 0 (id 's'): "), err
         assert "not finite" in err
+
+    @pytest.mark.parametrize("command", ["linesearch", "sweep", "optimize", "verify"])
+    @pytest.mark.parametrize(
+        "text, idx, sid, weights, direction",
+        [
+            (TWO_HYP + CYCLIC, 1, "loop", '{"tm": 0.5}', '{"tm": 1.0}'),
+            (TWO_HYP + NO_GOAL, 1, "void", '{"tm": 0.5}', '{"tm": 1.0}'),
+            (NOT_FINITE, 0, "s", '{"a": 1, "b": 1}', '{"a": 1, "b": 0.5}'),
+        ],
+        ids=["cyclic", "goal-derives-nothing", "crossing-not-finite"],
+    )
+    def test_every_command_names_a_bad_sentence_the_same_way(
+        self, files, capsys, command, text, idx, sid, weights, direction
+    ) -> None:
+        argv = [command, files("c.jsonl", text), "--weights", files("w.json", weights)]
+        if command != "optimize":
+            argv += ["--direction", files("v.json", direction)]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"data error: sentence {idx} (id '{sid}'): "), err

@@ -365,6 +365,22 @@ class TestPickEta:
         assert chosen == 0 and math.isfinite(eta)
         assert surface.interval_of(eta) == chosen
 
+    def test_midpoint_between_huge_clusters_does_not_overflow(self) -> None:
+        # 1e308 + 1.5e308 overflows, but the interval holds many floats.
+        surface = surface_with(ExactMatch(), (1e308, 1.5e308), [1.0, 0.0, 1.0])
+        chosen, eta = pick_eta(surface)
+        assert chosen == 1 and eta == 1.25e308
+        assert surface.interval_of(eta) == chosen
+
+    def test_surface_with_no_finite_eta_is_a_data_error(self) -> None:
+        # One cluster spanning every finite float: nothing lies beyond it.
+        big = sys.float_info.max
+        s = ErrorSurface((-big, big), tuple(np.array([v]) for v in (1.0, 0.0, 1.0)))
+        surface = CorpusSurface(ExactMatch(), [s], merge_eps=INF)
+        assert surface.boundaries == (-big,)
+        with pytest.raises(InvalidGeometryError, match="no interval .* finite eta"):
+            pick_eta(surface)
+
     def test_bounded_interval_holding_no_float_is_not_chosen(self) -> None:
         # Crossings at c and the next float are further apart than
         # merge_eps, so they stay two clusters, but no eta lies strictly

@@ -185,6 +185,11 @@ class TestDualityReport:
         etas = probe_etas(Envelope((), (sys.float_info.max,), ()))
         assert etas == [math.nextafter(sys.float_info.max, -math.inf)]
 
+    def test_probes_reach_a_segment_between_huge_boundaries(self) -> None:
+        # 1e308 + 1.5e308 overflows, but the middle segment holds many floats.
+        etas = probe_etas(Envelope((), (1e308, 1.5e308), ()))
+        assert len(etas) == 3 and etas[1] == 1.25e308
+
     def test_boundaries_match_the_envelope(self, two_line_graph) -> None:
         report = duality_report(two_line_graph, np.array([2.0]), np.array([1.0]))
         assert report.boundaries == (-2.0,)
