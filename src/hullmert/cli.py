@@ -9,6 +9,8 @@ timing or thread count.  No flag moves a reported eta within its interval
 (``linesearch.pick_eta`` places it), and ``verify`` takes no search flags.
 The library checks flag values and sentences; the search commands and
 ``verify`` name a sentence with a data error as ``sentence <i> (id '<id>')``.
+``validate`` reports a cyclic sentence, or one whose goal derives nothing,
+as not ``ok`` and exits 2.
 """
 
 from __future__ import annotations
@@ -125,7 +127,13 @@ def cmd_validate(args) -> tuple[str, int]:
     all_ok = True
     for s in corpus.sentences:
         report = s.graph.validate()
-        all_ok = all_ok and report.ok
+        errors, warnings = list(report.errors), list(report.warnings)
+        if not report.goal_derivable:
+            # No command can search such a sentence.  Its graph report
+            # then warns about the goal alone, and that warning is an error.
+            errors, warnings = errors + warnings, []
+        ok = report.ok and report.goal_derivable
+        all_ok = all_ok and ok
         if report.ok:
             n = count_derivations(s.graph)
             derivations = n if n <= DEFAULT_DERIVATION_CAP else "overflow"
@@ -134,12 +142,12 @@ def cmd_validate(args) -> tuple[str, int]:
         sentences.append(
             {
                 "id": s.sid,
-                "ok": report.ok,
+                "ok": ok,
                 "nodes": s.graph.n_nodes,
                 "edges": s.graph.n_edges,
                 "derivations": derivations,
-                "errors": list(report.errors),
-                "warnings": list(report.warnings),
+                "errors": errors,
+                "warnings": warnings,
             }
         )
     doc = {

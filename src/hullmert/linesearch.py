@@ -13,7 +13,10 @@ and scoring its yield turns the envelope into a piecewise-constant error
 surface.  Each call scores a distinct yield of a sentence once: a per-call
 memo hands out one read-only statistics array per (sentence, yield), and
 ``optimize`` shares its memo between the initial decode and every axis
-search.  Surfaces add across sentences: one sorted pass over all sentence
+search.  A search gathers the chain-point yields of all sentences that the
+memo lacks and scores them in one ``Metric.stats_many`` batch; a decode,
+with one yield per sentence, scores each through ``Metric.stats``.
+Surfaces add across sentences: one sorted pass over all sentence
 boundaries takes a prefix sum of each sentence's step in statistics, so
 the corpus loss is a step function with one loss per interval, and its
 exact minimum is read off those.  Integer statistics sum exactly; float
@@ -110,8 +113,10 @@ class ErrorSurface:
 
 
 def sentence_surface(envelope: Envelope, ref: Sequence[str], metric: Metric) -> ErrorSurface:
-    stats = tuple(metric.stats(d.tokens, ref) for d in envelope.derivations)
-    return ErrorSurface(envelope.boundaries, stats)
+    """The envelope's surface, its yields scored in one ``stats_many`` call."""
+    hyps = [d.tokens for d in envelope.derivations]
+    stats = metric.stats_many(hyps, [ref] * len(hyps))
+    return ErrorSurface(envelope.boundaries, tuple(stats))
 
 
 def _interval_point(starts, ends, k: int) -> float | None:
@@ -270,12 +275,27 @@ def _memo_stats(memo: _StatsMemo, n: int, tokens: tuple[str, ...], ref, metric: 
 def _merge_surfaces(
     envelopes, sentences, metric: Metric, merge_eps: float, memo: _StatsMemo
 ) -> CorpusSurface:
+    """The corpus surface of the envelopes.
+
+    Every chain-point yield the memo lacks, across all sentences, is
+    scored in one ``stats_many`` call; the rows are stored read-only.
+    """
+    new = [
+        dict.fromkeys(d.tokens for d in env.derivations if d.tokens not in table)
+        for env, table in zip(envelopes, memo)
+    ]
+    hyps = [tokens for fresh in new for tokens in fresh]
+    if hyps:
+        refs = [ref for fresh, (_, ref) in zip(new, sentences) for _ in fresh]
+        stats = metric.stats_many(hyps, refs)
+        stats.flags.writeable = False
+        rows = iter(stats)
+        for fresh, table in zip(new, memo):
+            for tokens in fresh:
+                table[tokens] = next(rows)
     surfaces = [
-        ErrorSurface(
-            env.boundaries,
-            tuple(_memo_stats(memo, n, d.tokens, ref, metric) for d in env.derivations),
-        )
-        for n, (env, (_, ref)) in enumerate(zip(envelopes, sentences))
+        ErrorSurface(env.boundaries, tuple(table[d.tokens] for d in env.derivations))
+        for env, table in zip(envelopes, memo)
     ]
     return CorpusSurface(metric, surfaces, merge_eps)
 

@@ -4,7 +4,9 @@ Each metric maps a (hypothesis, reference) token pair to a fixed-length
 vector of sufficient statistics; vectors add over sentences, and the
 corpus loss is a function of the aggregate alone.  Additivity is what lets
 per-sentence error surfaces merge into an exact corpus surface: every
-interval stores a statistics vector, never a loss.
+interval stores a statistics vector, never a loss.  ``stats`` defines a
+metric one pair at a time; ``stats_many`` scores a batch of pairs and
+must return exactly the rows ``stats`` would.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 
 class Metric:
-    """Loss = f(sum of per-sentence statistics vectors)."""
+    """Loss = f(sum of per-sentence statistics vectors).
+
+    A subclass defines ``stats``, ``loss`` and ``n_stats``.  The line
+    search scores a call's new yields through ``stats_many``, which by
+    default stacks ``stats``; a subclass that overrides ``stats_many``
+    (as ``Bleu`` does) must keep every row equal to ``stats``, and one
+    that changes ``stats`` must override ``stats_many`` to match.
+    """
 
     name: str = ""
     n_stats: int = 0
@@ -44,6 +53,16 @@ class Metric:
         once and shares the returned array, which it marks read-only.
         """
         raise NotImplementedError
+
+    def stats_many(self, hyps: Sequence[Tokens], refs: Sequence[Tokens]) -> np.ndarray:
+        """A ``(len(hyps), n_stats)`` array whose row i equals
+        ``stats(hyps[i], refs[i])`` bit for bit.
+
+        The same purity contract as ``stats`` holds; the line search marks
+        the returned array read-only and shares its rows.
+        """
+        rows = [self.stats(hyp, ref) for hyp, ref in zip(hyps, refs)]
+        return np.stack(rows) if rows else np.zeros((0, self.n_stats))
 
     def loss(self, aggregate: np.ndarray) -> float:
         raise NotImplementedError
@@ -84,6 +103,29 @@ def _reference_counts(ref: tuple[str, ...], max_n: int) -> tuple[Counter, ...]:
     return tuple(_ngram_counts(ref, n) for n in range(1, max_n + 1))
 
 
+def _extend(at: np.ndarray, gram: np.ndarray, tok: np.ndarray, n: int, size: int):
+    """Start positions and keys of the order-n n-grams that extend the
+    order-(n-1) n-grams starting at ``at`` (with indices ``gram``) by a
+    token in the vocabulary."""
+    last = tok[at + n - 1]
+    keep = last >= 0
+    return at[keep], gram[keep] * size + last[keep]
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys`` in increasing order, and how often
+    each occurs."""
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1:] = len(keys) - starts[-1:]
+    return keys[starts], counts
+
+
 class Bleu(Metric):
     """1 - corpus BLEU against a single reference.
 
@@ -92,6 +134,10 @@ class Bleu(Metric):
     reference lengths.  Counts are floored at EPS_COUNT on both sides of
     each precision ratio, so a short corpus that matches everything it
     emits still scores a loss of exactly 0.
+
+    ``stats`` is the definition, one pair at a time with ``Counter``;
+    ``stats_many`` computes the same rows for a batch in one numpy pass.
+    A subclass that changes ``stats`` must override ``stats_many`` too.
     """
 
     name = "bleu"
@@ -112,6 +158,82 @@ class Bleu(Metric):
             out[self.max_n + n - 1] = max(len(hyp) - n + 1, 0)
         out[-2] = len(hyp)
         out[-1] = len(ref)
+        return out
+
+    def stats_many(self, hyps: Sequence[Tokens], refs: Sequence[Tokens]) -> np.ndarray:
+        """``stats`` of every pair, in one numpy pass over all their tokens.
+
+        Each reference gets its own vocabulary, numbered on from the
+        previous one's (a run of pairs that share one reference object
+        shares it), and each token becomes its id in its own reference's
+        vocabulary, or -1 when that reference lacks it; -1 also ends every
+        sequence, so no n-gram spans two.  Order by order, only n-grams
+        that a reference holds are kept: an order-n n-gram whose
+        order-(n-1) prefix is kept gets the key ``(index of the prefix
+        among the sorted order-(n-1) reference keys) * G + id of its last
+        token``, G being the number of ids, and is kept when the sorted
+        order-n reference keys hold it.  Both factors are below the total
+        number T of reference tokens, so every key is below T**2 and int64
+        cannot overflow; the (hypothesis, n-gram) keys that count the kept
+        n-grams are below ``len(hyps) * T``.  Counts are clipped per
+        hypothesis by the reference's count; all counts are integers held
+        in float64, so every sum is exact and row i equals
+        ``stats(hyps[i], refs[i])`` bit for bit.
+        """
+        ref_ids: list[int] = []
+        hyp_ids: list[int] = []
+        hyp_len: list[int] = []
+        ref_len: list[int] = []
+        vocab: dict = {}
+        size = 0
+        last = None
+        for hyp, ref in zip(hyps, refs):
+            if ref is not last:
+                last = ref
+                vocab = {}
+                ref_ids += [vocab.setdefault(t, size + len(vocab)) for t in ref]
+                ref_ids.append(-1)
+                size += len(vocab)
+            get = vocab.get
+            hyp_ids += [get(t, -1) for t in hyp]
+            hyp_ids.append(-1)
+            hyp_len.append(len(hyp))
+            ref_len.append(len(ref))
+        n_hyps = len(hyp_len)
+        out = np.zeros((n_hyps, self.n_stats))
+        lengths = np.array(hyp_len, dtype=np.int64)
+        out[:, self.max_n : 2 * self.max_n] = np.maximum(
+            lengths[:, None] - np.arange(self.max_n), 0
+        )
+        out[:, -2] = lengths
+        out[:, -1] = ref_len
+        owner = np.repeat(np.arange(n_hyps, dtype=np.int64), lengths + 1)
+        ref_tok = np.array(ref_ids, dtype=np.int64)
+        hyp_tok = np.array(hyp_ids, dtype=np.int64)
+        # Each order keeps only the n-grams a reference holds: their start
+        # positions and their indices among the sorted reference keys.  At
+        # order 1 every id is a reference unigram, so the id is its index.
+        ref_at = np.flatnonzero(ref_tok >= 0)
+        hyp_at = np.flatnonzero(hyp_tok >= 0)
+        ref_gram, hyp_gram = ref_tok[ref_at], hyp_tok[hyp_at]
+        ref_counts = np.bincount(ref_gram, minlength=size)
+        for n in range(1, self.max_n + 1):
+            if n > 1:
+                ref_at, keys = _extend(ref_at, ref_gram, ref_tok, n, size)
+                table, ref_counts = _runs(keys)
+                ref_gram = np.searchsorted(table, keys)
+                hyp_at, keys = _extend(hyp_at, hyp_gram, hyp_tok, n, size)
+                at = np.searchsorted(table, keys)
+                # -1 matches no key, and an empty table still has an entry.
+                held = np.append(table, -1)[at] == keys
+                hyp_at, hyp_gram = hyp_at[held], at[held]
+            if not len(hyp_at):
+                break  # no higher order can match either
+            pairs, counts = _runs(owner[hyp_at] * len(ref_counts) + hyp_gram)
+            clipped = np.minimum(counts, ref_counts[pairs % len(ref_counts)])
+            out[:, n - 1] = np.bincount(
+                pairs // len(ref_counts), weights=clipped, minlength=n_hyps
+            )
         return out
 
     def loss(self, aggregate: np.ndarray) -> float:

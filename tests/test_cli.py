@@ -86,6 +86,15 @@ class TestValidate:
         assert not s["ok"] and s["derivations"] is None
         assert any("node 0" in e for e in s["errors"])
 
+    def test_goal_that_derives_nothing_is_an_error(self, files, capsys) -> None:
+        path = files("c.jsonl", TWO_HYP + NO_GOAL)
+        doc, code = run_json(capsys, ["validate", path])
+        assert code == 2 and not doc["ok"]
+        good, void = doc["sentences"]
+        assert good["ok"] and void["id"] == "void"
+        assert not void["ok"] and void["derivations"] == 0 and void["warnings"] == []
+        assert void["errors"] == ["goal node 1 derives nothing (empty language)"]
+
     def test_missing_feature_defaults_with_warning(self, files, capsys) -> None:
         corpus = files("c.jsonl", TWO_HYP)
         weights = files("w.json", "{}")

@@ -713,7 +713,8 @@ class TestHotPathRepresentation:
 
 
 class CountingBleu(Bleu):
-    """BLEU that records every (hypothesis, reference) pair it scores."""
+    """BLEU that records every (hypothesis, reference) pair it scores,
+    one pair at a time or in a batch."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -722,6 +723,10 @@ class CountingBleu(Bleu):
     def stats(self, hyp, ref) -> np.ndarray:
         self.calls.append((tuple(hyp), tuple(ref)))
         return super().stats(hyp, ref)
+
+    def stats_many(self, hyps, refs) -> np.ndarray:
+        self.calls.extend((tuple(h), tuple(r)) for h, r in zip(hyps, refs))
+        return super().stats_many(hyps, refs)
 
 
 def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_EPS):
@@ -783,6 +788,7 @@ class TestStatsMemo:
         metric = CountingBleu()
         optimize(corpus, w0, metric, iterations=2)
         first = len(metric.calls)
+        assert first > 0
         optimize(corpus, w0, metric, iterations=2)
         assert len(metric.calls) == 2 * first
         for search in (
@@ -794,6 +800,7 @@ class TestStatsMemo:
             metric.calls.clear()
             search()
             once = len(metric.calls)
+            assert once > 0
             assert once == len(set(metric.calls))
             search()
             assert len(metric.calls) == 2 * once

@@ -3,13 +3,33 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullmert.errors import ConfigError
 from hullmert.metrics import Bleu, ExactMatch, get_metric, tokenize
 
 token_lists = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8).map(tuple)
+# "z" is in no reference.
+hypothesis_lists = st.lists(st.sampled_from(["a", "b", "c", "d", "z"]), max_size=10).map(tuple)
+
+
+@st.composite
+def batches(draw) -> tuple[list, list]:
+    """Hypotheses paired with a few reference objects, each shared by any
+    number of them, in any order; empty sequences and ones shorter than
+    the n-gram order come up often."""
+    refs = draw(st.lists(token_lists, min_size=1, max_size=3))
+    pairs = draw(
+        st.lists(st.tuples(hypothesis_lists, st.integers(0, len(refs) - 1)), max_size=8)
+    )
+    return [hyp for hyp, _ in pairs], [refs[i] for _, i in pairs]
+
+
+def assert_rows_equal_stats(metric, hyps, refs) -> None:
+    got = metric.stats_many(hyps, refs)
+    assert got.shape == (len(hyps), metric.n_stats)
+    assert got.tobytes() == b"".join(metric.stats(h, r).tobytes() for h, r in zip(hyps, refs))
 
 
 def reference_corpus_bleu(pairs: list[tuple[tuple[str, ...], tuple[str, ...]]]) -> float:
@@ -80,6 +100,26 @@ class TestBleuStats:
         assert total.tolist() == sum(
             (m.stats(h, r) for h, r in pairs), m.zero_stats()
         ).tolist()
+
+
+class TestStatsMany:
+    @settings(max_examples=300)
+    @given(st.integers(1, 6), batches())
+    def test_bleu_rows_equal_stacked_stats(self, max_n, batch) -> None:
+        assert_rows_equal_stats(Bleu(max_n), *batch)
+
+    @given(batches())
+    def test_exact_match_rows_equal_stacked_stats(self, batch) -> None:
+        assert_rows_equal_stats(ExactMatch(), *batch)
+
+    @pytest.mark.parametrize("metric", [ExactMatch()] + [Bleu(n) for n in range(1, 7)])
+    def test_no_hypotheses_give_no_rows(self, metric) -> None:
+        assert metric.stats_many([], []).shape == (0, metric.n_stats)
+
+    def test_one_reference_shared_by_many_hypotheses(self) -> None:
+        ref = tokenize("a b a c")
+        hyps = [tokenize(t) for t in ["a a a", "a b a c", "", "z a b", "c a b a c"]]
+        assert_rows_equal_stats(Bleu(), hyps, [ref] * len(hyps))
 
 
 class TestBleuLoss:
