@@ -43,9 +43,11 @@ from .errors import (
     ProvenanceError,
 )
 from .geometry import ConvexChain
-from .semiring import ConvexHullValue, LeafProvenance, LowerChainValue, Semiring
+from .semiring import ConvexHullValue, LeafProvenance, LowerChainValue
 
-K = TypeVar("K", bound=Semiring)
+# A semiring value type: ``__add__``, ``__mul__`` and class values ``zero``
+# and ``one`` obeying the semiring laws (``oracle.check_axioms`` tests them).
+K = TypeVar("K")
 
 # Trees are nested tuples (edge_id, (child trees in tail order)).
 DerivationTree = tuple
@@ -500,8 +502,11 @@ def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Deriva
     """Recover the derivation recorded for one hull point of ``value``.
 
     The derivation's feature projection reproduces the point's coordinates
-    (exactly when features and weights are integral).  Raises
-    ProvenanceError when the provenance does not fit this forest.
+    (exactly when features and weights are integral and every sum stays
+    below 2**53 in magnitude, where floats stop holding every integer).
+    Which points are on the hull is decided by ``geometry.difference_sign``,
+    exact for integers only while its cross products stay below 1e9.
+    Raises ProvenanceError when the provenance does not fit this forest.
     """
     return _build_derivation(graph, (value, index, None, 0), lambda it: _resolve_spine(graph, it))
 

@@ -19,9 +19,12 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidGeometryError, NoHypothesesError
 
-# Relative tolerance for orientation sign decisions.  With integer-valued
-# coordinates every cross product is an integer and the tolerance window is
-# far below 1, so all sign decisions are exact.
+# Relative tolerance for orientation sign decisions.  It is a band, not a
+# rounding filter: a difference within 1e-9 of the products' magnitude is
+# taken as zero.  With integer-valued coordinates a nonzero difference is at
+# least 1, so sign decisions are exact only while the two products sum to
+# less than 1e9 in magnitude; beyond that, and for floats at any magnitude,
+# a true vertex of a chain or hull can be dropped.
 EPS_GEOM = 1e-9
 
 
@@ -55,7 +58,9 @@ def difference_sign(t1: float, t2: float) -> int:
     """Robust sign of ``t1 - t2``: +1, -1, or 0 inside the zero band.
 
     The band scales with the magnitude of the two products being
-    subtracted (EPS_GEOM relative), so integer inputs are decided exactly.
+    subtracted (EPS_GEOM relative).  Integer inputs are decided exactly
+    only while ``|t1| + |t2| < 1e9``; past that, a nonzero difference
+    inside the band reads as 0, as any float difference inside it does.
     Every orientation and edge-angle decision goes through this test.
     """
     c = t1 - t2

@@ -10,12 +10,14 @@ lower-chain (envelope) semiring, which carries only that face of each
 hull; ``ConvexHullValue`` and ``inside_hull`` stay as the reference it
 must agree with point for point.  Realizing each chain point's derivation
 and scoring its yield turns the envelope into a piecewise-constant error
-surface.  Each call scores a distinct yield of a sentence once: a per-call
-memo hands out one read-only statistics array per (sentence, yield), and
-``optimize`` shares its memo between the initial decode and every axis
-search.  A search gathers the chain-point yields of all sentences that the
-memo lacks and scores them in one ``Metric.stats_many`` batch; a decode,
-with one yield per sentence, scores each through ``Metric.stats``.
+surface.  A fixed-weight decode is the same inside pass at a zero
+direction, whose envelope has a single segment.  Every yield is scored in
+one place, ``_surfaces``: it gathers the chain-point yields of all
+sentences that a per-call memo lacks and scores them in one
+``Metric.stats_many`` batch, and the memo hands out one read-only
+statistics array per (sentence, yield).  A search, a sweep, a decode and
+``sentence_surface`` all go through it, and ``optimize`` shares its memo
+between the initial decode and every axis search.
 Surfaces add across sentences: one sorted pass over all sentence
 boundaries takes a prefix sum of each sentence's step in statistics, so
 the corpus loss is a step function with one loss per interval, and its
@@ -30,7 +32,7 @@ import warnings
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,10 +115,10 @@ class ErrorSurface:
 
 
 def sentence_surface(envelope: Envelope, ref: Sequence[str], metric: Metric) -> ErrorSurface:
-    """The envelope's surface, its yields scored in one ``stats_many`` call."""
-    hyps = [d.tokens for d in envelope.derivations]
-    stats = metric.stats_many(hyps, [ref] * len(hyps))
-    return ErrorSurface(envelope.boundaries, tuple(stats))
+    """The envelope's surface, scored as a line search scores it: each
+    distinct yield once, in one ``stats_many`` call, into a read-only row
+    that every segment with that yield shares."""
+    return _surfaces([envelope], [ref], metric, [{}])[0]
 
 
 def _interval_point(starts, ends, k: int) -> float | None:
@@ -258,27 +260,12 @@ def _stats_memo(sentences: Sequence) -> _StatsMemo:
     return [{} for _ in sentences]
 
 
-def _memo_stats(memo: _StatsMemo, n: int, tokens: tuple[str, ...], ref, metric: Metric):
-    """``metric.stats(tokens, ref)`` for sentence n, scored once per call.
-
-    The array is shared by every later lookup, so it is made read-only.
-    """
-    table = memo[n]
-    stats = table.get(tokens)
-    if stats is None:
-        stats = metric.stats(tokens, ref)
-        stats.flags.writeable = False
-        table[tokens] = stats
-    return stats
-
-
-def _merge_surfaces(
-    envelopes, sentences, metric: Metric, merge_eps: float, memo: _StatsMemo
-) -> CorpusSurface:
-    """The corpus surface of the envelopes.
+def _surfaces(envelopes, refs, metric: Metric, memo: _StatsMemo) -> list[ErrorSurface]:
+    """The error surface of each envelope against its reference.
 
     Every chain-point yield the memo lacks, across all sentences, is
-    scored in one ``stats_many`` call; the rows are stored read-only.
+    scored in one ``stats_many`` call; the rows are stored read-only and
+    shared by every later lookup.  The library scores yields nowhere else.
     """
     new = [
         dict.fromkeys(d.tokens for d in env.derivations if d.tokens not in table)
@@ -286,18 +273,16 @@ def _merge_surfaces(
     ]
     hyps = [tokens for fresh in new for tokens in fresh]
     if hyps:
-        refs = [ref for fresh, (_, ref) in zip(new, sentences) for _ in fresh]
-        stats = metric.stats_many(hyps, refs)
+        stats = metric.stats_many(hyps, [ref for fresh, ref in zip(new, refs) for _ in fresh])
         stats.flags.writeable = False
         rows = iter(stats)
         for fresh, table in zip(new, memo):
             for tokens in fresh:
                 table[tokens] = next(rows)
-    surfaces = [
+    return [
         ErrorSurface(env.boundaries, tuple(table[d.tokens] for d in env.derivations))
         for env, table in zip(envelopes, memo)
     ]
-    return CorpusSurface(metric, surfaces, merge_eps)
 
 
 def corpus_surface(
@@ -311,7 +296,8 @@ def corpus_surface(
     """Per-sentence envelopes and surfaces, merged into one corpus surface."""
     _check_settings(merge_eps)
     envelopes = build_envelopes(sentences, w0, v, threads)
-    return _merge_surfaces(envelopes, sentences, metric, merge_eps, _stats_memo(sentences))
+    surfaces = _surfaces(envelopes, [ref for _, ref in sentences], metric, _stats_memo(sentences))
+    return CorpusSurface(metric, surfaces, merge_eps)
 
 
 @dataclass(frozen=True)
@@ -374,7 +360,8 @@ def _line_search(
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
     envelopes = build_envelopes(sentences, w0, v, threads)
-    surface = _merge_surfaces(envelopes, sentences, metric, merge_eps, memo)
+    surfaces = _surfaces(envelopes, [ref for _, ref in sentences], metric, memo)
+    surface = CorpusSurface(metric, surfaces, merge_eps)
     losses = surface.interval_losses()
     chosen, eta = pick_eta(surface)
     return LineSearchResult(
@@ -389,18 +376,17 @@ def _line_search(
     )
 
 
-def _decode(sentences, weights: np.ndarray) -> Iterator[Derivation]:
-    """The highest-scoring derivation of each sentence at fixed weights.
+def _decode(sentences, weights: np.ndarray) -> list[Envelope]:
+    """Each sentence's envelope at fixed weights, in sentence order.
 
     Runs the envelope inside pass with a zero direction: all dual points
     then share x = 0 and only the best-scoring hypothesis survives on the
-    lower chain, so the envelope has a single segment.
+    lower chain, so ``derivations[0]`` is the decoded derivation and its
+    surface has a single interval.
     """
     weights = np.asarray(weights, dtype=float)
     zero_v = np.zeros_like(weights)
-    for n, (graph, _) in enumerate(sentences):
-        env = _sentence_envelope(n, graph, weights, zero_v)
-        yield env.derivations[env.segment_at(0.0)]
+    return [_sentence_envelope(n, g, weights, zero_v) for n, (g, _) in enumerate(sentences)]
 
 
 def decode_loss(
@@ -413,10 +399,9 @@ def decode_loss(
 
 
 def _decode_loss(sentences, weights, metric: Metric, memo: _StatsMemo) -> float:
-    total = metric.zero_stats()
-    for n, (d, (_, ref)) in enumerate(zip(_decode(sentences, weights), sentences)):
-        total += _memo_stats(memo, n, d.tokens, ref, metric)
-    return metric.loss(total)
+    refs = [ref for _, ref in sentences]
+    surfaces = _surfaces(_decode(sentences, weights), refs, metric, memo)
+    return metric.loss(sum((s.stats[0] for s in surfaces), metric.zero_stats()))
 
 
 @dataclass(frozen=True)

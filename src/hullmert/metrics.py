@@ -35,11 +35,12 @@ def tokenize(text: str) -> tuple[str, ...]:
 class Metric:
     """Loss = f(sum of per-sentence statistics vectors).
 
-    A subclass defines ``stats``, ``loss`` and ``n_stats``.  The line
-    search scores a call's new yields through ``stats_many``, which by
-    default stacks ``stats``; a subclass that overrides ``stats_many``
-    (as ``Bleu`` does) must keep every row equal to ``stats``, and one
-    that changes ``stats`` must override ``stats_many`` to match.
+    A subclass defines ``stats``, ``loss`` and ``n_stats``.  The library
+    scores every yield through ``stats_many`` (a search, a sweep, a decode
+    and ``sentence_surface`` alike), which by default stacks ``stats``; a
+    subclass that overrides ``stats_many`` (as ``Bleu`` does) must keep
+    every row equal to ``stats``, and one that changes ``stats`` must
+    override ``stats_many`` to match.
     """
 
     name: str = ""
@@ -50,7 +51,8 @@ class Metric:
 
         Must be a pure function of ``(hyp, ref)``: a line search, sweep,
         decode or optimize call scores each distinct yield of a sentence
-        once and shares the returned array, which it marks read-only.
+        once, through ``stats_many``, and shares its row, which it marks
+        read-only.
         """
         raise NotImplementedError
 

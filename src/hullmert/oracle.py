@@ -1,16 +1,21 @@
 """Brute-force and cross-semiring reference computations.
 
 Everything here either evaluates a definition literally (all pairwise
-sums, dense argmax sampling, full enumeration) or reruns the problem in
-the max-plus semiring.  Exponential or redundant on purpose: the envelope
-machinery is trusted only as far as it agrees with these slower, more
-obvious computations.  Nothing on the fast path imports this module.
+sums, dense argmax sampling, full enumeration, one metric pair at a time)
+or reruns the problem in the max-plus semiring ``Tropical``.  Exponential
+or redundant on purpose: the envelope machinery is trusted only as far as
+it agrees with these slower, more obvious computations.  The reference
+algebra lives here too: ``check_axioms`` tests the semiring laws on
+sample values, and ``convexify_equivalence`` the hull-then-sum identity
+that makes hull multiplication well defined.  Nothing on the fast path
+imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .forest import (
 from .geometry import ConvexChain, Point2, full_hull
 from .linesearch import Envelope, _interval_point, build_envelope
 from .metrics import Metric
-from .semiring import Tropical
+from .semiring import ConvexHullValue, LowerChainValue
 
 DEFAULT_PAIR_CAP = 10_000
 DEFAULT_GRID_POINTS = 2001
@@ -158,6 +163,23 @@ def grid_line_search(
     return list(etas), losses
 
 
+@dataclass(frozen=True, slots=True)
+class Tropical:
+    """Max-plus reals: + is max, * is +, zero is -inf, one is 0."""
+
+    score: float
+
+    def __add__(self, other: "Tropical") -> "Tropical":
+        return self if self.score >= other.score else other
+
+    def __mul__(self, other: "Tropical") -> "Tropical":
+        return Tropical(self.score + other.score)
+
+
+Tropical.zero = Tropical(float("-inf"))
+Tropical.one = Tropical(0.0)
+
+
 def tropical_best(graph: Hypergraph, weights: np.ndarray) -> float:
     """Best derivation score via the max-plus inside pass (score only)."""
     weights = np.asarray(weights, dtype=float)
@@ -166,6 +188,100 @@ def tropical_best(graph: Hypergraph, weights: np.ndarray) -> float:
         return Tropical(edge_dot(e, weights))
 
     return inside(graph, edge_value, Tropical).score
+
+
+@dataclass(frozen=True)
+class AxiomFailure:
+    law: str
+    indices: tuple[int, ...]
+    lhs: ConvexHullValue | LowerChainValue
+    rhs: ConvexHullValue | LowerChainValue
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    ok: bool
+    n_values: int
+    n_triples: int
+    failures: tuple[AxiomFailure, ...]
+
+    @property
+    def first_failure(self) -> AxiomFailure | None:
+        return self.failures[0] if self.failures else None
+
+    def failed_laws(self) -> tuple[str, ...]:
+        return tuple(f.law for f in self.failures)
+
+
+def check_axioms(values: Sequence[ConvexHullValue | LowerChainValue]) -> AxiomReport:
+    """Empirically verify the semiring laws on a sample of values.
+
+    Checks, in deterministic input-index order: additive/multiplicative
+    identity, annihilator, idempotent addition, commutativity of both
+    operations, associativity of both operations, and both distributivity
+    laws over every (i, j, k) triple.  The report carries the first
+    counterexample found for each violated law.
+
+    Intended for small integer-coordinate values, where equality is
+    meaningful bit for bit and every hull decision is exact as long as
+    the cross products stay below 1e9 in magnitude (see
+    ``geometry.difference_sign``).  The values share one type, which
+    supplies the identity elements.
+    """
+    failures: dict[str, AxiomFailure] = {}
+
+    def record(law: str, indices: tuple[int, ...], lhs, rhs):
+        if lhs != rhs and law not in failures:
+            failures[law] = AxiomFailure(law, indices, lhs, rhs)
+
+    # Fresh identity elements so the shortcut for the canonical `one`
+    # object is bypassed and the real code paths get exercised.
+    kind = type(values[0]) if values else ConvexHullValue
+    zero = kind.from_raw_points(())
+    one = kind.from_raw_points([(0.0, 0.0)])
+
+    for i, a in enumerate(values):
+        record("plus_identity", (i,), a + zero, a)
+        record("plus_identity", (i,), zero + a, a)
+        record("times_identity", (i,), a * one, a)
+        record("times_identity", (i,), one * a, a)
+        record("annihilator", (i,), zero * a, zero)
+        record("annihilator", (i,), a * zero, zero)
+        record("plus_idempotent", (i,), a + a, a)
+
+    for i, j in combinations(range(len(values)), 2):
+        a, b = values[i], values[j]
+        record("plus_commutative", (i, j), a + b, b + a)
+        record("times_commutative", (i, j), a * b, b * a)
+
+    n_triples = 0
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            for k, c in enumerate(values):
+                n_triples += 1
+                record("plus_associative", (i, j, k), (a + b) + c, a + (b + c))
+                record("times_associative", (i, j, k), (a * b) * c, a * (b * c))
+                record("distributive_left", (i, j, k), a * (b + c), (a * b) + (a * c))
+                record("distributive_right", (i, j, k), (b + c) * a, (b * a) + (c * a))
+
+    ordered = tuple(failures[law] for law in sorted(failures))
+    return AxiomReport(not ordered, len(values), n_triples, ordered)
+
+
+def convexify_equivalence(
+    a: Iterable[tuple[float, float] | Point2], b: Iterable[tuple[float, float] | Point2]
+) -> bool:
+    """Whether hulling before or after a Minkowski sum gives the same hull.
+
+    Both sides are evaluated by brute force over all pairwise sums (the
+    second hulls each operand first); multiplication of hull values is
+    well defined exactly because this always holds.
+    """
+    pa = [p if isinstance(p, Point2) else Point2(*p) for p in a]
+    pb = [p if isinstance(p, Point2) else Point2(*p) for p in b]
+    direct = full_hull([p + q for p in pa for q in pb])
+    hulled = full_hull([p + q for p in full_hull(pa) for q in full_hull(pb)])
+    return direct.points == hulled.points
 
 
 def _rel_err(a: float, b: float) -> float:

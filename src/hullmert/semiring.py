@@ -1,4 +1,4 @@
-"""The convex hull semiring, its lower face, and a tropical reference.
+"""The convex hull semiring and its lower face.
 
 A convex hull semiring value is a set of extreme points in the dual
 (slope, negated intercept) plane.  Addition is the hull of the union;
@@ -30,7 +30,6 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InvalidGeometryError
@@ -42,32 +41,6 @@ from .geometry import (
     lower_hull,
     minkowski_indexed,
 )
-
-
-class Semiring:
-    """Minimal contract: ``__add__``, ``__mul__`` and class values ``zero``
-    and ``one`` satisfying the usual laws (checked empirically by
-    ``check_axioms``, not by construction)."""
-
-    zero: "Semiring"
-    one: "Semiring"
-
-
-@dataclass(frozen=True, slots=True)
-class Tropical(Semiring):
-    """Max-plus reals: + is max, * is +, zero is -inf, one is 0."""
-
-    score: float
-
-    def __add__(self, other: "Tropical") -> "Tropical":
-        return self if self.score >= other.score else other
-
-    def __mul__(self, other: "Tropical") -> "Tropical":
-        return Tropical(self.score + other.score)
-
-
-Tropical.zero = Tropical(float("-inf"))
-Tropical.one = Tropical(0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +67,7 @@ def _is_full_hull(chain: ConvexChain) -> bool:
     return True
 
 
-class ConvexHullValue(Semiring):
+class ConvexHullValue:
     """A convex hull semiring value: canonical full hull plus per-point
     provenance.  Equality and hashing look at the point set only."""
 
@@ -188,7 +161,7 @@ class ConvexHullValue(Semiring):
         hull = ConvexChain(pts)
         if not _is_full_hull(hull) and _is_full_hull(self.hull) and _is_full_hull(other.hull):
             # A non-canonical operand is multiplied as given, so that
-            # check_axioms still sees what it breaks.
+            # oracle.check_axioms still sees what it breaks.
             return ConvexHullValue._hull_of(pts, prov)
         return ConvexHullValue(hull, prov)
 
@@ -237,7 +210,7 @@ def _strict_lower(xs: list[float], ys: list[float], back: list) -> "LowerChainVa
     return LowerChainValue(cx, cy, cb)
 
 
-class LowerChainValue(Semiring):
+class LowerChainValue:
     """The lower face of a hull value: a strict lower chain with back-pointers.
 
     ``xs`` and ``ys`` list the chain's points by strictly increasing x.
@@ -370,95 +343,3 @@ class LowerChainValue(Semiring):
 
 LowerChainValue.zero = LowerChainValue([], [], [])
 LowerChainValue.one = LowerChainValue.singleton(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class AxiomFailure:
-    law: str
-    indices: tuple[int, ...]
-    lhs: Semiring
-    rhs: Semiring
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    ok: bool
-    n_values: int
-    n_triples: int
-    failures: tuple[AxiomFailure, ...]
-
-    @property
-    def first_failure(self) -> AxiomFailure | None:
-        return self.failures[0] if self.failures else None
-
-    def failed_laws(self) -> tuple[str, ...]:
-        return tuple(f.law for f in self.failures)
-
-
-def check_axioms(values: Sequence[ConvexHullValue | LowerChainValue]) -> AxiomReport:
-    """Empirically verify the semiring laws on a sample of values.
-
-    Checks, in deterministic input-index order: additive/multiplicative
-    identity, annihilator, idempotent addition, commutativity of both
-    operations, associativity of both operations, and both distributivity
-    laws over every (i, j, k) triple.  The report carries the first
-    counterexample found for each violated law.
-
-    Intended for integer-coordinate values, where every hull decision is
-    exact and equality is meaningful bit for bit.  The values share one
-    type, which supplies the identity elements.
-    """
-    failures: dict[str, AxiomFailure] = {}
-
-    def record(law: str, indices: tuple[int, ...], lhs, rhs):
-        if lhs != rhs and law not in failures:
-            failures[law] = AxiomFailure(law, indices, lhs, rhs)
-
-    # Fresh identity elements so the shortcut for the canonical `one`
-    # object is bypassed and the real code paths get exercised.
-    kind = type(values[0]) if values else ConvexHullValue
-    zero = kind.from_raw_points(())
-    one = kind.from_raw_points([(0.0, 0.0)])
-
-    for i, a in enumerate(values):
-        record("plus_identity", (i,), a + zero, a)
-        record("plus_identity", (i,), zero + a, a)
-        record("times_identity", (i,), a * one, a)
-        record("times_identity", (i,), one * a, a)
-        record("annihilator", (i,), zero * a, zero)
-        record("annihilator", (i,), a * zero, zero)
-        record("plus_idempotent", (i,), a + a, a)
-
-    for i, j in combinations(range(len(values)), 2):
-        a, b = values[i], values[j]
-        record("plus_commutative", (i, j), a + b, b + a)
-        record("times_commutative", (i, j), a * b, b * a)
-
-    n_triples = 0
-    for i, a in enumerate(values):
-        for j, b in enumerate(values):
-            for k, c in enumerate(values):
-                n_triples += 1
-                record("plus_associative", (i, j, k), (a + b) + c, a + (b + c))
-                record("times_associative", (i, j, k), (a * b) * c, a * (b * c))
-                record("distributive_left", (i, j, k), a * (b + c), (a * b) + (a * c))
-                record("distributive_right", (i, j, k), (b + c) * a, (b * a) + (c * a))
-
-    ordered = tuple(failures[law] for law in sorted(failures))
-    return AxiomReport(not ordered, len(values), n_triples, ordered)
-
-
-def convexify_equivalence(
-    a: Iterable[tuple[float, float] | Point2], b: Iterable[tuple[float, float] | Point2]
-) -> bool:
-    """Whether hulling before or after a Minkowski sum gives the same hull.
-
-    Both sides are evaluated by brute force over all pairwise sums (the
-    second hulls each operand first); multiplication of hull values is
-    well defined exactly because this always holds.
-    """
-    pa = [p if isinstance(p, Point2) else Point2(*p) for p in a]
-    pb = [p if isinstance(p, Point2) else Point2(*p) for p in b]
-    direct = full_hull([p + q for p in pa for q in pb])
-    hulled = full_hull([p + q for p in full_hull(pa) for q in full_hull(pb)])
-    return direct.points == hulled.points

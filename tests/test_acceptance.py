@@ -31,6 +31,8 @@ from hullmert.geometry import full_hull
 from hullmert.linesearch import build_envelope, line_search
 from hullmert.metrics import Bleu, ExactMatch
 from hullmert.oracle import (
+    check_axioms,
+    convexify_equivalence,
     decode_corpus_loss,
     dual_points,
     grid_line_search,
@@ -43,7 +45,6 @@ from hullmert.sampling import (
     random_hull_value,
     random_lattice,
 )
-from hullmert.semiring import check_axioms, convexify_equivalence
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +318,21 @@ class TestOptimize:
         assert code == 0
         assert doc["trace"] == [] and doc["iterations_run"] == 1
         assert doc["final_loss"] == doc["initial_loss"] == 0
+
+
+    def test_golden_report_is_byte_identical(self) -> None:
+        # The golden file is never regenerated: a byte of drift is a bug.
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "hullmert", "optimize",
+                str(FIXTURES / "corpus.jsonl"),
+                "--weights", str(FIXTURES / "weights.json"),
+                "--metric", "bleu",
+            ],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (FIXTURES / "golden_optimize.json").read_bytes()
 
 
 class TestVerify:

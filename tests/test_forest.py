@@ -24,9 +24,9 @@ from hullmert.forest import (
     reconstruct,
 )
 from hullmert.geometry import full_hull, lower_chain
-from hullmert.oracle import dual_points
+from hullmert.oracle import Tropical, dual_points
 from hullmert.sampling import random_derivation, random_forest, random_lattice
-from hullmert.semiring import ConvexHullValue, LeafProvenance, Tropical
+from hullmert.semiring import ConvexHullValue, LeafProvenance
 
 
 def binary_forest() -> Hypergraph:

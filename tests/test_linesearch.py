@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hullmert.estimator as estimator_module
 import hullmert.linesearch as linesearch_module
 from hullmert import MertEstimator, cli
 from hullmert.errors import (
@@ -714,11 +715,12 @@ class TestHotPathRepresentation:
 
 class CountingBleu(Bleu):
     """BLEU that records every (hypothesis, reference) pair it scores,
-    one pair at a time or in a batch."""
+    one pair at a time or in a batch, and counts its batches."""
 
     def __init__(self) -> None:
         super().__init__()
         self.calls: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+        self.batches = 0
 
     def stats(self, hyp, ref) -> np.ndarray:
         self.calls.append((tuple(hyp), tuple(ref)))
@@ -726,7 +728,23 @@ class CountingBleu(Bleu):
 
     def stats_many(self, hyps, refs) -> np.ndarray:
         self.calls.extend((tuple(h), tuple(r)) for h, r in zip(hyps, refs))
+        self.batches += 1
         return super().stats_many(hyps, refs)
+
+
+class BatchOnlyBleu(Bleu):
+    """BLEU whose per-pair ``stats`` raises, so only the batch can score."""
+
+    def stats(self, hyp, ref) -> np.ndarray:
+        raise AssertionError("a yield was scored outside Metric.stats_many")
+
+
+def repeated_yield_graph() -> Hypergraph:
+    """Three lines, all on the envelope along LINE_W0 + eta * LINE_V (with
+    a third, unused feature); the outer two share the yield ``a``."""
+    lines = [(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    edges = [Edge.make(0, (), {0: m, 1: b}, (tok,)) for (m, b), tok in zip(lines, "aba")]
+    return Hypergraph(1, edges, goal=0, n_features=3)
 
 
 def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_EPS):
@@ -813,6 +831,51 @@ class TestStatsMemo:
             arrays[0][0] = 1.0
 
 
+class TestOneScoringPath:
+    """A decode, a search, a sweep and ``sentence_surface`` all score
+    yields through the same memoized ``stats_many`` batch."""
+
+    @pytest.fixture
+    def corpus(self, rng):
+        return random_corpus(rng, n_sentences=6, n_nodes=7, max_parallel=3)
+
+    def test_no_yield_is_scored_one_pair_at_a_time(self, corpus, rng, monkeypatch) -> None:
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        bleu, batched = Bleu(), BatchOnlyBleu()
+        assert decode_loss(corpus, w0, batched) == decode_loss(corpus, w0, bleu)
+        got = optimize(corpus, w0, batched, iterations=2)
+        want = optimize(corpus, w0, bleu, iterations=2)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (got.loss, got.initial_loss, got.steps) == (want.loss, want.initial_loss, want.steps)
+        assert line_search(corpus, w0, v, batched).loss == line_search(corpus, w0, v, bleu).loss
+        assert sweep(corpus, w0, v, batched, -1.0, 1.0, 5) == sweep(corpus, w0, v, bleu, -1.0, 1.0, 5)
+        est = MertEstimator(metric="bleu", initial_weights=w0).fit(corpus)
+        want_score = est.score(corpus)
+        monkeypatch.setattr(estimator_module, "get_metric", lambda name: BatchOnlyBleu())
+        assert est.score(corpus) == want_score
+
+    def test_decode_scores_the_corpus_in_one_batch(self, corpus, rng) -> None:
+        metric = CountingBleu()
+        decode_loss(corpus, rng.normal(size=3), metric)
+        assert metric.batches == 1 and len(metric.calls) == len(corpus)
+
+    @pytest.mark.parametrize("metric", [ExactMatch(), Bleu()], ids=["exact", "bleu"])
+    def test_sentence_surface_is_the_search_surface(self, corpus, metric) -> None:
+        corpus = corpus + [(repeated_yield_graph(), ("a",))]
+        w0, v = np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        result = line_search(corpus, w0, v, metric)
+        for env, (_, ref), searched in zip(result.envelopes, corpus, result.surface.surfaces):
+            surface = sentence_surface(env, ref, metric)
+            assert surface.boundaries == searched.boundaries
+            assert [a.tobytes() for a in surface.stats] == [a.tobytes() for a in searched.stats]
+            assert not any(a.flags.writeable for a in surface.stats)
+        # The repeated yield is scored once; both of its segments share the row.
+        assert [d.tokens for d in env.derivations] == [("a",), ("b",), ("a",)]
+        assert surface.stats[0] is surface.stats[2]
+        with pytest.raises(ValueError):
+            surface.stats[0][0] = 1.0
+
+
 def assert_loss_is_attained(sentences, result, metric) -> None:
     """The reported loss is the loss of the derivations the envelopes pick
     at eta, scored afresh, and each of them is a best derivation at the
@@ -866,3 +929,31 @@ class TestLossIsAttained:
             assert loss == decode_loss(corpus, w0, metric)
         else:
             assert_loss_is_attained(corpus, accepted, metric)
+
+
+class TestExactSignDecisions:
+    """An envelope must keep every segment on which a derivation wins.
+
+    ``geometry.difference_sign`` reads any difference within 1e-9 of the
+    cross products' magnitude as zero, so a vertex that is truly on the
+    lower chain is dropped once the products reach about 1e9 (integers)
+    or whenever a float vertex lies that close to its neighbours' line.
+    These pin the defect until an exact sign test replaces the band.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="difference_sign's 1e-9 band drops a true vertex")
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0), (1.0, 10.0**9 - 1), (2.0, 2.0 * 10**9)],
+            [(0.0, 0.0), (1e-3, 1000 - 2e-6), (2e-3, 2000.0)],
+        ],
+        ids=["integer", "float"],
+    )
+    def test_middle_vertex_keeps_its_segment(self, points) -> None:
+        # Dual point (x, y) is the line x * eta - y; the middle one wins on
+        # a short segment around the other two lines' crossing.
+        graph = make_line_graph([(x, -y) for x, y in points])
+        corpus = [(graph, ("h1",))]
+        result = line_search(corpus, LINE_W0, LINE_V, ExactMatch())
+        assert result.loss == 0.0

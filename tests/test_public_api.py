@@ -37,14 +37,11 @@ PUBLIC_NAMES = [
     "ProvenanceError",
     "Sentence",
     "SweepResult",
-    "Tropical",
     "UnknownFeatureWarning",
     "UsageError",
     "build_envelope",
     "build_envelopes",
     "canonical_json",
-    "check_axioms",
-    "convexify_equivalence",
     "corpus_surface",
     "count_derivations",
     "decode_loss",

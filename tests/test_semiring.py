@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from hullmert.errors import InvalidGeometryError
 from hullmert.geometry import ConvexChain, Point2, full_hull, lower_hull
+from hullmert.oracle import Tropical, check_axioms, convexify_equivalence
 from hullmert.semiring import (
     ConvexHullValue,
     LeafProvenance,
     LowerChainValue,
     ProductProvenance,
-    Tropical,
-    check_axioms,
-    convexify_equivalence,
 )
 
 int_pairs = st.tuples(
