@@ -13,14 +13,12 @@ dual points of all envelope hypotheses, each traceable back to its
 derivation via provenance.  The line search runs the same recursion in the
 lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
-back-pointers.  Envelope hypotheses share sub-derivations, so one
-iterative post-order walk over the back-pointers builds the tree of each
-reached (node, point index) once and every chain point above it shares
-that tuple.  Yields are written out only for the chain points, each by one
-walk of its tree that copies the yield of a subtree reached twice from its
-first walk, so a deep lattice path costs linear, not quadratic, time and
-memory.  A ``Derivation`` sums its feature vector
-only when ``features`` is first read; the line search never reads it.
+back-pointers.  Each chain point's yield is written straight from the
+back-pointers, copying the yield of a (node, point index) that several
+walks share from its first walk, so a deep lattice path costs linear, not
+quadratic, time and memory.  A ``Derivation`` builds its tree only when
+``tree`` is first read and sums its feature vector only when ``features``
+is; the line search reads neither.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, field
 from collections import deque
 from functools import cached_property
 from itertools import product as iter_product
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -302,10 +300,8 @@ def envelope_points(
     Runs the inside recursion in the lower-chain semiring.  Its goal chain
     equals ``lower_chain(inside_hull(graph, w0, v).hull)``, and each
     derivation is the one ``reconstruct`` recovers for that hull point.
-    Chain points share sub-derivations: the tree of each ``(node, point
-    index)`` reached through the back-pointers is built once per call and
-    shared by every derivation above it, and so is the yield of a subtree
-    that more than one tree reaches.
+    Yields come straight from the back-pointers (``_yields``); a derivation
+    keeps only its root ``(goal, i)`` and every node's back-pointer list.
 
     Edges are projected on Python floats: indexing a list is cheaper than
     indexing an array, and each coordinate is still summed left to right,
@@ -316,36 +312,72 @@ def envelope_points(
     values = _inside_values(
         graph, lambda ei, e: _project_lower(e, w0, v, ei), LowerChainValue
     )
-    edges = graph.edges
+    backs = [value.back for value in values]
+    roots = [(graph.goal, i) for i in range(len(values[graph.goal]))]
+    tokens = _yields(graph.edges, backs, roots)
+    derivations = tuple(Derivation(t, graph, r, backs) for t, r in zip(tokens, roots))
+    return values[graph.goal].chain(), derivations
 
-    def expand(item: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
-        node, i = item
-        back = values[node].back[i]
-        eid = back[0]
-        return eid, list(zip(edges[eid].tails, back[1:]))
 
-    goal = graph.goal
-    built: dict = {}
+def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[str, ...]]:
+    """The yield of each root item ``(node, j)``, whose edge is
+    ``backs[node][j][0]`` and whose tail t is ``(tail node, backs[node][j][t + 1])``.
+
+    The first pass marks every item reached more than once; the second
+    fills each edge's template and copies a marked item's yield whole from
+    its first walk.  Each pass expands each reached item once.
+    """
+    seen: set = set()
     shared: dict = {}
-    trees = [_build_tree((goal, i), expand, built, shared) for i in range(len(values[goal]))]
-    derivations = tuple(Derivation(t, _tokens(edges, t, shared), graph) for t in trees)
-    return values[goal].chain(), derivations
+    stack = roots[:]
+    while stack:
+        item = stack.pop()
+        if item in seen:
+            shared[item] = None
+            continue
+        seen.add(item)
+        back = backs[item[0]][item[1]]
+        stack.extend(zip(edges[back[0]].tails, back[1:]))
+    for root in roots:
+        toks: list[str] = []
+        stack = [root]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                toks.append(item)
+                continue
+            if item.__class__ is list:
+                # [item, start]: a marked item's first walk ends here.
+                shared[item[0]] = tuple(toks[item[1]:])
+                continue
+            if item in shared:
+                done = shared[item]
+                if done is not None:
+                    toks.extend(done)
+                    continue
+                stack.append([item, len(toks)])
+            back = backs[item[0]][item[1]]
+            edge = edges[back[0]]
+            tails = edge.tails
+            for slot in reversed(edge.template):
+                stack.append(slot if slot.__class__ is str else (tails[slot], back[slot + 1]))
+        yield tuple(toks)
 
 
 @dataclass(frozen=True, eq=False)
 class Derivation:
     """One tree of edges with its realized yield and dense feature vector.
 
-    Only this module builds derivations.  ``features`` is summed on its
-    first read, over the edges in ``edge_ids`` preorder, and kept; a line
-    search reads only trees and yields, so it never pays for the sum.
-    Trees may share subtrees with other derivations of the same forest.
-    Equality and hashing look at the tree.
+    Only this module builds derivations.  One from ``envelope_points``
+    builds ``tree`` from its root and back-pointers on first read, others
+    hold it; ``features`` is summed on first read, in ``edge_ids`` preorder.
+    A line search reads neither.  Equality and hashing look at the tree.
     """
 
-    tree: DerivationTree
     tokens: tuple[str, ...]
     _graph: Hypergraph = field(repr=False)
+    _root: object = field(repr=False)
+    _backs: list | None = field(default=None, repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
@@ -354,6 +386,20 @@ class Derivation:
 
     def __hash__(self) -> int:
         return hash(self.tree)
+
+    @cached_property
+    def tree(self) -> DerivationTree:
+        """The nested ``(edge_id, child trees)`` tuple of this derivation."""
+        backs = self._backs
+        if backs is None:
+            return self._root
+        edges = self._graph.edges
+
+        def expand(item: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
+            back = backs[item[0]][item[1]]
+            return back[0], list(zip(edges[back[0]].tails, back[1:]))
+
+        return _build_tree(self._root, expand)
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -376,55 +422,32 @@ class Derivation:
         return out
 
 
-def _substitute(template: tuple[str | int, ...], child_tokens: Sequence[tuple[str, ...]]):
-    toks: list[str] = []
-    for item in template:
-        if isinstance(item, int):
-            toks.extend(child_tokens[item])
-        else:
-            toks.append(item)
-    return tuple(toks)
-
-
-def _build_tree(root, expand: Callable, built: dict | None = None, shared: dict | None = None):
+def _build_tree(root, expand: Callable) -> DerivationTree:
     """The tree that ``expand(item) -> (edge_id, child items)`` spells from root.
 
     ``expand`` is called in preorder, children left to right, by one
     iterative post-order pass, so derivations thousands of edges deep (long
-    lattices) do not hit the recursion limit.  With a ``built`` dict, every
-    item's tree is stored there and an item found there is not expanded
-    again: its tree is shared, and ``shared`` gets the tree's id as a key.
+    lattices) do not hit the recursion limit.  Each call builds one tree.
     """
-    # frame: (item, edge_id, child items, built child trees)
-    frames = [(root, *expand(root), [])]
+    # frame: (edge_id, child items, built child trees)
+    frames = [(*expand(root), [])]
     while True:
-        item, eid, items, trees = frames[-1]
+        eid, items, trees = frames[-1]
         if len(trees) < len(items):
-            child = items[len(trees)]
-            done = None if built is None else built.get(child)
-            if done is None:
-                frames.append((child, *expand(child), []))
-            else:
-                trees.append(done)
-                shared[id(done)] = None
+            frames.append((*expand(items[len(trees)]), []))
             continue
         frames.pop()
         tree = (eid, tuple(trees))
-        if built is not None:
-            built[item] = tree
         if not frames:
             return tree
-        frames[-1][3].append(tree)
+        frames[-1][2].append(tree)
 
 
-def _tokens(edges: Sequence[Edge], tree: DerivationTree, shared: dict) -> tuple[str, ...]:
+def _tokens(edges: Sequence[Edge], tree: DerivationTree) -> tuple[str, ...]:
     """The yield of ``tree``: each edge's template, slots filled left to right.
 
-    One iterative walk appends every token to one list, so the cost is
-    linear in the tree even for a deep lattice path, whose sub-yields would
-    sum to quadratic length.  ``shared`` maps the id of each subtree that
-    other trees reach too (the caller keeps them alive) to None, and then,
-    once it is first walked, to its yield, which later walks copy whole.
+    One iterative walk appends every token to one list: linear in the tree
+    even for a deep lattice path, whose sub-yields sum to quadratic length.
     """
     out: list[str] = []
     stack: list = [tree]
@@ -433,17 +456,6 @@ def _tokens(edges: Sequence[Edge], tree: DerivationTree, shared: dict) -> tuple[
         if item.__class__ is str:
             out.append(item)
             continue
-        if item.__class__ is list:
-            # [id, start]: a shared subtree's walk ends here.
-            shared[item[0]] = tuple(out[item[1]:])
-            continue
-        key = id(item)
-        if key in shared:
-            done = shared[key]
-            if done is not None:
-                out.extend(done)
-                continue
-            stack.append([key, len(out)])
         eid, children = item
         for slot in reversed(edges[eid].template):
             stack.append(slot if slot.__class__ is str else children[slot])
@@ -453,7 +465,7 @@ def _tokens(edges: Sequence[Edge], tree: DerivationTree, shared: dict) -> tuple[
 def _build_derivation(graph: Hypergraph, root, expand: Callable) -> Derivation:
     """Build one Derivation from ``expand(item) -> (edge_id, child items)``."""
     tree = _build_tree(root, expand)
-    return Derivation(tree, _tokens(graph.edges, tree, {}), graph)
+    return Derivation(_tokens(graph.edges, tree), graph, tree)
 
 
 def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
@@ -501,6 +513,8 @@ def _resolve_spine(graph: Hypergraph, item) -> tuple[int, list]:
 def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Derivation:
     """Recover the derivation recorded for one hull point of ``value``.
 
+    The reference for ``envelope_points``'s yields and lazily built trees;
+    here the tree is built eagerly, so a bad provenance record raises.
     The derivation's feature projection reproduces the point's coordinates
     (exactly when features and weights are integral and every sum stays
     below 2**53 in magnitude, where floats stop holding every integer).
@@ -539,16 +553,11 @@ def enumerate_derivations(
     report = graph.validate()
     derivable = graph._derivable(report.topo_order)
     useful = graph._useful(derivable)
-    per_node: list[list[tuple[DerivationTree, tuple[str, ...]]]] = [
-        [] for _ in range(graph.n_nodes)
-    ]
+    per_node: list[list[DerivationTree]] = [[] for _ in range(graph.n_nodes)]
     for node in report.topo_order:
         if not useful[node]:
             continue
-        items = per_node[node]
         for ei in graph.in_edges[node]:
-            e = graph.edges[ei]
-            for combo in iter_product(*(per_node[t] for t in e.tails)):
-                tree = (ei, tuple(c[0] for c in combo))
-                items.append((tree, _substitute(e.template, [c[1] for c in combo])))
-    return [Derivation(tree, tokens, graph) for tree, tokens in per_node[graph.goal]]
+            for children in iter_product(*(per_node[t] for t in graph.edges[ei].tails)):
+                per_node[node].append((ei, children))
+    return [Derivation(_tokens(graph.edges, t), graph, t) for t in per_node[graph.goal]]

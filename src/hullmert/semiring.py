@@ -22,7 +22,8 @@ face of a sum or product depends only on the operands' lower faces.
 ``LowerChainValue`` keeps just that face: the envelope semiring of
 Macherey et al. (2008) and Kumar et al. (2009).  The line-search hot path
 runs on it, with flat per-point back-pointers instead of provenance
-records.
+records.  Its two hot loops inline ``geometry.difference_sign``'s band and
+decide every sign, NaN included, bit for bit as that function does.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -34,9 +35,9 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidGeometryError
 from .geometry import (
+    EPS_GEOM,
     ConvexChain,
     Point2,
-    difference_sign,
     full_hull,
     lower_hull,
     minkowski_indexed,
@@ -197,7 +198,9 @@ def _strict_lower(xs: list[float], ys: list[float], back: list) -> "LowerChainVa
             n -= 1
         while n >= 2:
             ox, oy, ax, ay = cx[-2], cy[-2], cx[-1], cy[-1]
-            if difference_sign((ax - ox) * (y - oy), (ay - oy) * (x - ox)) > 0:
+            t1 = (ax - ox) * (y - oy)
+            t2 = (ay - oy) * (x - ox)
+            if t1 - t2 > EPS_GEOM * (abs(t1) + abs(t2)):
                 break
             cx.pop()
             cy.pop()
@@ -322,13 +325,17 @@ class LowerChainValue:
                     i += 1
                 else:
                     # Edge-angle order; both edges point right (x increases).
-                    c = difference_sign(
-                        (xa[i + 1] - xa[i]) * (yb[j + 1] - yb[j]),
-                        (ya[i + 1] - ya[i]) * (xb[j + 1] - xb[j]),
-                    )
-                    if c >= 0:
+                    # difference_sign(t1, t2) inline; NaN reads as -1.
+                    t1 = (xa[i + 1] - xa[i]) * (yb[j + 1] - yb[j])
+                    t2 = (ya[i + 1] - ya[i]) * (xb[j + 1] - xb[j])
+                    d = t1 - t2
+                    band = EPS_GEOM * (abs(t1) + abs(t2))
+                    if d > band:
                         i += 1
-                    if c <= 0:
+                    elif abs(d) <= band:
+                        i += 1
+                        j += 1
+                    else:
                         j += 1
                 xs.append(xa[i] + xb[j])
                 ys.append(ya[i] + yb[j])

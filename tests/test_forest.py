@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from hullmert.forest import (
     reconstruct,
 )
 from hullmert.geometry import full_hull, lower_chain
+from hullmert.linesearch import decode_loss, line_search, optimize, sweep
+from hullmert.metrics import get_metric
 from hullmert.oracle import Tropical, dual_points
-from hullmert.sampling import random_derivation, random_forest, random_lattice
-from hullmert.semiring import ConvexHullValue, LeafProvenance
+from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
+from hullmert.semiring import ConvexHullValue, LeafProvenance, LowerChainValue
 
 
 def binary_forest() -> Hypergraph:
@@ -456,32 +460,81 @@ class TestEnvelopePoints:
         chain, derivations = envelope_points(g, w0, v)
         assert chain.as_tuples() == ((1e20, -1.0),) and derivations[0].tokens == ("q",)
 
-    def test_each_reached_subderivation_is_built_once(self, monkeypatch) -> None:
+    def test_search_path_builds_no_tree(self, rng, monkeypatch) -> None:
+        # Yields come straight from the back-pointers; a tree is built only
+        # when a caller reads Derivation.tree (or features).
+        sentences = random_corpus(rng, n_sentences=3, integer_features=True)
+        graph = random_forest(rng, n_nodes=30, max_edges_per_node=3, integer_features=True)
+        sentences.append((graph, random_derivation(rng, graph).tokens))
+        w0, v = random_vectors(rng, 3, integer=True)
+
+        def forbidden(*_):
+            raise AssertionError("derivation tree built on the search path")
+
+        monkeypatch.setattr(forest, "_build_tree", forbidden)
+        metric = get_metric("bleu")
+        result = line_search(sentences, w0, v, metric)
+        sweep(sentences, w0, v, metric, -2.0, 2.0, 9)
+        assert decode_loss(sentences, result.weights, metric) == result.loss
+        optimize(sentences, w0, metric, iterations=1)
+
+    def test_yield_walker_expands_each_reached_item_once_per_pass(self, monkeypatch) -> None:
         # Seeded so that the goal chain reaches deep into the forest.
         rng = np.random.default_rng(0)
         graph = random_forest(rng, n_nodes=120, max_edges_per_node=4, integer_features=True)
         w0, v = random_vectors(rng, 3, integer=True)
-        calls = []
-        build_tree = forest._build_tree
+        calls: list[tuple[int, int]] = []
+        yields = forest._yields
 
-        def counting_build_tree(root, expand, *rest):
-            return build_tree(root, lambda item: calls.append(item) or expand(item), *rest)
+        class CountingBacks(list):
+            """One node's back-pointer list; reading entry j expands (node, j)."""
 
-        monkeypatch.setattr(forest, "_build_tree", counting_build_tree)
+            def __init__(self, node, back):
+                super().__init__(back)
+                self.node = node
+
+            def __getitem__(self, j):
+                calls.append((self.node, j))
+                return list.__getitem__(self, j)
+
+        def counting_yields(edges, backs, roots):
+            return yields(edges, [CountingBacks(n, b) for n, b in enumerate(backs)], roots)
+
+        monkeypatch.setattr(forest, "_yields", counting_yields)
         _, derivations = envelope_points(graph, w0, v)
-        # One expansion per reached (node, point index): equal trees are the
-        # same point, and distinct chain points of a node differ in x.
-        objects: dict[tuple, set[int]] = {}
-        for d in derivations:
-            for t in subtrees(d.tree):
-                objects.setdefault(t, set()).add(id(t))
+        assert len(derivations) > 1
+        # Roots are never reached from below, so the second expansion of
+        # the first root starts the pass that writes tokens.
+        root = (graph.goal, 0)
+        second = calls.index(root, calls.index(root) + 1)
+        marking, writing = calls[:second], calls[second:]
+        # Each reached (node, point index) once per pass: distinct items are
+        # distinct subtrees, since distinct chain points of a node differ in x.
+        reached = {t for d in derivations for t in subtrees(d.tree)}
         visits = sum(len(d.edge_ids()) for d in derivations)
-        assert len(calls) == len(objects) < visits / 2
-        # Goal derivations that share a subtree hold one tuple object.
-        assert all(len(ids) == 1 for ids in objects.values())
-        # Yields, which copy each shared subtree's yield from its first
-        # walk, match the yields of the same trees realized afresh.
+        assert len(marking) == len(set(marking)) == len(reached) < visits / 2
+        assert sorted(writing) == sorted(marking)
+        # Yields match the lazily built trees, realized afresh, and those
+        # trees match the reconstruct-over-inside_hull reference.
         assert all(d.tokens == realize(graph, d.tree).tokens for d in derivations)
+        assert_matches_hull_reference(graph, w0, v)
+
+    def test_derivations_hold_no_chain_values(self, rng) -> None:
+        # A derivation keeps its root and the per-node back-pointer lists;
+        # the lower-chain values, with their coordinate lists, are freed.
+        def chain_values() -> int:
+            gc.collect()
+            return sum(isinstance(o, LowerChainValue) for o in gc.get_objects())
+
+        graph = random_forest(rng, n_nodes=20, max_edges_per_node=3)
+        w0, v = random_vectors(rng, 3, integer=False)
+        before = chain_values()
+        _, derivations = envelope_points(graph, w0, v)
+        assert chain_values() == before
+        for i, d in enumerate(derivations):
+            assert vars(d).keys() == {"tokens", "_graph", "_root", "_backs"}
+            assert d._root == (graph.goal, i)
+            assert all(b.__class__ is list for b in d._backs)
 
     def test_feature_bytes_are_pinned(self) -> None:
         # Features are summed over edge_ids() preorder; summing the same

@@ -1,15 +1,26 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullmert.errors import InvalidGeometryError
-from hullmert.geometry import ConvexChain, Point2, full_hull, lower_hull
+from hullmert.geometry import (
+    EPS_GEOM,
+    ConvexChain,
+    Point2,
+    difference_sign,
+    full_hull,
+    lower_hull,
+    minkowski_indexed,
+)
 from hullmert.oracle import Tropical, check_axioms, convexify_equivalence
 from hullmert.semiring import (
     ConvexHullValue,
     LeafProvenance,
     LowerChainValue,
     ProductProvenance,
+    _strict_lower,
 )
 
 int_pairs = st.tuples(
@@ -263,6 +274,65 @@ class TestLowerChainValue:
         tail = LowerChainValue([0.0, 1.0], [0.0, -1.0], [(1,), (2,)])
         got = edge * tail
         assert (got.xs, got.ys, got.back) == ([1e20], [-1.0], [(0, 1)])
+
+
+# t1 - t2 equals EPS_GEOM * (|t1| + |t2|) exactly: a difference on the edge
+# of difference_sign's zero band.  Both are exact in every operation below.
+EDGE_T1 = float.fromhex("0x1.ff973cb83d43fp-2")
+EDGE_T2 = float.fromhex("0x1.ff973ca712bbfp-2")
+
+
+def band_edge_cases():
+    """(t1, t2, difference_sign(t1, t2)) on the band edge, one ulp inside
+    it and one ulp outside it, on the positive and the negative side."""
+    up, down = math.nextafter(EDGE_T1, 1.0), math.nextafter(EDGE_T1, 0.0)
+    return [
+        (EDGE_T1, EDGE_T2, 0), (up, EDGE_T2, 1), (down, EDGE_T2, 0),
+        (EDGE_T2, EDGE_T1, 0), (EDGE_T2, up, -1), (EDGE_T2, down, 0),
+    ]
+
+
+class TestInlineSignTest:
+    """The hot loops inline difference_sign; the reference calls it."""
+
+    def test_cases_sit_on_the_band_edge(self) -> None:
+        assert EDGE_T1 - EDGE_T2 == EPS_GEOM * (abs(EDGE_T1) + abs(EDGE_T2))
+        for t1, t2, sign in band_edge_cases():
+            assert difference_sign(t1, t2) == sign
+
+    @pytest.mark.parametrize("t1, t2, sign", band_edge_cases())
+    def test_strict_lower_matches_lower_hull(self, t1, t2, sign) -> None:
+        # Vertex (1, t2 / 2) between (0, 0) and (2, t1): its turn is
+        # difference_sign((1 - 0) * (t1 - 0), (t2 / 2 - 0) * (2 - 0)).
+        points = [Point2(0.0, 0.0), Point2(1.0, t2 / 2), Point2(2.0, t1)]
+        got = _strict_lower([p.x for p in points], [p.y for p in points], [0, 1, 2])
+        want = lower_hull(points).points
+        assert chain_points(got) == want
+        assert got.back == [points.index(p) for p in want]
+        assert len(want) == (3 if sign > 0 else 2)
+
+    @pytest.mark.parametrize("t1, t2, sign", band_edge_cases())
+    def test_product_matches_minkowski_indexed(self, t1, t2, sign) -> None:
+        # Edge angles (1, t2) and (1, t1): the merge compares 1 * t1 with t2 * 1.
+        a = LowerChainValue([0.0, 1.0], [0.0, t2], [(0, 0), (0, 1)])
+        b = LowerChainValue([0.0, 1.0], [0.0, t1], [None, None])
+        got = a * b
+        pts, pairs = minkowski_indexed(a.chain(), b.chain())
+        # The closed merge ends its open part at the two last vertices.
+        end = pairs.index((1, 1)) + 1
+        assert chain_points(got) == pts[:end]
+        assert got.back == [a.back[i] + (j,) for i, j in pairs[:end]]
+        assert pairs[1] == {1: (1, 0), 0: (1, 1), -1: (0, 1)}[sign]
+
+    def test_overflowing_edge_angle_advances_the_right_chain(self) -> None:
+        # The left edge's x step overflows to inf, and inf * 0 = NaN: a NaN
+        # sign reads as -1, so the merge steps the right chain only.
+        a = LowerChainValue([-1e308, 1e308], [0.0, 5.0], [(0, 0), (0, 1)])
+        b = LowerChainValue([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [None] * 3)
+        got = a * b
+        assert got.xs == [-1e308, 1e308]
+        assert got.ys == [0.0, 6.0]
+        assert got.back == [(0, 0, 0), (0, 1, 2)]
 
 
 class TestConvexifyEquivalence:
