@@ -5,8 +5,10 @@ which emits plot-ready tab-separated (eta, loss) rows.  Exit codes: 0
 success, 1 usage problems (including out-of-range or non-finite flag
 values), 2 data problems, 3 internal invariant violations (including a
 failed ``verify``).  Output bytes depend only on the inputs, never on
-timing or thread count.  No flag moves a reported eta within its interval
-(``linesearch.pick_eta`` places it), and ``verify`` takes no search flags.
+timing or on the thread count that ``linesearch --threads`` sets; ``sweep``
+and ``optimize`` run serially and take no ``--threads``.  No flag moves a
+reported eta within its interval (``linesearch.pick_eta`` places it), and
+``verify`` takes no search flags.
 The library checks flag values and sentences; the search commands and
 ``verify`` name a sentence with a data error as ``sentence <i> (id '<id>')``.
 ``validate`` reports a cyclic sentence, or one whose goal derives nothing,
@@ -46,7 +48,6 @@ def _add_common(p: argparse.ArgumentParser, direction: bool) -> None:
     p.add_argument("--metric", choices=["exact", "bleu"], default="exact")
     p.add_argument("--merge-eps", type=float, default=DEFAULT_MERGE_EPS,
                    help="coalesce surface boundaries closer than this; >= 0, inf allowed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads; >= 1")
 
 
 def build_parser() -> _Parser:
@@ -60,6 +61,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("linesearch", help="exact error minimization along a direction")
     _add_common(p, direction=True)
+    p.add_argument("--threads", type=int, default=1, help="worker threads; >= 1")
 
     p = sub.add_parser("sweep", help="corpus loss on an eta grid, as TSV rows")
     _add_common(p, direction=True)
@@ -207,7 +209,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     lo, hi = _parse_grid(args.range)
     result = _search(
         corpus, sweep, w0, v, metric, lo, hi, args.steps,
-        merge_eps=args.merge_eps, threads=args.threads,
+        merge_eps=args.merge_eps,
     )
     rows = [
         f"{format(eta, '.17g')}\t{format(loss, '.17g')}"
@@ -222,7 +224,7 @@ def cmd_optimize(args) -> tuple[str, int]:
     w0, _ = _vectors(corpus, args, direction=False)
     result = _search(
         corpus, optimize, w0, metric, iterations=args.iterations,
-        merge_eps=args.merge_eps, threads=args.threads,
+        merge_eps=args.merge_eps,
     )
     names = corpus.features.names
     trace = [

@@ -21,17 +21,18 @@ from .metrics import get_metric
 
 Pairs = Sequence[tuple[Hypergraph, Sequence[str]]]
 
-_PARAM_NAMES = ("metric", "iterations", "merge_eps", "threads", "initial_weights")
+_PARAM_NAMES = ("metric", "iterations", "merge_eps", "initial_weights")
 
 
 class MertEstimator:
     """Minimum-error trainer for weighted forests with a familiar API.
 
     Parameters mirror the search knobs: ``metric`` ("exact" or "bleu"),
-    ``iterations`` (outer sweeps over coordinate axes), ``merge_eps``,
-    ``threads``, and ``initial_weights`` (a {feature: value} mapping, a
-    dense vector, or None for zeros).  Where an accepted step lands inside
-    its interval is fixed by ``linesearch.pick_eta``, not a parameter.
+    ``iterations`` (outer sweeps over coordinate axes), ``merge_eps``, and
+    ``initial_weights`` (a {feature: value} mapping, a dense vector, or
+    None for zeros).  Where an accepted step lands inside its interval is
+    fixed by ``linesearch.pick_eta``, not a parameter, and ``fit`` builds
+    envelopes serially, as ``optimize`` does.
     """
 
     def __init__(
@@ -39,13 +40,11 @@ class MertEstimator:
         metric: str = "exact",
         iterations: int = 1,
         merge_eps: float = DEFAULT_MERGE_EPS,
-        threads: int = 1,
         initial_weights: Mapping[str, float] | Sequence[float] | None = None,
     ):
         self.metric = metric
         self.iterations = iterations
         self.merge_eps = merge_eps
-        self.threads = threads
         self.initial_weights = initial_weights
 
     def get_params(self, deep: bool = True) -> dict:
@@ -91,7 +90,6 @@ class MertEstimator:
             metric,
             iterations=self.iterations,
             merge_eps=self.merge_eps,
-            threads=self.threads,
         )
         self.weights_ = result.weights
         self.loss_ = result.loss

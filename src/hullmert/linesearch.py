@@ -213,7 +213,10 @@ def build_envelopes(
     """Per-sentence envelopes, in input order regardless of thread count.
 
     Sentences are independent, so they may be handed to a thread pool; the
-    result list follows the input order either way.
+    result list follows the input order either way.  The inside pass holds
+    the GIL, so the pool does not pay: ``corpus_surface``, ``sweep`` and
+    ``optimize`` always build serially, and only this function and
+    ``line_search`` take ``threads``.
     """
     _check_settings(threads=threads)
     w0 = np.asarray(w0, dtype=float)
@@ -291,13 +294,17 @@ def corpus_surface(
     v: np.ndarray,
     metric: Metric,
     merge_eps: float = DEFAULT_MERGE_EPS,
-    threads: int = 1,
 ) -> CorpusSurface:
     """Per-sentence envelopes and surfaces, merged into one corpus surface."""
     _check_settings(merge_eps)
+    return _corpus_surface(sentences, w0, v, metric, merge_eps, 1, _stats_memo(sentences))[1]
+
+
+def _corpus_surface(sentences, w0, v, metric: Metric, merge_eps: float, threads: int, memo):
+    """The per-sentence envelopes, and their surfaces merged into one."""
     envelopes = build_envelopes(sentences, w0, v, threads)
-    surfaces = _surfaces(envelopes, [ref for _, ref in sentences], metric, _stats_memo(sentences))
-    return CorpusSurface(metric, surfaces, merge_eps)
+    surfaces = _surfaces(envelopes, [ref for _, ref in sentences], metric, memo)
+    return envelopes, CorpusSurface(metric, surfaces, merge_eps)
 
 
 @dataclass(frozen=True)
@@ -359,9 +366,7 @@ def _line_search(
 ) -> LineSearchResult:
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
-    envelopes = build_envelopes(sentences, w0, v, threads)
-    surfaces = _surfaces(envelopes, [ref for _, ref in sentences], metric, memo)
-    surface = CorpusSurface(metric, surfaces, merge_eps)
+    envelopes, surface = _corpus_surface(sentences, w0, v, metric, merge_eps, threads, memo)
     losses = surface.interval_losses()
     chosen, eta = pick_eta(surface)
     return LineSearchResult(
@@ -432,7 +437,6 @@ def optimize(
     iterations: int = 1,
     directions: Sequence[np.ndarray] | None = None,
     merge_eps: float = DEFAULT_MERGE_EPS,
-    threads: int = 1,
 ) -> OptimizeResult:
     """Repeated exact line searches along a fixed direction list.
 
@@ -440,7 +444,7 @@ def optimize(
     it strictly lowers the corpus loss, so the loss trace is monotone; an
     iteration with no accepted step stops the search early.
     """
-    _check_settings(merge_eps, threads)
+    _check_settings(merge_eps)
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     w = np.asarray(w0, dtype=float).copy()
@@ -459,7 +463,7 @@ def optimize(
         ran = it + 1
         improved = False
         for axis, v in enumerate(dirs):
-            result = _line_search(sentences, w, v, metric, merge_eps, threads, memo)
+            result = _line_search(sentences, w, v, metric, merge_eps, 1, memo)
             if result.loss < loss:
                 w = result.weights
                 loss = result.loss
@@ -496,7 +500,6 @@ def sweep(
     hi: float,
     steps: int,
     merge_eps: float = DEFAULT_MERGE_EPS,
-    threads: int = 1,
 ) -> SweepResult:
     """Corpus loss on a uniform grid of ``steps`` points over [lo, hi].
 
@@ -510,7 +513,7 @@ def sweep(
         raise ConfigError(f"range must not be empty, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"range must have a finite width, got [{lo}, {hi}]")
-    surface = corpus_surface(sentences, w0, v, metric, merge_eps, threads)
+    surface = corpus_surface(sentences, w0, v, metric, merge_eps)
     if steps == 1:
         etas: tuple[float, ...] = (float(lo),)
     else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -94,17 +93,6 @@ def _ngram_counts(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-@lru_cache(maxsize=1024)
-def _reference_counts(ref: tuple[str, ...], max_n: int) -> tuple[Counter, ...]:
-    """N-gram counts of a reference for orders 1..max_n.
-
-    A line search scores every envelope hypothesis of a sentence against
-    the same reference, so the counts are built once per reference.  The
-    Counters are shared: callers only read them.
-    """
-    return tuple(_ngram_counts(ref, n) for n in range(1, max_n + 1))
-
-
 def _extend(at: np.ndarray, gram: np.ndarray, tok: np.ndarray, n: int, size: int):
     """Start positions and keys of the order-n n-grams that extend the
     order-(n-1) n-grams starting at ``at`` (with indices ``gram``) by a
@@ -152,7 +140,8 @@ class Bleu(Metric):
 
     def stats(self, hyp: Tokens, ref: Tokens) -> np.ndarray:
         out = np.zeros(self.n_stats)
-        for n, ref_counts in enumerate(_reference_counts(tuple(ref), self.max_n), 1):
+        for n in range(1, self.max_n + 1):
+            ref_counts = _ngram_counts(ref, n)
             matched = 0
             for gram, count in _ngram_counts(hyp, n).items():
                 matched += min(count, ref_counts[gram])

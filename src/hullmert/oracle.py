@@ -296,7 +296,8 @@ class DualityReport:
     value and the max-plus inside score at the probe etas (one interior
     point per envelope segment).  ``max_point_err`` is the worst relative
     residual between a chain point and the dual projection of its
-    reconstructed derivation's features.
+    reconstructed derivation's features.  ``ok`` holds when both are at
+    most ``DEFAULT_REL_TOL``.
     """
 
     ok: bool
@@ -319,7 +320,6 @@ def duality_report(
     graph: Hypergraph,
     w0: np.ndarray,
     v: np.ndarray,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> DualityReport:
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -335,5 +335,5 @@ def duality_report(
         max_point_err = max(
             max_point_err, _rel_err(point.x, px), _rel_err(point.y, py)
         )
-    ok = max_score_err <= rel_tol and max_point_err <= rel_tol
+    ok = max_score_err <= DEFAULT_REL_TOL and max_point_err <= DEFAULT_REL_TOL
     return DualityReport(ok, len(env.chain), env.boundaries, max_score_err, max_point_err)

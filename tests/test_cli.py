@@ -280,6 +280,21 @@ class TestSweep:
         assert err.startswith("usage error: range "), err
         assert "finite width" in err
 
+    def test_golden_report_is_byte_identical(self) -> None:
+        # The golden file is never regenerated: a byte of drift is a bug.
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "hullmert", "sweep",
+                str(FIXTURES / "corpus.jsonl"),
+                "--weights", str(FIXTURES / "weights.json"),
+                "--direction", str(FIXTURES / "direction.json"),
+                "--metric", "bleu", "--range=-2:2", "--steps", "41",
+            ],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (FIXTURES / "golden_sweep.tsv").read_bytes()
+
 
 class TestOptimize:
     def test_zero_iterations_echo_weights(self, files, capsys) -> None:
@@ -368,8 +383,8 @@ class TestVerify:
 # Search flags per command, with values outside each flag's range.
 SEARCH_FLAGS = {
     "linesearch": ("--merge-eps", "--threads"),
-    "sweep": ("--merge-eps", "--threads"),
-    "optimize": ("--merge-eps", "--iterations", "--threads"),
+    "sweep": ("--merge-eps",),
+    "optimize": ("--merge-eps", "--iterations"),
 }
 OUT_OF_RANGE = {
     "--merge-eps": ("-1e-9", "nan"),
@@ -438,13 +453,16 @@ class TestArgumentHandling:
             ("verify", "--metric", "bleu"),
             ("verify", "--merge-eps", "-1"),
             ("verify", "--threads", "0"),
+            ("sweep", "--threads", "1"),
+            ("optimize", "--threads", "1"),
         ],
     )
     def test_flag_the_command_does_not_take_is_a_usage_error(
         self, files, capsys, command, flag, value
     ) -> None:
-        # An eta's place in its interval is not a setting, and verify runs
-        # no corpus search, so it takes no search flags.
+        # An eta's place in its interval is not a setting, verify runs no
+        # corpus search, so it takes no search flags, and sweep and
+        # optimize build envelopes serially, so they take no thread count.
         assert cli.run(search_argv(files, command, flag, value)) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -37,6 +37,11 @@ class TestParams:
         with pytest.raises(ValueError, match="unknown parameter"):
             MertEstimator().set_params(learning_rate=0.1)
 
+    def test_threads_is_not_a_parameter(self) -> None:
+        assert "threads" not in MertEstimator().get_params()
+        with pytest.raises(ValueError, match="unknown parameter 'threads'"):
+            MertEstimator().set_params(threads=1)
+
     def test_sklearn_clone_compatibility(self) -> None:
         sklearn = pytest.importorskip("sklearn.base")
         est = MertEstimator(metric="bleu", iterations=2)

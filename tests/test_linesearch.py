@@ -567,15 +567,15 @@ ENTRY_POINTS = {
     ),
     "corpus_surface": (
         corpus_surface,
-        ("merge_eps", "threads"),
+        ("merge_eps",),
     ),
     "sweep": (
         lambda c, w0, v, m, **kw: sweep(c, w0, v, m, -5.0, 5.0, 11, **kw),
-        ("merge_eps", "threads"),
+        ("merge_eps",),
     ),
     "optimize": (
         lambda c, w0, v, m, **kw: optimize(c, w0, m, **kw),
-        ("merge_eps", "iterations", "threads"),
+        ("merge_eps", "iterations"),
     ),
     "build_envelopes": (
         lambda c, w0, v, m, **kw: build_envelopes(c, w0, v, **kw),
@@ -583,7 +583,7 @@ ENTRY_POINTS = {
     ),
     "MertEstimator.fit": (
         lambda c, w0, v, m, **kw: MertEstimator(initial_weights=w0, **kw).fit(c),
-        ("merge_eps", "iterations", "threads"),
+        ("merge_eps", "iterations"),
     ),
     "CorpusSurface": (
         lambda c, w0, v, m, **kw: CorpusSurface(
@@ -634,6 +634,15 @@ class TestSettingsAreChecked:
     @pytest.mark.parametrize("entry, setting, value", settings_cases(LEGAL_EDGES))
     def test_legal_edge_value_runs(self, entry, setting, value) -> None:
         call_entry(entry, **{setting: value})
+
+    @pytest.mark.parametrize(
+        "entry", ["corpus_surface", "sweep", "optimize", "MertEstimator.fit"]
+    )
+    def test_serial_entry_point_takes_no_thread_count(self, entry) -> None:
+        # The inside pass holds the GIL, so a pool does not pay; only
+        # build_envelopes and line_search still take threads.
+        with pytest.raises(TypeError, match="threads"):
+            call_entry(entry, threads=1)
 
     @pytest.mark.parametrize(
         "call",
