@@ -453,7 +453,9 @@ class TestArgumentHandling:
             ("verify", "--metric", "bleu"),
             ("verify", "--merge-eps", "-1"),
             ("verify", "--threads", "0"),
+            ("sweep", "--threads", "0"),
             ("sweep", "--threads", "1"),
+            ("optimize", "--threads", "0"),
             ("optimize", "--threads", "1"),
         ],
     )

@@ -636,13 +636,25 @@ class TestSettingsAreChecked:
         call_entry(entry, **{setting: value})
 
     @pytest.mark.parametrize(
-        "entry", ["corpus_surface", "sweep", "optimize", "MertEstimator.fit"]
+        "entry, value",
+        [
+            pytest.param(entry, value, id=f"{entry}-threads={value}")
+            for entry in ("corpus_surface", "sweep", "optimize", "MertEstimator.fit")
+            for value in (0, 1)
+        ],
     )
-    def test_serial_entry_point_takes_no_thread_count(self, entry) -> None:
+    def test_serial_entry_point_takes_no_thread_count(
+        self, monkeypatch, entry, value
+    ) -> None:
         # The inside pass holds the GIL, so a pool does not pay; only
-        # build_envelopes and line_search still take threads.
+        # build_envelopes and line_search still take threads. Any count,
+        # in the old range or not, is refused before an envelope is built.
+        def forbidden(*_):
+            raise AssertionError("envelope built before the thread count was refused")
+
+        monkeypatch.setattr(linesearch_module, "envelope_points", forbidden)
         with pytest.raises(TypeError, match="threads"):
-            call_entry(entry, threads=1)
+            call_entry(entry, threads=value)
 
     @pytest.mark.parametrize(
         "call",
