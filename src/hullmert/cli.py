@@ -6,9 +6,11 @@ success, 1 usage problems (including out-of-range or non-finite flag
 values), 2 data problems, 3 internal invariant violations (including a
 failed ``verify``).  Output bytes depend only on the inputs, never on
 timing or on the thread count that ``linesearch --threads`` sets; ``sweep``
-and ``optimize`` run serially and take no ``--threads``.  No flag moves a
-reported eta within its interval (``linesearch.pick_eta`` places it), and
-``verify`` takes no search flags.
+and ``optimize`` run serially and take no ``--threads``.  Every search
+coalesces surface boundaries at ``linesearch.DEFAULT_MERGE_EPS``, and no
+flag sets another tolerance.  No flag moves a reported eta within its
+interval (``linesearch.pick_eta`` places it), and ``verify`` takes no
+search flags.
 The library checks flag values and sentences; the search commands and
 ``verify`` name a sentence with a data error as ``sentence <i> (id '<id>')``.
 ``validate`` reports a cyclic sentence, or one whose goal derives nothing,
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 from .errors import ConfigError, DataError, MertError, UsageError
 from .forest import DEFAULT_DERIVATION_CAP, count_derivations
 from .io import Corpus, canonical_json, load_corpus, load_vector_map
-from .linesearch import DEFAULT_MERGE_EPS, line_search, optimize, sweep
+from .linesearch import line_search, optimize, sweep
 from .metrics import get_metric
 from .oracle import duality_report
 
@@ -46,8 +48,6 @@ def _add_inputs(p: argparse.ArgumentParser, direction: bool) -> None:
 def _add_common(p: argparse.ArgumentParser, direction: bool) -> None:
     _add_inputs(p, direction)
     p.add_argument("--metric", choices=["exact", "bleu"], default="exact")
-    p.add_argument("--merge-eps", type=float, default=DEFAULT_MERGE_EPS,
-                   help="coalesce surface boundaries closer than this; >= 0, inf allowed")
 
 
 def build_parser() -> _Parser:
@@ -165,10 +165,7 @@ def cmd_linesearch(args) -> tuple[str, int]:
     corpus = _load_searchable(args.corpus)
     metric = get_metric(args.metric)
     w0, v = _vectors(corpus, args, direction=True)
-    result = _search(
-        corpus, line_search, w0, v, metric,
-        merge_eps=args.merge_eps, threads=args.threads,
-    )
+    result = _search(corpus, line_search, w0, v, metric, threads=args.threads)
     sentences = []
     for s, env in zip(corpus.sentences, result.envelopes):
         segments = [
@@ -207,10 +204,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     metric = get_metric(args.metric)
     w0, v = _vectors(corpus, args, direction=True)
     lo, hi = _parse_grid(args.range)
-    result = _search(
-        corpus, sweep, w0, v, metric, lo, hi, args.steps,
-        merge_eps=args.merge_eps,
-    )
+    result = _search(corpus, sweep, w0, v, metric, lo, hi, args.steps)
     rows = [
         f"{format(eta, '.17g')}\t{format(loss, '.17g')}"
         for eta, loss in zip(result.etas, result.losses)
@@ -222,10 +216,7 @@ def cmd_optimize(args) -> tuple[str, int]:
     corpus = _load_searchable(args.corpus)
     metric = get_metric(args.metric)
     w0, _ = _vectors(corpus, args, direction=False)
-    result = _search(
-        corpus, optimize, w0, metric, iterations=args.iterations,
-        merge_eps=args.merge_eps,
-    )
+    result = _search(corpus, optimize, w0, metric, iterations=args.iterations)
     names = corpus.features.names
     trace = [
         {

@@ -1,5 +1,20 @@
 """Exception and warning types shared across the package."""
 
+import os
+import sys
+import warnings
+
+_PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """``warnings.warn`` at the first frame outside this package, so the
+    warning names the caller's line whichever library path raised it."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
 
 class MertError(Exception):
     """Base class for all package errors."""

@@ -16,35 +16,33 @@ import numpy as np
 from .errors import ConfigError
 from .forest import Hypergraph
 from .io import Corpus, FeatureIndex
-from .linesearch import DEFAULT_MERGE_EPS, _decode, decode_loss, optimize
+from .linesearch import _decode, decode_loss, optimize
 from .metrics import get_metric
 
 Pairs = Sequence[tuple[Hypergraph, Sequence[str]]]
 
-_PARAM_NAMES = ("metric", "iterations", "merge_eps", "initial_weights")
+_PARAM_NAMES = ("metric", "iterations", "initial_weights")
 
 
 class MertEstimator:
     """Minimum-error trainer for weighted forests with a familiar API.
 
     Parameters mirror the search knobs: ``metric`` ("exact" or "bleu"),
-    ``iterations`` (outer sweeps over coordinate axes), ``merge_eps``, and
+    ``iterations`` (outer sweeps over coordinate axes), and
     ``initial_weights`` (a {feature: value} mapping, a dense vector, or
-    None for zeros).  Where an accepted step lands inside its interval is
-    fixed by ``linesearch.pick_eta``, not a parameter, and ``fit`` builds
-    envelopes serially, as ``optimize`` does.
+    None for zeros).  As in ``optimize``, boundaries coalesce at
+    ``linesearch.DEFAULT_MERGE_EPS``, ``linesearch.pick_eta`` fixes where an
+    accepted step lands inside its interval, and envelopes are built serially.
     """
 
     def __init__(
         self,
         metric: str = "exact",
         iterations: int = 1,
-        merge_eps: float = DEFAULT_MERGE_EPS,
         initial_weights: Mapping[str, float] | Sequence[float] | None = None,
     ):
         self.metric = metric
         self.iterations = iterations
-        self.merge_eps = merge_eps
         self.initial_weights = initial_weights
 
     def get_params(self, deep: bool = True) -> dict:
@@ -84,13 +82,7 @@ class MertEstimator:
         pairs, index, dim = self._materialize(X)
         metric = get_metric(self.metric)
         w0 = self._initial_vector(index, dim)
-        result = optimize(
-            pairs,
-            w0,
-            metric,
-            iterations=self.iterations,
-            merge_eps=self.merge_eps,
-        )
+        result = optimize(pairs, w0, metric, iterations=self.iterations)
         self.weights_ = result.weights
         self.loss_ = result.loss
         self.initial_loss_ = result.initial_loss

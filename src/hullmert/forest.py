@@ -323,21 +323,12 @@ def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[s
     """The yield of each root item ``(node, j)``, whose edge is
     ``backs[node][j][0]`` and whose tail t is ``(tail node, backs[node][j][t + 1])``.
 
-    The first pass marks every item reached more than once; the second
-    fills each edge's template and copies a marked item's yield whole from
-    its first walk.  Each pass expands each reached item once.
+    One walk per root fills each edge's template.  The span of an item's
+    first walk (token list, start, end) is recorded, and any later visit,
+    from this root or a later one, copies it, so each reached item is
+    expanded once.
     """
-    seen: set = set()
-    shared: dict = {}
-    stack = roots[:]
-    while stack:
-        item = stack.pop()
-        if item in seen:
-            shared[item] = None
-            continue
-        seen.add(item)
-        back = backs[item[0]][item[1]]
-        stack.extend(zip(edges[back[0]].tails, back[1:]))
+    spans: dict = {}
     for root in roots:
         toks: list[str] = []
         stack = [root]
@@ -347,15 +338,14 @@ def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[s
                 toks.append(item)
                 continue
             if item.__class__ is list:
-                # [item, start]: a marked item's first walk ends here.
-                shared[item[0]] = tuple(toks[item[1]:])
+                # [item, start]: the item's first walk ends here.
+                spans[item[0]] = (toks, item[1], len(toks))
                 continue
-            if item in shared:
-                done = shared[item]
-                if done is not None:
-                    toks.extend(done)
-                    continue
-                stack.append([item, len(toks)])
+            span = spans.get(item)
+            if span is not None:
+                toks.extend(span[0][span[1]:span[2]])
+                continue
+            stack.append([item, len(toks)])
             back = backs[item[0]][item[1]]
             edge = edges[back[0]]
             tails = edge.tails

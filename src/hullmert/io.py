@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +36,7 @@ from .errors import (
     ForestFormatError,
     MissingFeatureWarning,
     UnknownFeatureWarning,
+    _warn,
 )
 from .forest import Edge, Hypergraph
 from .metrics import tokenize
@@ -75,18 +75,13 @@ class FeatureIndex:
         vec = np.zeros(len(self.names))
         unknown = sorted(k for k in mapping if k not in self.ids)
         if unknown:
-            warnings.warn(
+            _warn(
                 f"{label}: ignoring feature names not in the corpus: {unknown}",
                 UnknownFeatureWarning,
-                stacklevel=2,
             )
         missing = sorted(n for n in self.names if n not in mapping)
         if missing:
-            warnings.warn(
-                f"{label}: features defaulting to 0.0: {missing}",
-                MissingFeatureWarning,
-                stacklevel=2,
-            )
+            _warn(f"{label}: features defaulting to 0.0: {missing}", MissingFeatureWarning)
         for k, v in mapping.items():
             i = self.ids.get(k)
             if i is not None:

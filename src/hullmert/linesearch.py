@@ -28,7 +28,6 @@ statistics from a user-defined ``Metric`` are summed in boundary order.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,24 +42,17 @@ from .errors import (
     DimensionMismatchError,
     InvalidGeometryError,
     NoHypothesesError,
+    _warn,
 )
 from .forest import Derivation, Hypergraph, envelope_points
 from .geometry import Point2, envelope_boundaries
 from .metrics import Metric
 
+# Every search coalesces surface boundaries this close (see ``CorpusSurface``).
 DEFAULT_MERGE_EPS = 1e-9
 # The step from the outermost boundary cluster to an unbounded interval's
 # eta; every eta in an interval has its loss, so this only fixes the report.
 _UNBOUNDED_STEP = 0.1
-
-
-def _check_settings(merge_eps: float = 0.0, threads: int = 1):
-    """Raise ``ConfigError`` unless ``merge_eps >= 0`` and ``threads >= 1``;
-    NaN fails every comparison, so it is rejected."""
-    if not merge_eps >= 0:
-        raise ConfigError(f"merge-eps must be >= 0, got {merge_eps}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
 
 
 @dataclass(frozen=True)
@@ -164,12 +156,18 @@ class CorpusSurface:
     is read on the correct side of all of its own boundaries.  Integer
     statistics sum exactly; float ones from a user-defined ``Metric`` are
     summed in boundary order.  Interval losses are computed once, here.
+
+    This is the one place ``merge_eps`` is set (``>= 0``, ``inf`` allowed;
+    ``ConfigError`` otherwise).  The search entry points pass
+    ``DEFAULT_MERGE_EPS``; a caller who needs another tolerance composes
+    ``build_envelopes``, ``sentence_surface``, this class and ``pick_eta``.
     """
 
     __slots__ = ("metric", "surfaces", "boundaries", "_cluster_max", "stats", "_losses")
 
     def __init__(self, metric: Metric, surfaces: Sequence[ErrorSurface], merge_eps: float):
-        _check_settings(merge_eps)
+        if not merge_eps >= 0:  # NaN fails too
+            raise ConfigError(f"merge-eps must be >= 0, got {merge_eps}")
         self.metric = metric
         self.surfaces = tuple(surfaces)
         steps = sorted(
@@ -218,7 +216,8 @@ def build_envelopes(
     ``optimize`` always build serially, and only this function and
     ``line_search`` take ``threads``.
     """
-    _check_settings(threads=threads)
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
     if w0.shape != v.shape:
@@ -226,10 +225,9 @@ def build_envelopes(
             f"weights have shape {w0.shape}, direction has shape {v.shape}"
         )
     if not np.any(v):
-        warnings.warn(
+        _warn(
             "direction is all zeros; every derivation's score is constant in eta",
             DegenerateDirectionWarning,
-            stacklevel=2,
         )
     graphs = [g for g, _ in sentences]
     if threads > 1:
@@ -293,18 +291,17 @@ def corpus_surface(
     w0: np.ndarray,
     v: np.ndarray,
     metric: Metric,
-    merge_eps: float = DEFAULT_MERGE_EPS,
 ) -> CorpusSurface:
-    """Per-sentence envelopes and surfaces, merged into one corpus surface."""
-    _check_settings(merge_eps)
-    return _corpus_surface(sentences, w0, v, metric, merge_eps, 1, _stats_memo(sentences))[1]
+    """Per-sentence envelopes and surfaces, merged into one corpus surface
+    at ``DEFAULT_MERGE_EPS``."""
+    return _corpus_surface(sentences, w0, v, metric, 1, _stats_memo(sentences))[1]
 
 
-def _corpus_surface(sentences, w0, v, metric: Metric, merge_eps: float, threads: int, memo):
+def _corpus_surface(sentences, w0, v, metric: Metric, threads: int, memo):
     """The per-sentence envelopes, and their surfaces merged into one."""
     envelopes = build_envelopes(sentences, w0, v, threads)
     surfaces = _surfaces(envelopes, [ref for _, ref in sentences], metric, memo)
-    return envelopes, CorpusSurface(metric, surfaces, merge_eps)
+    return envelopes, CorpusSurface(metric, surfaces, DEFAULT_MERGE_EPS)
 
 
 @dataclass(frozen=True)
@@ -353,20 +350,18 @@ def line_search(
     w0: np.ndarray,
     v: np.ndarray,
     metric: Metric,
-    merge_eps: float = DEFAULT_MERGE_EPS,
     threads: int = 1,
 ) -> LineSearchResult:
     """Exact minimum of the corpus loss along w0 + eta * v."""
-    _check_settings(merge_eps)
-    return _line_search(sentences, w0, v, metric, merge_eps, threads, _stats_memo(sentences))
+    return _line_search(sentences, w0, v, metric, threads, _stats_memo(sentences))
 
 
 def _line_search(
-    sentences, w0, v, metric: Metric, merge_eps: float, threads: int, memo: _StatsMemo
+    sentences, w0, v, metric: Metric, threads: int, memo: _StatsMemo
 ) -> LineSearchResult:
     w0 = np.asarray(w0, dtype=float)
     v = np.asarray(v, dtype=float)
-    envelopes, surface = _corpus_surface(sentences, w0, v, metric, merge_eps, threads, memo)
+    envelopes, surface = _corpus_surface(sentences, w0, v, metric, threads, memo)
     losses = surface.interval_losses()
     chosen, eta = pick_eta(surface)
     return LineSearchResult(
@@ -436,7 +431,6 @@ def optimize(
     metric: Metric,
     iterations: int = 1,
     directions: Sequence[np.ndarray] | None = None,
-    merge_eps: float = DEFAULT_MERGE_EPS,
 ) -> OptimizeResult:
     """Repeated exact line searches along a fixed direction list.
 
@@ -444,7 +438,6 @@ def optimize(
     it strictly lowers the corpus loss, so the loss trace is monotone; an
     iteration with no accepted step stops the search early.
     """
-    _check_settings(merge_eps)
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     w = np.asarray(w0, dtype=float).copy()
@@ -463,7 +456,7 @@ def optimize(
         ran = it + 1
         improved = False
         for axis, v in enumerate(dirs):
-            result = _line_search(sentences, w, v, metric, merge_eps, 1, memo)
+            result = _line_search(sentences, w, v, metric, 1, memo)
             if result.loss < loss:
                 w = result.weights
                 loss = result.loss
@@ -499,7 +492,6 @@ def sweep(
     lo: float,
     hi: float,
     steps: int,
-    merge_eps: float = DEFAULT_MERGE_EPS,
 ) -> SweepResult:
     """Corpus loss on a uniform grid of ``steps`` points over [lo, hi].
 
@@ -513,7 +505,7 @@ def sweep(
         raise ConfigError(f"range must not be empty, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"range must have a finite width, got [{lo}, {hi}]")
-    surface = corpus_surface(sentences, w0, v, metric, merge_eps)
+    surface = corpus_surface(sentences, w0, v, metric)
     if steps == 1:
         etas: tuple[float, ...] = (float(lo),)
     else:

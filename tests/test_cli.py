@@ -382,17 +382,14 @@ class TestVerify:
 
 # Search flags per command, with values outside each flag's range.
 SEARCH_FLAGS = {
-    "linesearch": ("--merge-eps", "--threads"),
-    "sweep": ("--merge-eps",),
-    "optimize": ("--merge-eps", "--iterations"),
+    "linesearch": ("--threads",),
+    "optimize": ("--iterations",),
 }
 OUT_OF_RANGE = {
-    "--merge-eps": ("-1e-9", "nan"),
     "--iterations": ("-1",),
     "--threads": ("0",),
 }
 LEGAL_EDGES = {
-    "--merge-eps": ("0", "inf"),
     "--iterations": ("0",),
     "--threads": ("1",),
 }
@@ -457,14 +454,20 @@ class TestArgumentHandling:
             ("sweep", "--threads", "1"),
             ("optimize", "--threads", "0"),
             ("optimize", "--threads", "1"),
+        ]
+        + [
+            (command, "--merge-eps", value)
+            for command in ("linesearch", "sweep", "optimize")
+            for value in ("-1e-9", "nan", "0", "inf", "1e-9")
         ],
     )
     def test_flag_the_command_does_not_take_is_a_usage_error(
         self, files, capsys, command, flag, value
     ) -> None:
         # An eta's place in its interval is not a setting, verify runs no
-        # corpus search, so it takes no search flags, and sweep and
-        # optimize build envelopes serially, so they take no thread count.
+        # corpus search, so it takes no search flags, sweep and optimize
+        # build envelopes serially, so they take no thread count, and every
+        # search coalesces boundaries at one tolerance, so none takes one.
         assert cli.run(search_argv(files, command, flag, value)) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -42,6 +42,15 @@ class TestParams:
         with pytest.raises(ValueError, match="unknown parameter 'threads'"):
             MertEstimator().set_params(threads=1)
 
+    def test_merge_eps_is_not_a_parameter(self) -> None:
+        assert "merge_eps" not in MertEstimator().get_params()
+        with pytest.raises(ValueError, match="unknown parameter 'merge_eps'"):
+            MertEstimator().set_params(merge_eps=1e-9)
+        est = MertEstimator("bleu", 2, {"tm": 1.0})
+        assert est.get_params() == {
+            "metric": "bleu", "iterations": 2, "initial_weights": {"tm": 1.0}
+        }
+
     def test_sklearn_clone_compatibility(self) -> None:
         sklearn = pytest.importorskip("sklearn.base")
         est = MertEstimator(metric="bleu", iterations=2)

@@ -16,6 +16,7 @@ from hullmert.errors import (
     DegenerateDirectionWarning,
     DimensionMismatchError,
     InvalidGeometryError,
+    MissingFeatureWarning,
     NoHypothesesError,
 )
 from hullmert.forest import Derivation, Edge, Hypergraph, realize
@@ -24,6 +25,7 @@ from hullmert.linesearch import (
     DEFAULT_MERGE_EPS,
     CorpusSurface,
     ErrorSurface,
+    LineSearchResult,
     OptimizeStep,
     build_envelope,
     build_envelopes,
@@ -57,6 +59,22 @@ def surface_with(metric, boundaries, stats_values) -> CorpusSurface:
     """Corpus surface whose interval statistics are the given scalars."""
     s = ErrorSurface(tuple(boundaries), tuple(np.array([v]) for v in stats_values))
     return CorpusSurface(metric, [s], merge_eps=1e-9)
+
+
+def composed_line_search(sentences, w0, v, metric, merge_eps) -> LineSearchResult:
+    """``line_search`` rebuilt from its public parts, so that boundaries can
+    coalesce at any tolerance: ``build_envelopes`` -> ``sentence_surface``
+    -> ``CorpusSurface`` -> ``pick_eta``."""
+    w0, v = np.asarray(w0, dtype=float), np.asarray(v, dtype=float)
+    envelopes = build_envelopes(sentences, w0, v)
+    surfaces = [sentence_surface(env, ref, metric) for env, (_, ref) in zip(envelopes, sentences)]
+    surface = CorpusSurface(metric, surfaces, merge_eps)
+    chosen, eta = pick_eta(surface)
+    losses = surface.interval_losses()
+    return LineSearchResult(
+        surface.boundaries, losses, chosen, eta, losses[chosen], w0 + eta * v,
+        tuple(envelopes), surface,
+    )
 
 
 def two_hypothesis_sentence(good: str, bad: str) -> tuple[Hypergraph, tuple[str, ...]]:
@@ -236,9 +254,9 @@ class TestCorpusSurface:
         metric = get_metric(metric_name)
         corpus = random_corpus(rng, n_sentences=59, n_nodes=6)
         corpus.append(corpus[0])
-        surface = corpus_surface(
+        surface = composed_line_search(
             corpus, rng.normal(size=3), rng.normal(size=3), metric, merge_eps
-        )
+        ).surface
         spans: list[list[float]] = []
         for b in sorted(b for s in surface.surfaces for b in s.boundaries):
             if spans and b - spans[-1][1] <= merge_eps:
@@ -306,7 +324,7 @@ class TestPickEta:
         corpus = [crossing_sentence(c) for c in crossings]
         w0, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
         metric = ExactMatch()
-        result = line_search(corpus, w0, v, metric, merge_eps=merge_eps)
+        result = composed_line_search(corpus, w0, v, metric, merge_eps)
         assert result.boundaries == (crossings[0],)
         assert result.best_interval == 1 and result.loss == 0.0
         assert result.eta > crossings[-1]
@@ -452,6 +470,50 @@ class TestLineSearch:
         assert len(result.envelopes) == len(corpus)
         assert result.surface.boundaries == result.boundaries
 
+    @pytest.mark.parametrize("metric_name", ["exact", "bleu"])
+    def test_composition_at_the_default_tolerance_is_the_line_search(
+        self, rng, metric_name
+    ) -> None:
+        # The first sentence comes twice, so equal boundaries coalesce.
+        metric = get_metric(metric_name)
+        corpus = random_corpus(rng, n_sentences=20, n_nodes=6)
+        corpus.append(corpus[0])
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        composed = composed_line_search(corpus, w0, v, metric, DEFAULT_MERGE_EPS)
+        result = line_search(corpus, w0, v, metric)
+        assert len(result.boundaries) < sum(len(e.boundaries) for e in result.envelopes)
+        assert composed.boundaries == result.boundaries
+        assert composed.interval_losses == result.interval_losses
+        assert composed.best_interval == result.best_interval
+        assert composed.eta == result.eta and composed.loss == result.loss
+
+
+ZERO_DIRECTION_CALLS = {
+    "build_envelopes": build_envelopes,
+    "line_search": lambda c, w0, v: line_search(c, w0, v, ExactMatch()),
+    "corpus_surface": lambda c, w0, v: corpus_surface(c, w0, v, ExactMatch()),
+    "sweep": lambda c, w0, v: sweep(c, w0, v, ExactMatch(), -1.0, 1.0, 3),
+    "optimize": lambda c, w0, v: optimize(c, w0, ExactMatch(), directions=[v]),
+}
+
+
+class TestWarningsNameTheCaller:
+    """A package warning is reported at the caller's line, not at the
+    library frame that raised it, however deep that frame is."""
+
+    @pytest.mark.parametrize("entry", ZERO_DIRECTION_CALLS)
+    def test_zero_direction(self, two_line_graph, entry) -> None:
+        corpus = [(two_line_graph, ("steep",))]
+        with pytest.warns(DegenerateDirectionWarning) as record:
+            ZERO_DIRECTION_CALLS[entry](corpus, np.array([2.0]), np.array([0.0]))
+        assert record[0].filename == __file__
+
+    def test_missing_initial_weight(self) -> None:
+        corpus = load_corpus(FIXTURES / "corpus.jsonl")
+        with pytest.warns(MissingFeatureWarning) as record:
+            MertEstimator(initial_weights={}).fit(corpus)
+        assert record[0].filename == __file__
+
 
 class TestDecodeLoss:
     def test_agrees_with_tropical_decode(self, rng) -> None:
@@ -558,24 +620,24 @@ class TestSweep:
             assert got == pytest.approx(expected, abs=1e-12)
 
 
-# Each entry point that takes a search setting, as a call on a corpus,
-# w0, a direction and a metric, with the settings it takes.
+# Each search entry point, as a call on a corpus, w0, a direction and a
+# metric, with the settings it takes.
 ENTRY_POINTS = {
     "line_search": (
         line_search,
-        ("merge_eps", "threads"),
+        ("threads",),
     ),
     "corpus_surface": (
         corpus_surface,
-        ("merge_eps",),
+        (),
     ),
     "sweep": (
         lambda c, w0, v, m, **kw: sweep(c, w0, v, m, -5.0, 5.0, 11, **kw),
-        ("merge_eps",),
+        (),
     ),
     "optimize": (
         lambda c, w0, v, m, **kw: optimize(c, w0, m, **kw),
-        ("merge_eps", "iterations"),
+        ("iterations",),
     ),
     "build_envelopes": (
         lambda c, w0, v, m, **kw: build_envelopes(c, w0, v, **kw),
@@ -583,7 +645,7 @@ ENTRY_POINTS = {
     ),
     "MertEstimator.fit": (
         lambda c, w0, v, m, **kw: MertEstimator(initial_weights=w0, **kw).fit(c),
-        ("merge_eps", "iterations"),
+        ("iterations",),
     ),
     "CorpusSurface": (
         lambda c, w0, v, m, **kw: CorpusSurface(
@@ -655,6 +717,36 @@ class TestSettingsAreChecked:
         monkeypatch.setattr(linesearch_module, "envelope_points", forbidden)
         with pytest.raises(TypeError, match="threads"):
             call_entry(entry, threads=value)
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            pytest.param(entry, value, id=f"{entry}-merge_eps={value}")
+            for entry in ENTRY_POINTS
+            if entry not in ("build_envelopes", "CorpusSurface")
+            for value in OUT_OF_RANGE["merge_eps"] + LEGAL_EDGES["merge_eps"]
+        ],
+    )
+    def test_search_entry_point_takes_no_merge_tolerance(
+        self, monkeypatch, entry, value
+    ) -> None:
+        # Every search coalesces boundaries at DEFAULT_MERGE_EPS; only
+        # CorpusSurface takes another tolerance. Any value, in the old
+        # range or not, is refused before an envelope is built.
+        def forbidden(*_):
+            raise AssertionError("envelope built before the tolerance was refused")
+
+        monkeypatch.setattr(linesearch_module, "envelope_points", forbidden)
+        with pytest.raises(TypeError, match="merge_eps"):
+            call_entry(entry, merge_eps=value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [line_search, corpus_surface, sweep, optimize, MertEstimator],
+        ids=lambda call: call.__name__,
+    )
+    def test_merge_tolerance_is_not_in_the_signature(self, call) -> None:
+        assert "merge_eps" not in inspect.signature(call).parameters
 
     @pytest.mark.parametrize(
         "call",
@@ -768,7 +860,7 @@ def repeated_yield_graph() -> Hypergraph:
     return Hypergraph(1, edges, goal=0, n_features=3)
 
 
-def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_EPS):
+def replay_optimize(sentences, w0, metric, iterations):
     """``optimize`` along the axes, rebuilt from public calls that each
     score their hypotheses afresh.  Returns the weights, loss and steps,
     every line search, and the last accepted one."""
@@ -778,7 +870,7 @@ def replay_optimize(sentences, w0, metric, iterations, merge_eps=DEFAULT_MERGE_E
     for it in range(iterations):
         improved = False
         for axis, v in enumerate(np.eye(len(w))):
-            result = line_search(sentences, w, v, metric, merge_eps)
+            result = line_search(sentences, w, v, metric)
             searches.append(result)
             if result.loss < loss:
                 w, loss, accepted = result.weights, result.loss, result
@@ -923,9 +1015,10 @@ class TestLossIsAttained:
     def test_reported_loss_is_attained_at_the_returned_weights(
         self, seed, forest, integer, bleu, merge_eps
     ) -> None:
-        # A wide merge_eps chains boundaries into clusters.  Re-decoding is
-        # not asserted: when two best derivations tie (equal feature
-        # vectors) the decode may keep the other one.
+        # A wide merge_eps, set through the composition, chains boundaries
+        # into clusters.  Re-decoding is not asserted: when two best
+        # derivations tie (equal feature vectors) the decode may keep the
+        # other one.
         rng = np.random.default_rng(seed)
         corpus = []
         for _ in range(int(rng.integers(1, 3))):
@@ -938,12 +1031,12 @@ class TestLossIsAttained:
         corpus.append((corpus[0][0], random_derivation(rng, corpus[0][0]).tokens))
         metric = get_metric("bleu" if bleu else "exact")
         w0, v = rng.normal(size=3), rng.normal(size=3)
-        searched = line_search(corpus, w0, v, metric, merge_eps)
+        searched = composed_line_search(corpus, w0, v, metric, merge_eps)
         assert_loss_is_attained(corpus, searched, metric)
         # optimize, which scores with one memo, equals its replay from
         # public calls, each scoring afresh.
-        result = optimize(corpus, w0, metric, 2, merge_eps=merge_eps)
-        weights, loss, steps, _, accepted = replay_optimize(corpus, w0, metric, 2, merge_eps)
+        result = optimize(corpus, w0, metric, 2)
+        weights, loss, steps, _, accepted = replay_optimize(corpus, w0, metric, 2)
         assert result.weights.tobytes() == weights.tobytes()
         assert result.loss == loss and result.steps == steps
         if accepted is None:
