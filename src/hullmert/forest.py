@@ -13,8 +13,9 @@ dual points of all envelope hypotheses, each traceable back to its
 derivation via provenance.  The line search runs the same recursion in the
 lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
-back-pointers.  Each chain point's yield is written straight from the
-back-pointers, copying the yield of a (node, point index) that several
+back-pointers; its own kernel projects, translates and merge-hulls each
+in-edge in one loop per node.  Each chain point's yield is written from
+the back-pointers, copying the yield of a (node, point index) that several
 walks share from its first walk, so a deep lattice path costs linear, not
 quadratic, time and memory.  A ``Derivation`` builds its tree only when
 ``tree`` is first read and sums its feature vector only when ``features``
@@ -41,7 +42,7 @@ from .errors import (
     ProvenanceError,
 )
 from .geometry import ConvexChain
-from .semiring import ConvexHullValue, LeafProvenance, LowerChainValue
+from .semiring import ConvexHullValue, LeafProvenance, LowerChainValue, _product
 
 # A semiring value type: ``__add__``, ``__mul__`` and class values ``zero``
 # and ``one`` obeying the semiring laws (``oracle.check_axioms`` tests them).
@@ -248,19 +249,21 @@ def inside(
 
 def edge_dot(edge: Edge, vec: Sequence[float]) -> float:
     """Sparse dot product of an edge's features with a dense vector (an
-    array or a list), summed left to right in feature-id order."""
-    return float(sum(vec[i] * v for i, v in edge.features))
+    array or a list), summed left to right in feature-id order (``sum``
+    compensates its rounding on Python floats since Python 3.12)."""
+    total = 0.0
+    for i, v in edge.features:
+        total += vec[i] * v
+    return float(total)
 
 
-def _dual_coordinates(edge: Edge, w0: Sequence[float], v: Sequence[float]) -> tuple[float, float]:
-    """(v.H, -w0.H) for one edge, after the dimension checks."""
+def _check_dimensions(edge: Edge, w0: Sequence[float], v: Sequence[float]) -> None:
     if len(w0) != len(v):
         raise DimensionMismatchError(f"w0 has {len(w0)} features, direction has {len(v)}")
     if edge.features and edge.features[-1][0] >= len(w0):
         raise DimensionMismatchError(
             f"edge uses feature id {edge.features[-1][0]} but vectors have {len(w0)}"
         )
-    return edge_dot(edge, v), -edge_dot(edge, w0)
 
 
 def project_edge(
@@ -272,8 +275,9 @@ def project_edge(
     and -y is its score at the starting weights.  A zero-feature edge
     projects to {(0, 0)}, the multiplicative identity value.
     """
+    _check_dimensions(edge, w0, v)
     prov = None if edge_id is None else LeafProvenance(edge_id)
-    return ConvexHullValue.singleton(*_dual_coordinates(edge, w0, v), prov)
+    return ConvexHullValue.singleton(edge_dot(edge, v), -edge_dot(edge, w0), prov)
 
 
 def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullValue:
@@ -281,15 +285,46 @@ def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullV
     return inside(graph, lambda ei, e: project_edge(e, w0, v, ei), ConvexHullValue)
 
 
-def _project_lower(edge: Edge, w0: list[float], v: list[float], edge_id: int) -> LowerChainValue:
-    x, y = _dual_coordinates(edge, w0, v)
-    # +0.0 canonicalizes -0.0 as Point2 does; sums of canonical coordinates
-    # stay canonical, so products need no second pass.
-    x += 0.0
-    y += 0.0
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
-    return LowerChainValue.singleton(x, y, (edge_id,))
+def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> list:
+    """Every node's ``LowerChainValue``, bit for bit (exceptions and their
+    order included) ``oracle.lower_chain_values``: each edge is projected,
+    summed left to right, and translated by its first tail inline; further
+    tails multiply by ``LowerChainValue.__mul__``."""
+    edges = graph.edges
+    n = len(w0)
+    mismatch = n != len(v)
+    zero = LowerChainValue.zero
+    values = [zero] * graph.n_nodes
+    for node in graph.topo_order():
+        total = zero
+        for ei in graph.in_edges[node]:
+            e = edges[ei]
+            feats = e.features
+            if mismatch or feats and feats[-1][0] >= n:
+                _check_dimensions(e, w0, v)
+            x = y = 0.0
+            for i, val in feats:
+                x += v[i] * val
+                y += w0[i] * val
+            # +0.0 canonicalizes -0.0 as Point2 does; sums of canonical
+            # coordinates stay canonical, so products need no second pass.
+            x += 0.0
+            y = -y + 0.0
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
+            if not e.tails:
+                k = LowerChainValue([x], [y], [(ei,)])
+            else:
+                first = values[e.tails[0]]
+                if not first.xs:
+                    continue
+                back = [(ei, j) for j in range(len(first.xs))]
+                k = _product([x + t for t in first.xs], [y + t for t in first.ys], back)
+                for t in e.tails[1:]:
+                    k = k * values[t]
+            total = k if total is zero else total + k
+        values[node] = total
+    return values
 
 
 def envelope_points(
@@ -297,21 +332,19 @@ def envelope_points(
 ) -> tuple[ConvexChain, tuple["Derivation", ...]]:
     """The goal's lower chain and one derivation per chain point.
 
-    Runs the inside recursion in the lower-chain semiring.  Its goal chain
-    equals ``lower_chain(inside_hull(graph, w0, v).hull)``, and each
-    derivation is the one ``reconstruct`` recovers for that hull point.
-    Yields come straight from the back-pointers (``_yields``); a derivation
-    keeps only its root ``(goal, i)`` and every node's back-pointer list.
+    Runs the lower-chain inside kernel.  Its goal chain equals
+    ``lower_chain(inside_hull(graph, w0, v).hull)``, and each derivation is
+    the one ``reconstruct`` recovers for that hull point.  Yields come
+    straight from the back-pointers (``_yields``); a derivation keeps only
+    its root ``(goal, i)`` and every node's back-pointer list.
 
-    Edges are projected on Python floats: indexing a list is cheaper than
-    indexing an array, and each coordinate is still summed left to right,
-    so every bit matches the float64 array path of ``project_edge``.
+    Edges are projected on Python floats, cheaper to index than an array,
+    and summed left to right in a loop: every bit matches the float64
+    array path of ``project_edge``, on every Python version.
     """
     w0 = np.asarray(w0, dtype=float).tolist()
     v = np.asarray(v, dtype=float).tolist()
-    values = _inside_values(
-        graph, lambda ei, e: _project_lower(e, w0, v, ei), LowerChainValue
-    )
+    values = _lower_chain_values(graph, w0, v)
     backs = [value.back for value in values]
     roots = [(graph.goal, i) for i in range(len(values[graph.goal]))]
     tokens = _yields(graph.edges, backs, roots)

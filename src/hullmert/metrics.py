@@ -228,14 +228,13 @@ class Bleu(Metric):
         return out
 
     def loss(self, aggregate: np.ndarray) -> float:
-        matches = aggregate[: self.max_n]
-        totals = aggregate[self.max_n : 2 * self.max_n]
-        hyp_len = float(aggregate[-2])
-        ref_len = float(aggregate[-1])
-        log_precision = sum(
-            math.log(max(float(m), EPS_COUNT) / max(float(t), EPS_COUNT))
-            for m, t in zip(matches, totals)
-        ) / self.max_n
+        # Summed left to right: sum() compensates its rounding since Python 3.12.
+        stats = aggregate.tolist()
+        log_precision = 0.0
+        for m, t in zip(stats[: self.max_n], stats[self.max_n : 2 * self.max_n]):
+            log_precision += math.log(max(m, EPS_COUNT) / max(t, EPS_COUNT))
+        log_precision /= self.max_n
+        hyp_len, ref_len = stats[-2], stats[-1]
         brevity = min(0.0, 1.0 - ref_len / max(hyp_len, EPS_COUNT))
         return 1.0 - math.exp(brevity + log_precision)
 

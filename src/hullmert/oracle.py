@@ -26,9 +26,11 @@ from .forest import (
     DerivationTree,
     Edge,
     Hypergraph,
+    _inside_values,
     edge_dot,
     enumerate_derivations,
     inside,
+    project_edge,
     realize,
 )
 from .geometry import ConvexChain, Point2, full_hull
@@ -127,6 +129,18 @@ def dual_points(
         Point2(float(np.dot(v, d.features)), -float(np.dot(w0, d.features)))
         for d in enumerate_derivations(graph, cap)
     ]
+
+
+def lower_chain_values(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> list[LowerChainValue]:
+    """Every node's value by ``inside`` on one ``LowerChainValue`` singleton
+    per ``project_edge``: what ``envelope_points``'s kernel must equal."""
+    w0, v = np.asarray(w0, dtype=float), np.asarray(v, dtype=float)
+
+    def leaf(ei: int, edge: Edge) -> LowerChainValue:
+        (p,) = project_edge(edge, w0, v).points
+        return LowerChainValue.singleton(p.x, p.y, (ei,))
+
+    return _inside_values(graph, leaf, LowerChainValue)
 
 
 def decode_corpus_loss(

@@ -22,8 +22,10 @@ face of a sum or product depends only on the operands' lower faces.
 ``LowerChainValue`` keeps just that face: the envelope semiring of
 Macherey et al. (2008) and Kumar et al. (2009).  The line-search hot path
 runs on it, with flat per-point back-pointers instead of provenance
-records.  Its two hot loops inline ``geometry.difference_sign``'s band and
-decide every sign, NaN included, bit for bit as that function does.
+records.  Addition is one loop that merges by x and hulls as it goes,
+building no merged list.  It and the Minkowski merge of ``__mul__`` inline
+``geometry.difference_sign``'s band and decide every sign, NaN included,
+bit for bit as that function does.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -178,23 +180,29 @@ _INF = float("inf")
 BackPointer = tuple[int, ...] | None
 
 
-def _strict_lower(xs: list[float], ys: list[float], back: list) -> "LowerChainValue":
-    """Monotone-chain pass over points sorted by non-decreasing x.
-
-    At equal x only the first lowest point is kept; then every vertex that
-    does not turn strictly left (``orientation``'s band) is dropped.
-    """
+def _lower_merge(xa, ya, ba, xb, yb, bb) -> "LowerChainValue":
+    """Lower hull of two point lists, each sorted by non-decreasing x: one
+    loop merges them (at equal x the lower y first, at an identical point
+    a's first) and keeps only the first lowest point at each x and the
+    vertices that turn strictly left (``orientation``'s band)."""
     cx: list[float] = []
     cy: list[float] = []
     cb: list = []
-    n = 0
-    for x, y, b in zip(xs, ys, back):
+    n = i = j = 0
+    na, nb = len(xa), len(xb)
+    while True:
+        if j < nb and (i == na or xb[j] < xa[i] or (xb[j] == xa[i] and yb[j] < ya[i])):
+            x, y, b = xb[j], yb[j], bb[j]
+            j += 1
+        elif i < na:
+            x, y, b = xa[i], ya[i], ba[i]
+            i += 1
+        else:
+            return LowerChainValue(cx, cy, cb)
         if n and cx[-1] == x:
             if not y < cy[-1]:
                 continue
-            cx.pop()
-            cy.pop()
-            cb.pop()
+            del cx[-1], cy[-1], cb[-1]
             n -= 1
         while n >= 2:
             ox, oy, ax, ay = cx[-2], cy[-2], cx[-1], cy[-1]
@@ -202,15 +210,27 @@ def _strict_lower(xs: list[float], ys: list[float], back: list) -> "LowerChainVa
             t2 = (ay - oy) * (x - ox)
             if t1 - t2 > EPS_GEOM * (abs(t1) + abs(t2)):
                 break
-            cx.pop()
-            cy.pop()
-            cb.pop()
+            del cx[-1], cy[-1], cb[-1]
             n -= 1
         cx.append(x)
         cy.append(y)
         cb.append(b)
         n += 1
-    return LowerChainValue(cx, cy, cb)
+
+
+def _strict_lower(xs: list[float], ys: list[float], back: list) -> "LowerChainValue":
+    """The strict lower chain of points sorted by non-decreasing x."""
+    return _lower_merge(xs, ys, back, (), (), ())
+
+
+def _product(xs: list[float], ys: list[float], back: list) -> "LowerChainValue":
+    """The value of a product's points, sorted by non-decreasing x."""
+    if not (-_INF < xs[0] and xs[-1] < _INF and -_INF < min(ys) and max(ys) < _INF):
+        raise InvalidGeometryError("non-finite point in a product of lower chains")
+    if len(set(xs)) < len(xs):
+        # Sums far beyond the x spacing rounded two x values together.
+        return _strict_lower(xs, ys, back)
+    return LowerChainValue(xs, ys, back)
 
 
 class LowerChainValue:
@@ -259,37 +279,16 @@ class LowerChainValue:
         return f"LowerChainValue({list(zip(self.xs, self.ys))!r})"
 
     def __add__(self, other: "LowerChainValue") -> "LowerChainValue":
-        """Lower hull of the union: merge by x, then one monotone-chain pass.
+        """Lower hull of the union, merged by x in one monotone-chain pass.
 
         At equal x the lower y wins; at an identical point the left
         operand's back-pointer wins, as in ``ConvexHullValue``.
         """
-        xa, xb = self.xs, other.xs
-        if not xa:
+        if not self.xs:
             return other
-        if not xb:
+        if not other.xs:
             return self
-        ya, ba, yb, bb = self.ys, self.back, other.ys, other.back
-        na, nb = len(xa), len(xb)
-        mx: list[float] = []
-        my: list[float] = []
-        mb: list = []
-        i = j = 0
-        while i < na and j < nb:
-            if xb[j] < xa[i] or (xb[j] == xa[i] and yb[j] < ya[i]):
-                mx.append(xb[j])
-                my.append(yb[j])
-                mb.append(bb[j])
-                j += 1
-            else:
-                mx.append(xa[i])
-                my.append(ya[i])
-                mb.append(ba[i])
-                i += 1
-        mx += xa[i:] + xb[j:]
-        my += ya[i:] + yb[j:]
-        mb += ba[i:] + bb[j:]
-        return _strict_lower(mx, my, mb)
+        return _lower_merge(self.xs, self.ys, self.back, other.xs, other.ys, other.back)
 
     def __mul__(self, other: "LowerChainValue") -> "LowerChainValue":
         """Minkowski sum of the chains by the open edge merge.
@@ -340,12 +339,7 @@ class LowerChainValue:
                 xs.append(xa[i] + xb[j])
                 ys.append(ya[i] + yb[j])
                 back.append(None if ba[i] is None else ba[i] + (j,))
-        if not (-_INF < xs[0] and xs[-1] < _INF and -_INF < min(ys) and max(ys) < _INF):
-            raise InvalidGeometryError("non-finite point in a product of lower chains")
-        if len(set(xs)) < len(xs):
-            # Sums far beyond the x spacing rounded two x values together.
-            return _strict_lower(xs, ys, back)
-        return LowerChainValue(xs, ys, back)
+        return _product(xs, ys, back)
 
 
 LowerChainValue.zero = LowerChainValue([], [], [])

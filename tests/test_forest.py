@@ -28,7 +28,7 @@ from hullmert.forest import (
 from hullmert.geometry import full_hull, lower_chain
 from hullmert.linesearch import decode_loss, line_search, optimize, sweep
 from hullmert.metrics import get_metric
-from hullmert.oracle import Tropical, dual_points
+from hullmert.oracle import Tropical, dual_points, lower_chain_values
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LeafProvenance, LowerChainValue
 
@@ -206,6 +206,10 @@ class TestProjectEdge:
     def test_edge_dot(self) -> None:
         e = Edge.make(0, (), {0: 2.0, 2: -1.0}, ())
         assert edge_dot(e, np.array([1.0, 9.0, 4.0])) == -2.0
+        # Left to right on a Python list too, where sum() compensates its
+        # rounding since Python 3.12: (1e16 + 1.0) rounds to 1e16.
+        cancel = Edge.make(0, (), {0: 1e16, 1: 1.0, 2: -1e16}, ())
+        assert edge_dot(cancel, [1.0, 1.0, 1.0]) == 0.0
 
 
 class TestInsideHull:
@@ -350,8 +354,20 @@ class TestReconstruct:
             reconstruct(binary_forest(), value, 0)
 
 
+def chain_bits(value: LowerChainValue) -> tuple:
+    return [x.hex() for x in value.xs], [y.hex() for y in value.ys], value.back
+
+
 def assert_matches_hull_reference(graph: Hypergraph, w0, v) -> None:
-    """The lower-chain pass against the hull semiring, bit for bit."""
+    """The lower-chain pass against the hull semiring, bit for bit; every
+    node's chain and back-pointers against the generic recursion, which the
+    yields read."""
+    got = forest._lower_chain_values(
+        graph, np.asarray(w0, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
+    )
+    assert [chain_bits(x) for x in got] == [
+        chain_bits(x) for x in lower_chain_values(graph, w0, v)
+    ]
     chain, derivations = envelope_points(graph, w0, v)
     value = inside_hull(graph, w0, v)
     want = lower_chain(value.hull)

@@ -38,6 +38,36 @@ def chain_points(value: LowerChainValue) -> tuple[Point2, ...]:
     return value.chain().points
 
 
+@st.composite
+def chain_pairs(draw) -> tuple[LowerChainValue, LowerChainValue]:
+    """Two lower chains with labelled back-pointers, split from one point
+    set: small integers (equal x values and identical points across the
+    two), floats, and points a few ulps off one line (nearly collinear
+    triples, as in the sign-test repros)."""
+    coords = st.one_of(
+        st.integers(-6, 6).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    points = draw(st.lists(st.tuples(coords, coords), max_size=8))
+    step = draw(st.sampled_from([1.0, 1e-3]))
+    slope = draw(st.sampled_from([1e6, 1.0, -7.5]))
+    for t in draw(st.lists(st.integers(0, 4), max_size=4)):
+        nudge = draw(st.sampled_from([0.0, 2e-6, -2e-6, 1e-12]))
+        points.append((t * step, t * step * slope + nudge))
+    left = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+
+    def labelled(tag: str, pts) -> LowerChainValue:
+        chain = lower_hull(Point2(*p) for p in pts)
+        return LowerChainValue(
+            [p.x for p in chain], [p.y for p in chain], [(tag, i) for i in range(len(chain))]
+        )
+
+    return (
+        labelled("a", [p for p, f in zip(points, left) if f]),
+        labelled("b", [p for p, f in zip(points, left) if not f]),
+    )
+
+
 class TestTropical:
     def test_operations(self) -> None:
         assert Tropical(2.0) + Tropical(5.0) == Tropical(5.0)
@@ -231,6 +261,22 @@ class TestLowerChainValue:
         assert chain_points(got) == lower_hull(chain_points(a) + chain_points(b)).points
         assert len(got) <= len(a) + len(b)
         got.chain().check_lower()
+
+    @given(chain_pairs())
+    @settings(max_examples=300)
+    def test_sum_equals_merge_then_strict_lower(self, pair) -> None:
+        # The predecessor of the one-loop sum: a stable merge by (x, y),
+        # ties to the left operand, then one monotone-chain pass.
+        for a, b in (pair, pair[::-1]):
+            got = a + b
+            merged = sorted(
+                zip(a.xs + b.xs, a.ys + b.ys, a.back + b.back), key=lambda p: (p[0], p[1])
+            )
+            want = _strict_lower(*(list(c) for c in zip(*merged))) if merged else a
+            assert [x.hex() for x in got.xs] == [x.hex() for x in want.xs]
+            assert [y.hex() for y in got.ys] == [y.hex() for y in want.ys]
+            assert got.back == want.back
+            assert chain_points(got) == lower_hull(chain_points(a) + chain_points(b)).points
 
     @given(raw_values, raw_values)
     def test_operations_keep_the_lower_face_of_hull_operations(self, a, b) -> None:
