@@ -14,13 +14,15 @@ search flags.
 The library checks flag values and sentences; the search commands and
 ``verify`` name a sentence with a data error as ``sentence <i> (id '<id>')``.
 ``validate`` reports a cyclic sentence, or one whose goal derives nothing,
-as not ``ok`` and exits 2.
+as not ``ok`` and exits 2.  Warnings go to stderr as
+``warning: <category>: <message>``, with no source location.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Callable, Sequence
 
 from .errors import ConfigError, DataError, MertError, UsageError
@@ -275,11 +277,18 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning without the frame it names: library code or ``runpy``."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        text, code = _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            args = parser.parse_args(argv)
+            text, code = _COMMANDS[args.command](args)
         sys.stdout.write(text)
         return code
     except (UsageError, ConfigError) as exc:

@@ -42,7 +42,7 @@ from .errors import (
     ProvenanceError,
 )
 from .geometry import ConvexChain
-from .semiring import ConvexHullValue, LeafProvenance, LowerChainValue, _product
+from .semiring import ConvexHullValue, LowerChainValue, _product
 
 # A semiring value type: ``__add__``, ``__mul__`` and class values ``zero``
 # and ``one`` obeying the semiring laws (``oracle.check_axioms`` tests them).
@@ -276,7 +276,7 @@ def project_edge(
     projects to {(0, 0)}, the multiplicative identity value.
     """
     _check_dimensions(edge, w0, v)
-    prov = None if edge_id is None else LeafProvenance(edge_id)
+    prov = None if edge_id is None else (edge_id, ())
     return ConvexHullValue.singleton(edge_dot(edge, v), -edge_dot(edge, w0), prov)
 
 
@@ -405,10 +405,10 @@ class Derivation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
-        return self.tree == other.tree
+        return list(self._preorder()) == list(other._preorder())
 
     def __hash__(self) -> int:
-        return hash(self.tree)
+        return hash(tuple(self._preorder()))
 
     @cached_property
     def tree(self) -> DerivationTree:
@@ -435,14 +435,29 @@ class Derivation:
         return np.array(feats, dtype=float)
 
     def edge_ids(self) -> list[int]:
-        """All edge ids in the tree (preorder)."""
-        out: list[int] = []
-        stack = [self.tree]
+        """All edge ids in the tree (preorder, last child first)."""
+        return [eid for eid, _ in self._preorder()]
+
+    def _preorder(self) -> Iterator[tuple[int, int]]:
+        """``(edge_id, child count)`` of each edge, popped from a stack that
+        takes each edge's children in slot order (the last comes first).
+        It spells the tree exactly, is read off the back-pointers if set,
+        and never recurses, so any depth can be compared and hashed."""
+        backs = self._backs
+        if backs is None:
+            stack = [self.tree]
+            while stack:
+                eid, children = stack.pop()
+                yield eid, len(children)
+                stack.extend(children)
+            return
+        edges = self._graph.edges
+        stack = [self._root]
         while stack:
-            eid, children = stack.pop()
-            out.append(eid)
-            stack.extend(children)
-        return out
+            node, j = stack.pop()
+            back = backs[node][j]
+            yield back[0], len(back) - 1
+            stack.extend(zip(edges[back[0]].tails, back[1:]))
 
 
 def _build_tree(root, expand: Callable) -> DerivationTree:
@@ -496,27 +511,14 @@ def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
     return _build_derivation(graph, tree, lambda node: node)
 
 
-def _resolve_spine(graph: Hypergraph, item) -> tuple[int, list]:
-    """Expand one reconstruct item into (edge_id, tail items).
-
-    An item is (value, point index, parent edge id or None, tail slot).
-    Inside builds each edge value as edge projection * tail1 * tail2 * ...,
-    so the product spine ends at the edge's own leaf record.
-    """
-    v, i, parent, slot = item
+def _check_record(graph: Hypergraph, item) -> tuple[int, list]:
+    """(edge_id, child items) of an item (record, parent edge id, tail slot)
+    whose record fits the forest."""
+    record, parent, slot = item
+    if record is None:
+        raise ProvenanceError("point has opaque provenance; not produced by inside")
+    eid, children = record
     edges = graph.edges
-    sources: list[tuple[ConvexHullValue, int]] = []
-    while True:
-        if not 0 <= i < len(v.provenance):
-            raise ProvenanceError(f"point index {i} out of range")
-        prov = v.provenance[i]
-        if prov is None:
-            raise ProvenanceError("point has opaque provenance; not produced by inside")
-        if isinstance(prov, LeafProvenance):
-            break
-        sources.append((prov.right, prov.right_index))
-        v, i = prov.left, prov.left_index
-    eid = prov.edge_id
     if not 0 <= eid < len(edges):
         raise ProvenanceError(f"edge id {eid} not in this forest")
     edge = edges[eid]
@@ -525,27 +527,30 @@ def _resolve_spine(graph: Hypergraph, item) -> tuple[int, list]:
             f"edge {parent} tail {slot} is node {edges[parent].tails[slot]}, "
             f"provenance supplies node {edge.head}"
         )
-    if len(sources) != len(edge.tails):
+    if len(children) != len(edge.tails):
         raise ProvenanceError(
-            f"edge {eid} expects {len(edge.tails)} tails, provenance recorded {len(sources)}"
+            f"edge {eid} expects {len(edge.tails)} tails, provenance recorded {len(children)}"
         )
-    sources.reverse()
-    return eid, [(value, index, eid, k) for k, (value, index) in enumerate(sources)]
+    return eid, [(child, eid, k) for k, child in enumerate(children)]
 
 
 def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Derivation:
-    """Recover the derivation recorded for one hull point of ``value``.
+    """The derivation that one hull point of ``value`` records.
 
-    The reference for ``envelope_points``'s yields and lazily built trees;
-    here the tree is built eagerly, so a bad provenance record raises.
+    The reference for ``envelope_points``'s yields and lazily built trees.
+    The point's provenance record is its derivation tree; it is checked
+    against this forest and realized, and the result's ``tree`` equals it.
     The derivation's feature projection reproduces the point's coordinates
     (exactly when features and weights are integral and every sum stays
     below 2**53 in magnitude, where floats stop holding every integer).
     Which points are on the hull is decided by ``geometry.difference_sign``,
     exact for integers only while its cross products stay below 1e9.
-    Raises ProvenanceError when the provenance does not fit this forest.
+    Raises ProvenanceError when the record does not fit this forest.
     """
-    return _build_derivation(graph, (value, index, None, 0), lambda it: _resolve_spine(graph, it))
+    if not 0 <= index < len(value.provenance):
+        raise ProvenanceError(f"point index {index} out of range")
+    root = (value.provenance[index], None, 0)
+    return _build_derivation(graph, root, lambda item: _check_record(graph, item))
 
 
 def count_derivations(graph: Hypergraph) -> int:

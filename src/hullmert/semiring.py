@@ -8,14 +8,10 @@ the operand sizes, which is what makes inside computations over packed
 forests tractable.
 
 ``ConvexHullValue`` is the paper's semiring and the reference that tests
-compare against.  Every point carries a provenance record so the
-hypothesis it stands for can be reconstructed after an inside computation:
-
-* ``LeafProvenance(edge_id)`` - the point is the projection of one edge.
-* ``ProductProvenance(left, i, right, j)`` - the point is the sum of point
-  i of the left operand and point j of the right operand.
-* ``None`` - opaque (identity element, or values built from raw points for
-  algebra testing); such points cannot be traced back to a derivation.
+compare against.  Every point carries its derivation tree as provenance,
+``(edge_id, child records)`` as ``forest.realize`` takes it: partial while
+tails remain to be multiplied in, and None for an opaque point (the
+identity element, or a value built from raw points for algebra testing).
 
 Only the lower face of the goal hull reaches an envelope, and the lower
 face of a sum or product depends only on the operands' lower faces.
@@ -32,7 +28,6 @@ Values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidGeometryError
@@ -44,22 +39,6 @@ from .geometry import (
     lower_hull,
     minkowski_indexed,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class LeafProvenance:
-    edge_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class ProductProvenance:
-    left: "ConvexHullValue"
-    left_index: int
-    right: "ConvexHullValue"
-    right_index: int
-
-
-Provenance = LeafProvenance | ProductProvenance | None
 
 
 def _is_full_hull(chain: ConvexChain) -> bool:
@@ -76,7 +55,7 @@ class ConvexHullValue:
 
     __slots__ = ("hull", "provenance")
 
-    def __init__(self, hull: ConvexChain, provenance: tuple[Provenance, ...]):
+    def __init__(self, hull: ConvexChain, provenance: tuple[tuple | None, ...]):
         if len(hull) != len(provenance):
             raise ValueError("one provenance record per point required")
         object.__setattr__(self, "hull", hull)
@@ -93,13 +72,13 @@ class ConvexHullValue:
         return cls(hull, (None,) * len(hull))
 
     @classmethod
-    def singleton(cls, x: float, y: float, provenance: Provenance = None) -> "ConvexHullValue":
+    def singleton(cls, x: float, y: float, provenance: tuple | None = None) -> "ConvexHullValue":
         return cls(ConvexChain((Point2(x, y),)), (provenance,))
 
     @staticmethod
-    def _hull_of(points: Sequence[Point2], records: Sequence[Provenance]) -> "ConvexHullValue":
+    def _hull_of(points: Sequence[Point2], records: Sequence[tuple | None]) -> "ConvexHullValue":
         """Full hull of the points; a repeated point keeps its first record."""
-        chosen: dict[Point2, Provenance] = {}
+        chosen: dict[Point2, tuple | None] = {}
         for p, rec in zip(points, records):
             chosen.setdefault(p, rec)
         hull = full_hull(chosen.keys())
@@ -145,12 +124,14 @@ class ConvexHullValue:
     def __mul__(self, other: "ConvexHullValue") -> "ConvexHullValue":
         """Hull of the Minkowski sum; the empty set annihilates.
 
-        The identity shortcut tests object identity, not value equality: a
-        zero-feature edge projects to {(0, 0)} too, and its provenance must
-        survive multiplication.  When sums far beyond the coordinate
-        spacing round the vertices of two canonical operands onto each
-        other or onto a line, the raw sum is re-hulled and each point keeps
-        its first record, as in ``__add__``; other products keep their bits.
+        Left point i plus right point j records the left record with the
+        right one appended as a child.  The identity shortcut tests object
+        identity, not value equality: a zero-feature edge projects to
+        {(0, 0)} too, and its provenance must survive multiplication.  When
+        sums far beyond the coordinate spacing round the vertices of two
+        canonical operands onto each other or onto a line, the raw sum is
+        re-hulled and each point keeps its first record, as in ``__add__``;
+        other products keep their bits.
         """
         if self.is_zero() or other.is_zero():
             return ConvexHullValue.zero
@@ -160,7 +141,11 @@ class ConvexHullValue:
             return self
         pts, pairs = minkowski_indexed(self.hull, other.hull)
         assert len(pts) <= len(self) + len(other), "minkowski size bound violated"
-        prov = tuple(ProductProvenance(self, i, other, j) for i, j in pairs)
+        left, right = self.provenance, other.provenance
+        prov = tuple(
+            None if left[i] is None else (left[i][0], left[i][1] + (right[j],))
+            for i, j in pairs
+        )
         hull = ConvexChain(pts)
         if not _is_full_hull(hull) and _is_full_hull(self.hull) and _is_full_hull(other.hull):
             # A non-canonical operand is multiplied as given, so that

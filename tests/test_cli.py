@@ -1,12 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from hullmert import cli
-from hullmert.errors import MissingFeatureWarning
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -100,9 +100,31 @@ class TestValidate:
     def test_missing_feature_defaults_with_warning(self, files, capsys) -> None:
         corpus = files("c.jsonl", TWO_HYP)
         weights = files("w.json", "{}")
-        with pytest.warns(MissingFeatureWarning, match="tm"):
-            doc, code = run_json(capsys, ["validate", corpus, "--weights", weights])
-        assert code == 0
+        with warnings.catch_warnings(record=True) as passed_on:
+            warnings.simplefilter("always")
+            code = cli.run(["validate", corpus, "--weights", weights])
+        out, err = capsys.readouterr()
+        assert code == 0 and json.loads(out)["ok"] and passed_on == []
+        # Printed by the CLI itself, with no source location.
+        assert err == (
+            "warning: MissingFeatureWarning: weights: features defaulting to 0.0: ['tm']\n"
+        )
+
+    def test_module_run_warns_without_a_location(self, files) -> None:
+        weights = files("w.json", "{}")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "hullmert", "optimize",
+                str(FIXTURES / "corpus.jsonl"), "--weights", weights,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "warning: MissingFeatureWarning: weights: features defaulting to 0.0: ['lm', 'tm']\n"
+        )
+        assert "runpy" not in proc.stderr
 
     def test_huge_forests_report_overflow(self, files, capsys) -> None:
         lines = ['{"head": 0, "tails": [], "features": {}, "yield": []}']

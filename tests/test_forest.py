@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullmert import forest
 from hullmert.errors import (
@@ -30,7 +32,7 @@ from hullmert.linesearch import decode_loss, line_search, optimize, sweep
 from hullmert.metrics import get_metric
 from hullmert.oracle import Tropical, dual_points, lower_chain_values
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
-from hullmert.semiring import ConvexHullValue, LeafProvenance, LowerChainValue
+from hullmert.semiring import ConvexHullValue, LowerChainValue
 
 
 def binary_forest() -> Hypergraph:
@@ -189,7 +191,7 @@ class TestProjectEdge:
         e = Edge.make(0, (), {0: 1.0}, ())
         got = project_edge(e, np.array([3.0]), np.array([2.0]), edge_id=0)
         assert got.hull.as_tuples() == ((2.0, -3.0),)
-        assert got.provenance == (LeafProvenance(0),)
+        assert got.provenance == ((0, ()),)
 
     def test_hand_computed_dot_products(self) -> None:
         e = Edge.make(0, (), {0: 3.0, 1: 5.0}, ())
@@ -279,6 +281,29 @@ class TestRealize:
         assert a != c
         assert sorted(a.edge_ids()) == [0, 2, 5]
 
+    def test_deep_derivations_compare_and_hash(self) -> None:
+        # Two parallel edges per step (ids 2i - 1 and 2i into node i), 5000
+        # edges deep: equality, hashing and set membership must not recurse.
+        n = 5000
+        edges = [Edge.make(0, (), {}, ("s",))]
+        for i in range(1, n):
+            edges.append(Edge.make(i, (i - 1,), {0: 1.0}, (0, "a")))
+            edges.append(Edge.make(i, (i - 1,), {0: -1.0}, (0, "b")))
+        g = Hypergraph(n, edges, goal=n - 1, n_features=1)
+        # Every derivation is at y = 0, so the chain keeps the two ends:
+        # all "b" edges, then all "a" edges.
+        _, (low, high) = envelope_points(g, np.zeros(1), np.ones(1))
+        tree = (0, ())
+        for i in range(1, n):
+            tree = (2 * i - 1 if i == 1 else 2 * i, (tree,))
+        near = realize(g, tree)  # low, except for the edge into node 1
+        same = realize(g, low.tree)
+        assert low == same and hash(low) == hash(same)
+        assert low != high and high == realize(g, high.tree)
+        assert low != near and near == realize(g, tree)
+        assert same in {low, high} and near not in {low, high}
+        assert len({low, high, same, near}) == 3
+
 
 class TestReconstruct:
     def test_single_edge_point(self) -> None:
@@ -322,31 +347,43 @@ class TestReconstruct:
             value = inside_hull(g, w0, v)
             for i, p in enumerate(value.points):
                 d = reconstruct(g, value, i)
+                assert d.tree == value.provenance[i]
                 assert float(v @ d.features) == p.x
                 assert float(-(w0 @ d.features)) == p.y
 
     def test_opaque_provenance_rejected(self) -> None:
         g = binary_forest()
         value = ConvexHullValue.from_raw_points([(0, 0), (1, 1)])
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(ProvenanceError, match="point has opaque provenance"):
             reconstruct(g, value, 0)
+        # An opaque tail record inside an edge's record, too.
+        value = ConvexHullValue.singleton(0, 0, (5, ((0, ()), None)))
+        with pytest.raises(ProvenanceError, match="point has opaque provenance"):
+            reconstruct(g, value, 0)
+
+    def test_point_index_out_of_range(self) -> None:
+        g = binary_forest()
+        value = inside_hull(g, np.zeros(2), np.array([1.0, -1.0]))
+        for index in (-1, len(value)):
+            with pytest.raises(ProvenanceError, match=f"point index {index} out of range"):
+                reconstruct(g, value, index)
 
     def test_foreign_provenance_rejected(self) -> None:
         g = binary_forest()
         value = inside_hull(g, np.zeros(2), np.array([1.0, -1.0]))
         small = Hypergraph(1, [Edge.make(0, (), {}, ("w",))], goal=0, n_features=2)
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(ProvenanceError, match="edge id 5 not in this forest"):
             reconstruct(small, value, 0)
 
 
     def test_provenance_arity_must_match_the_edge(self) -> None:
-        value = ConvexHullValue.singleton(0, 0, LeafProvenance(5))
+        value = ConvexHullValue.singleton(0, 0, (5, ()))
         with pytest.raises(ProvenanceError, match="edge 5 expects 2 tails, provenance recorded 0"):
             reconstruct(binary_forest(), value, 0)
 
     def test_provenance_tails_must_head_the_edge_tails(self) -> None:
         # Edge 5 rewrites node 2 from (node 0, node 1); supply them swapped.
-        leaf = [ConvexHullValue.singleton(0, 0, LeafProvenance(ei)) for ei in (5, 2, 0)]
+        leaf = [ConvexHullValue.singleton(0, 0, (ei, ())) for ei in (5, 2, 0)]
         value = leaf[0] * leaf[1] * leaf[2]
         with pytest.raises(
             ProvenanceError, match="edge 5 tail 0 is node 0, provenance supplies node 1"
@@ -418,6 +455,27 @@ class TestEnvelopePoints:
             assert_matches_hull_reference(graph, w0, v)
             # v = 0 is the fixed-weight decode: one point per node.
             assert_matches_hull_reference(graph, w0, np.zeros(3))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+        still=st.booleans(),
+        n_nodes=st.integers(2, 30),
+        max_parallel=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_goal_chain_is_at_most_the_edge_count(
+        self, seed, integer, still, n_nodes, max_parallel
+    ) -> None:
+        # Macherey et al. (2008): a lattice's envelope has at most |E|
+        # segments.  still=True is v = 0, the fixed-weight decode.
+        rng = np.random.default_rng(seed)
+        graph = random_lattice(
+            rng, n_nodes=n_nodes, max_parallel=max_parallel, integer_features=integer
+        )
+        w0, v = random_vectors(rng, 3, integer)
+        chain, _ = envelope_points(graph, w0, np.zeros(3) if still else v)
+        assert 1 <= len(chain) <= graph.n_edges
 
     def test_projection_bits_do_not_depend_on_the_vector_type(self, rng) -> None:
         # Edges are projected on Python floats; float64 arrays, lists and
@@ -545,6 +603,25 @@ class TestEnvelopePoints:
             assert vars(d).keys() == {"tokens", "_graph", "_root", "_backs"}
             assert d._root == (graph.goal, i)
             assert all(b.__class__ is list for b in d._backs)
+
+    def test_features_and_equality_build_no_tree(self, rng, monkeypatch) -> None:
+        # edge_ids, features, == and hash read the back-pointers; the order
+        # and the result equal those of the realized tree.
+        graph = random_forest(rng, n_nodes=40, max_edges_per_node=3)
+        w0, v = random_vectors(rng, 3, integer=False)
+        _, derivations = envelope_points(graph, w0, v)
+        _, again = envelope_points(graph, w0, v)
+        built = forest._build_tree
+        monkeypatch.setattr(forest, "_build_tree", lambda *_: pytest.fail("tree built"))
+        ids = [d.edge_ids() for d in derivations]
+        features = [d.features.tobytes() for d in derivations]
+        assert list(derivations) == list(again) and len(set(derivations + again)) == len(again)
+        assert [hash(d) for d in derivations] == [hash(d) for d in again]
+        monkeypatch.setattr(forest, "_build_tree", built)
+        trees = [realize(graph, d.tree) for d in derivations]
+        assert ids == [t.edge_ids() for t in trees]
+        assert features == [t.features.tobytes() for t in trees]
+        assert trees == list(derivations) and set(trees) == set(derivations)
 
     def test_feature_bytes_are_pinned(self) -> None:
         # Features are summed over edge_ids() preorder; summing the same

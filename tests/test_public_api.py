@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "ForestFormatError",
     "Hypergraph",
     "InvalidGeometryError",
-    "LeafProvenance",
     "LineSearchResult",
     "MertError",
     "MertEstimator",
@@ -33,7 +32,6 @@ PUBLIC_NAMES = [
     "NoHypothesesError",
     "OptimizeResult",
     "Point2",
-    "ProductProvenance",
     "ProvenanceError",
     "Sentence",
     "SweepResult",

@@ -17,9 +17,7 @@ from hullmert.geometry import (
 from hullmert.oracle import Tropical, check_axioms, convexify_equivalence
 from hullmert.semiring import (
     ConvexHullValue,
-    LeafProvenance,
     LowerChainValue,
-    ProductProvenance,
     _strict_lower,
 )
 
@@ -88,8 +86,8 @@ class TestHullValueBasics:
         assert v.provenance == (None, None, None)
 
     def test_equality_ignores_provenance(self) -> None:
-        a = ConvexHullValue.singleton(1, 2, LeafProvenance(3))
-        b = ConvexHullValue.singleton(1, 2, LeafProvenance(9))
+        a = ConvexHullValue.singleton(1, 2, (3, ()))
+        b = ConvexHullValue.singleton(1, 2, (9, ()))
         assert a == b
         assert hash(a) == hash(b)
 
@@ -126,10 +124,10 @@ class TestAddition:
         assert (ConvexHullValue.zero + a) is a
 
     def test_coincident_point_keeps_left_record(self) -> None:
-        a = ConvexHullValue.singleton(1, 1, LeafProvenance(1))
-        b = ConvexHullValue.singleton(1, 1, LeafProvenance(2))
-        assert (a + b).provenance == (LeafProvenance(1),)
-        assert (b + a).provenance == (LeafProvenance(2),)
+        a = ConvexHullValue.singleton(1, 1, (1, ()))
+        b = ConvexHullValue.singleton(1, 1, (2, ()))
+        assert (a + b).provenance == ((1, ()),)
+        assert (b + a).provenance == ((2, ()),)
         assert a + b == b + a
 
     @given(raw_values, raw_values)
@@ -161,21 +159,29 @@ class TestMultiplication:
 
     def test_origin_singleton_with_provenance_is_not_shortcut(self) -> None:
         # A zero-feature edge projects to {(0, 0)}; its record must survive.
-        e = ConvexHullValue.singleton(0, 0, LeafProvenance(7))
+        e = ConvexHullValue.singleton(0, 0, (7, ()))
         a = ConvexHullValue.from_raw_points([(1, 1), (4, 0)])
         got = e * a
         assert got == a
-        assert all(isinstance(p, ProductProvenance) for p in got.provenance)
-        left = got.provenance[0]
-        assert left.left is e and left.left.provenance == (LeafProvenance(7),)
+        # Edge 7 with one opaque child: a's raw points carry no record.
+        assert got.provenance == ((7, (None,)),) * len(a)
+        assert (a * e).provenance == (None,) * len(a)
 
     def test_product_provenance_indices_point_at_summands(self) -> None:
-        a = ConvexHullValue.from_raw_points([(0, 0), (2, 0), (1, 2)])
-        b = ConvexHullValue.from_raw_points([(0, 0), (1, -1)])
+        # Distinct leaf records: edges 0-2 on the left, 10-11 on the right.
+        a_hull = full_hull(Point2(*p) for p in [(0, 0), (2, 0), (1, 2)])
+        b_hull = full_hull(Point2(*p) for p in [(0, 0), (1, -1)])
+        a = ConvexHullValue(a_hull, tuple((i, ()) for i in range(len(a_hull))))
+        b = ConvexHullValue(b_hull, tuple((10 + j, ()) for j in range(len(b_hull))))
         got = a * b
-        for point, rec in zip(got.points, got.provenance):
-            assert isinstance(rec, ProductProvenance)
-            assert point == rec.left.points[rec.left_index] + rec.right.points[rec.right_index]
+        assert len(got) == 5
+        for point, (i, children) in zip(got.points, got.provenance):
+            [(j, grandchildren)] = children
+            assert grandchildren == ()
+            assert point == a.points[i] + b.points[j - 10]
+        # A further factor appends one more child to the same record.
+        c = ConvexHullValue.singleton(0, 0, (20, ()))
+        assert [rec[1][1] for rec in (got * c).provenance] == [(20, ())] * len(got)
 
     @given(raw_values, raw_values)
     def test_matches_pairwise_hull_within_size_bound(
@@ -277,6 +283,16 @@ class TestLowerChainValue:
             assert [y.hex() for y in got.ys] == [y.hex() for y in want.ys]
             assert got.back == want.back
             assert chain_points(got) == lower_hull(chain_points(a) + chain_points(b)).points
+
+    @given(chain_pairs())
+    @settings(max_examples=300)
+    def test_sum_and_product_sizes_are_bounded(self, pair) -> None:
+        # The paper's size facts: |a + b| <= |a| + |b|, and for non-empty
+        # operands |a * b| <= |a| + |b| - 1.
+        for a, b in (pair, pair[::-1]):
+            assert len(a + b) <= len(a) + len(b)
+            if len(a) and len(b):
+                assert len(a * b) <= len(a) + len(b) - 1
 
     @given(raw_values, raw_values)
     def test_operations_keep_the_lower_face_of_hull_operations(self, a, b) -> None:
