@@ -29,10 +29,8 @@ from .geometry import (
     ConvexChain,
     Point2,
     envelope_boundaries,
-    full_hull,
     lower_chain,
     lower_hull,
-    minkowski_sum,
 )
 from .semiring import ConvexHullValue
 from .forest import (
@@ -121,7 +119,6 @@ __all__ = [
     "decode_loss",
     "enumerate_derivations",
     "envelope_boundaries",
-    "full_hull",
     "get_metric",
     "inside",
     "inside_hull",
@@ -130,7 +127,6 @@ __all__ = [
     "loads_corpus",
     "lower_chain",
     "lower_hull",
-    "minkowski_sum",
     "optimize",
     "pick_eta",
     "project_edge",

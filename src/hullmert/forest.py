@@ -14,12 +14,13 @@ derivation via provenance.  The line search runs the same recursion in the
 lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
 back-pointers; its own kernel projects, translates and merge-hulls each
-in-edge in one loop per node.  Each chain point's yield is written from
-the back-pointers, copying the yield of a (node, point index) that several
+in-edge in one loop per node.  Every ``Derivation`` is a root item (node,
+point index) over per-node back-pointer lists: the kernel's, a table that
+``enumerate_derivations`` fills, or a checked tree that ``realize`` indexes.
+``_yields`` writes every yield, copying the yield of an item that several
 walks share from its first walk, so a deep lattice path costs linear, not
-quadratic, time and memory.  A ``Derivation`` builds its tree only when
-``tree`` is first read and sums its feature vector only when ``features``
-is; the line search reads neither.
+quadratic, time and memory.  ``tree`` and ``features`` are built only when
+read; the line search reads neither.
 """
 
 from __future__ import annotations
@@ -391,16 +392,18 @@ def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[s
 class Derivation:
     """One tree of edges with its realized yield and dense feature vector.
 
-    Only this module builds derivations.  One from ``envelope_points``
-    builds ``tree`` from its root and back-pointers on first read, others
-    hold it; ``features`` is summed on first read, in ``edge_ids`` preorder.
-    A line search reads neither.  Equality and hashing look at the tree.
+    Only this module builds derivations, and each is one root item
+    ``(node, j)`` over per-node back-pointer lists: entry j of
+    ``_backs[node]`` is ``(edge_id, j of each tail's item...)``.
+    ``tree`` is built from them on first read and ``features`` is summed
+    on first read, in ``edge_ids`` preorder; a line search reads neither.
+    Equality and hashing look at the tree, read off the back-pointers.
     """
 
     tokens: tuple[str, ...]
     _graph: Hypergraph = field(repr=False)
-    _root: object = field(repr=False)
-    _backs: list | None = field(default=None, repr=False)
+    _root: tuple[int, int] = field(repr=False)
+    _backs: list = field(repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
@@ -414,8 +417,6 @@ class Derivation:
     def tree(self) -> DerivationTree:
         """The nested ``(edge_id, child trees)`` tuple of this derivation."""
         backs = self._backs
-        if backs is None:
-            return self._root
         edges = self._graph.edges
 
         def expand(item: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
@@ -441,16 +442,9 @@ class Derivation:
     def _preorder(self) -> Iterator[tuple[int, int]]:
         """``(edge_id, child count)`` of each edge, popped from a stack that
         takes each edge's children in slot order (the last comes first).
-        It spells the tree exactly, is read off the back-pointers if set,
-        and never recurses, so any depth can be compared and hashed."""
+        It spells the tree exactly, is read off the back-pointers, and
+        never recurses, so any depth can be compared and hashed."""
         backs = self._backs
-        if backs is None:
-            stack = [self.tree]
-            while stack:
-                eid, children = stack.pop()
-                yield eid, len(children)
-                stack.extend(children)
-            return
         edges = self._graph.edges
         stack = [self._root]
         while stack:
@@ -481,34 +475,31 @@ def _build_tree(root, expand: Callable) -> DerivationTree:
         frames[-1][2].append(tree)
 
 
-def _tokens(edges: Sequence[Edge], tree: DerivationTree) -> tuple[str, ...]:
-    """The yield of ``tree``: each edge's template, slots filled left to right.
-
-    One iterative walk appends every token to one list: linear in the tree
-    even for a deep lattice path, whose sub-yields sum to quadratic length.
-    """
-    out: list[str] = []
-    stack: list = [tree]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            out.append(item)
-            continue
-        eid, children = item
-        for slot in reversed(edges[eid].template):
-            stack.append(slot if slot.__class__ is str else children[slot])
-    return tuple(out)
-
-
-def _build_derivation(graph: Hypergraph, root, expand: Callable) -> Derivation:
-    """Build one Derivation from ``expand(item) -> (edge_id, child items)``."""
-    tree = _build_tree(root, expand)
-    return Derivation(_tokens(graph.edges, tree), graph, tree)
-
-
 def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
-    """Build the Derivation for a tree: its substituted yield."""
-    return _build_derivation(graph, tree, lambda node: node)
+    """The Derivation that ``tree``, ``(edge_id, child trees in tail
+    order)``, spells; its ``tree`` equals the argument.
+
+    One iterative preorder walk checks each record against the forest and
+    appends its edge to its head node's back-pointer list; ``_yields``
+    writes the yield from those lists.  Raises ProvenanceError when the
+    tree does not fit this forest.
+    """
+    edges = graph.edges
+    backs: list[list] = [[] for _ in range(graph.n_nodes)]
+    # (item for _check_record, the parent's back-pointer or None)
+    stack = [((tree, None, 0), None)]
+    while stack:
+        item, parent = stack.pop()
+        eid, children = _check_record(graph, item)
+        table = backs[edges[eid].head]
+        if parent is not None:
+            parent.append(len(table))
+        back = [eid]
+        table.append(back)
+        stack.extend((child, back) for child in reversed(children))
+    root = (edges[tree[0]].head, 0)
+    (tokens,) = _yields(edges, backs, [root])
+    return Derivation(tokens, graph, root, backs)
 
 
 def _check_record(graph: Hypergraph, item) -> tuple[int, list]:
@@ -538,8 +529,8 @@ def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Deriva
     """The derivation that one hull point of ``value`` records.
 
     The reference for ``envelope_points``'s yields and lazily built trees.
-    The point's provenance record is its derivation tree; it is checked
-    against this forest and realized, and the result's ``tree`` equals it.
+    The point's provenance record is its derivation tree, and the result is
+    ``realize(graph, value.provenance[index])``, whose ``tree`` equals it.
     The derivation's feature projection reproduces the point's coordinates
     (exactly when features and weights are integral and every sum stays
     below 2**53 in magnitude, where floats stop holding every integer).
@@ -549,8 +540,7 @@ def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Deriva
     """
     if not 0 <= index < len(value.provenance):
         raise ProvenanceError(f"point index {index} out of range")
-    root = (value.provenance[index], None, 0)
-    return _build_derivation(graph, root, lambda item: _check_record(graph, item))
+    return realize(graph, value.provenance[index])
 
 
 def count_derivations(graph: Hypergraph) -> int:
@@ -574,18 +564,25 @@ def enumerate_derivations(
     graph: Hypergraph, cap: int = DEFAULT_DERIVATION_CAP
 ) -> list[Derivation]:
     """All derivations of the goal, in deterministic (edge, tail-combination)
-    order.  Raises EnumerationOverflowError when the count exceeds ``cap``."""
+    order, entered in one back-pointer table that the results share.
+    Raises EnumerationOverflowError when the count exceeds ``cap``."""
     n = count_derivations(graph)
     if n > cap:
         raise EnumerationOverflowError(f"{n} derivations exceed the cap of {cap}")
     report = graph.validate()
     derivable = graph._derivable(report.topo_order)
     useful = graph._useful(derivable)
-    per_node: list[list[DerivationTree]] = [[] for _ in range(graph.n_nodes)]
+    edges = graph.edges
+    backs: list[list] = [[] for _ in range(graph.n_nodes)]
     for node in report.topo_order:
         if not useful[node]:
             continue
+        table = backs[node]
         for ei in graph.in_edges[node]:
-            for children in iter_product(*(per_node[t] for t in graph.edges[ei].tails)):
-                per_node[node].append((ei, children))
-    return [Derivation(_tokens(graph.edges, t), graph, t) for t in per_node[graph.goal]]
+            for tails in iter_product(*(range(len(backs[t])) for t in edges[ei].tails)):
+                table.append((ei, *tails))
+    roots = [(graph.goal, j) for j in range(len(backs[graph.goal]))]
+    return [
+        Derivation(tokens, graph, root, backs)
+        for tokens, root in zip(_yields(edges, backs, roots), roots)
+    ]

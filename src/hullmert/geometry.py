@@ -218,9 +218,10 @@ def minkowski_indexed(
 ) -> tuple[tuple[Point2, ...], tuple[tuple[int, int], ...]]:
     """Minkowski sum via the linear-time edge merge, with vertex pairing.
 
-    Returns the sum's canonical vertex sequence together with, for each
-    output vertex, the (index into a, index into b) pair of input vertices
-    whose sum it is.  Output vertices are computed as fresh vertex sums, not
+    Operands must be canonical full hulls.  Returns the sum's canonical
+    vertex sequence (empty if an operand is) together with, for each output
+    vertex, the (index into a, index into b) pair of input vertices whose
+    sum it is.  Output vertices are computed as fresh vertex sums, not
     accumulated steps, so integer inputs stay exact.
     """
     pa, pb = a.points, b.points
@@ -253,17 +254,6 @@ def minkowski_indexed(
         out_pts.append(pa[vi] + pb[vj])
         out_idx.append((vi, vj))
     return tuple(out_pts), tuple(out_idx)
-
-
-def minkowski_sum(a: ConvexChain, b: ConvexChain) -> ConvexChain:
-    """Hull of {p + q : p in a, q in b} in O(|a| + |b|).
-
-    Operands must both be canonical full hulls; ``LowerChainValue``
-    multiplies lower chains.  An empty operand yields the empty chain.
-    The output has at most |a| + |b| points.
-    """
-    pts, _ = minkowski_indexed(a, b)
-    return ConvexChain(pts)
 
 
 def envelope_boundaries(chain: ConvexChain) -> tuple[float, ...]:

@@ -124,12 +124,21 @@ def _check_int(value, where: str, what: str) -> int:
     return value
 
 
+def _as_float(value: int | float) -> float:
+    """``float(value)``, or inf for an integer too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _check_number(value, where: str, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(where, f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    number = _as_float(value)
+    if not math.isfinite(number):
         raise _fail(where, f"{what} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _parse_nodes(value, where: str) -> int:
@@ -225,7 +234,7 @@ def loads_corpus(text: str) -> Corpus:
         where = f"line {i}"
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the interpreter's digit limit
             raise _fail(where, f"invalid JSON: {exc}") from None
         docs.append((where, _parse_doc(raw, where)))
     names = {
@@ -282,7 +291,7 @@ def load_vector_map(path: str, label: str) -> dict[str, float]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable bytes, or an integer past the digit limit
         raise DataError(f"{label} file {path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError(f"{label} file {path}: expected a JSON object of name: value")
@@ -290,9 +299,9 @@ def load_vector_map(path: str, label: str) -> dict[str, float]:
     for name, val in raw.items():
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise DataError(f"{label} file {path}: {name!r} must map to a number")
-        if not math.isfinite(val):
+        out[name] = _as_float(val)
+        if not math.isfinite(out[name]):
             raise DataError(f"{label} file {path}: {name!r} must be finite")
-        out[name] = float(val)
     return out
 
 

@@ -499,6 +499,28 @@ class TestArgumentHandling:
         missing = str(tmp_path / "nope.jsonl")
         assert cli.run(["validate", missing]) == 2
 
+    @pytest.mark.parametrize("where", ["corpus", "weights", "direction"])
+    def test_integer_too_large_for_a_float_is_a_data_error(
+        self, files, capsys, where
+    ) -> None:
+        huge = "9" * 400
+        corpus = files("c.jsonl", TWO_HYP.replace('"tm": 1.0', f'"tm": {huge}'))
+        paths = {
+            "corpus": corpus if where == "corpus" else files("ok.jsonl", TWO_HYP),
+            "weights": files("w.json", f'{{"tm": {huge if where == "weights" else 0.5}}}'),
+            "direction": files("v.json", f'{{"tm": {huge if where == "direction" else 1}}}'),
+        }
+        argv = ["linesearch", paths["corpus"], "--weights", paths["weights"],
+                "--direction", paths["direction"]]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "internal error" not in err
+        if where == "corpus":
+            named = "line 1, edge 0: feature 'tm'"
+        else:
+            named = f"{where} file {paths[where]}: 'tm'"
+        assert err.startswith(f"data error: {named} must be finite"), err
+
     def test_bleu_metric_accepted(self, files, capsys) -> None:
         corpus = files("c.jsonl", TWO_HYP)
         weights = files("w.json", '{"tm": 0.5}')

@@ -272,6 +272,22 @@ class TestRealize:
         assert len(d.tokens) == n - 1 + 1  # start token plus one word per step
         assert d.edge_ids() == list(range(n - 1, -1, -1))
 
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ((-1, ((0, ()), (2, ()))), "edge id -1 not in this forest"),
+            ((6, ()), "edge id 6 not in this forest"),
+            ((0, ((1, ()),)), "edge 0 expects 0 tails, provenance recorded 1"),
+            ((5, ((5, ()), (2, ()))), "edge 5 tail 0 is node 0, provenance supplies node 2"),
+            (None, "point has opaque provenance"),
+        ],
+        ids=["negative-edge-id", "edge-id-past-the-end", "leaf-with-a-child",
+             "child-heads-another-node", "opaque"],
+    )
+    def test_tree_that_does_not_fit_is_refused(self, tree, message) -> None:
+        with pytest.raises(ProvenanceError, match=message):
+            realize(binary_forest(), tree)
+
     def test_derivation_equality_is_by_tree(self) -> None:
         g = binary_forest()
         a = realize(g, (5, ((0, ()), (2, ()))))
@@ -348,6 +364,7 @@ class TestReconstruct:
             for i, p in enumerate(value.points):
                 d = reconstruct(g, value, i)
                 assert d.tree == value.provenance[i]
+                assert d == realize(g, d.tree) and d.tokens == realize(g, d.tree).tokens
                 assert float(v @ d.features) == p.x
                 assert float(-(w0 @ d.features)) == p.y
 
@@ -743,6 +760,30 @@ class TestEnumeration:
         assert count_derivations(g) == 6
         got = enumerate_derivations(g)
         assert len(got) == len(set(got)) == 6
+        # oracle.best_derivation keeps the first of tied derivations, so the
+        # order is part of the contract: edges in order, last tail fastest.
+        assert [d.tree for d in got] == [
+            (5, ((0, ()), (2, ()))),
+            (5, ((0, ()), (3, ()))),
+            (5, ((0, ()), (4, ()))),
+            (5, ((1, ()), (2, ()))),
+            (5, ((1, ()), (3, ()))),
+            (5, ((1, ()), (4, ()))),
+        ]
+        assert [d.tokens for d in got][:2] == [("a0", "x", "b0"), ("a0", "x", "b1")]
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
+    def test_each_derivation_is_its_realized_tree(self, integer) -> None:
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            for g in (
+                random_lattice(rng, n_nodes=6, integer_features=integer),
+                random_forest(rng, n_nodes=7, max_edges_per_node=3, integer_features=integer),
+            ):
+                for d in enumerate_derivations(g):
+                    again = realize(g, d.tree)
+                    assert d == again and d.tokens == again.tokens
+                    assert d.features.tobytes() == again.features.tobytes()
 
     def test_deterministic_order(self, rng) -> None:
         g = random_forest(rng, n_nodes=6)

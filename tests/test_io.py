@@ -132,6 +132,14 @@ class TestLoadsCorpus:
             (doc_with(edges=[{"head": 0, "tails": 3}]), "'tails'"),
             (doc_with(edges=[{"head": 0, "features": {"f": "x"}}]), "number"),
             (doc_with(edges=[{"head": 0, "features": {"f": math.inf}}]), "finite"),
+            pytest.param(
+                doc_with(edges=[{"head": 0, "features": {"f": 10**400}}]), "finite", id="huge-int"
+            ),
+            pytest.param(
+                doc_with(goal=0).replace('"goal": 0', '"goal": 1' + "0" * 5000),
+                "invalid JSON",
+                id="int-past-the-digit-limit",
+            ),
             (doc_with(edges=[{"head": 0, "yield": [3]}]), "strings"),
             (doc_with(edges=[{"head": 0, "yield": "w"}]), "list"),
         ],
@@ -191,6 +199,10 @@ class TestLoadVectorMap:
             ('{"a": true}', "number"),
             ('{"a": "x"}', "number"),
             ('{"a": 1e999}', "finite"),
+            pytest.param('{"a": 1' + "0" * 400 + "}", "finite", id="huge-int"),
+            pytest.param(
+                '{"a": 1' + "0" * 5000 + "}", "invalid JSON", id="int-past-the-digit-limit"
+            ),
             ("{bad", "invalid JSON"),
         ],
     )

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "decode_loss",
     "enumerate_derivations",
     "envelope_boundaries",
-    "full_hull",
     "get_metric",
     "inside",
     "inside_hull",
@@ -54,7 +53,6 @@ PUBLIC_NAMES = [
     "loads_corpus",
     "lower_chain",
     "lower_hull",
-    "minkowski_sum",
     "optimize",
     "pick_eta",
     "project_edge",
