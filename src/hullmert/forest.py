@@ -15,12 +15,13 @@ lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
 back-pointers; its own kernel projects, translates and merge-hulls each
 in-edge in one loop per node.  Every ``Derivation`` is a root item (node,
-point index) over per-node back-pointer lists: the kernel's, a table that
-``enumerate_derivations`` fills, or a checked tree that ``realize`` indexes.
-``_yields`` writes every yield, copying the yield of an item that several
-walks share from its first walk, so a deep lattice path costs linear, not
-quadratic, time and memory.  ``tree`` and ``features`` are built only when
-read; the line search reads neither.
+point index) over per-node back-pointer lists: the kernel's, the table that
+``enumerate_derivations`` fills, or those one walk (``_index``) enters for a
+checked tree (``realize``) or a random draw (``sampling``).  ``_yields``
+writes every yield, copying the yield of an item that several walks share
+from its first walk, so a deep lattice path costs linear, not quadratic,
+time and memory.  ``tree`` and ``features`` are read off the back-pointers
+only when asked for; the line search reads neither.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class Hypergraph:
 
     Structural bounds (index ranges, feature ids under ``n_features``, slot
     indices under the tail count) are checked eagerly; acyclicity and
-    reachability are checked by ``validate`` and cached.
+    reachability are checked by ``validate`` and cached.  ``n_nodes`` above
+    the goal plus every edge's head and tails would leave a node on no edge.
     """
 
     __slots__ = ("n_nodes", "edges", "goal", "n_features", "in_edges", "_report")
@@ -104,6 +106,11 @@ class Hypergraph:
     def __init__(self, n_nodes: int, edges: Sequence[Edge], goal: int, n_features: int):
         if n_nodes < 1:
             raise ForestFormatError("a forest needs at least one node")
+        touched = 1
+        for e in edges:
+            touched += 1 + len(e.tails)
+        if n_nodes > touched:
+            raise ForestFormatError(f"{n_nodes} nodes; the goal and edges name at most {touched}")
         if not 0 <= goal < n_nodes:
             raise ForestFormatError(f"goal node {goal} out of range 0..{n_nodes - 1}")
         in_edges: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -166,14 +173,30 @@ class Hypergraph:
             report = ValidationReport(False, None, tuple(errors), (), cyclic_node, False)
             object.__setattr__(self, "_report", report)
             return report
-        derivable = self._derivable(order)
+        derivable = [False] * self.n_nodes
+        for v in order:
+            for ei in self.in_edges[v]:
+                if all(derivable[t] for t in self.edges[ei].tails):
+                    derivable[v] = True
+                    break
         goal_ok = derivable[self.goal]
         if not goal_ok:
             warnings.append(f"goal node {self.goal} derives nothing (empty language)")
-        useful = self._useful(derivable)
-        stranded = tuple(
-            v for v in range(self.n_nodes) if not (derivable[v] and useful[v])
-        )
+        # Useful nodes, reached from the goal through fully derivable edges,
+        # are derivable; every other node is stranded.
+        useful = [False] * self.n_nodes
+        useful[self.goal] = goal_ok
+        stack = [self.goal] if goal_ok else []
+        while stack:
+            v = stack.pop()
+            for ei in self.in_edges[v]:
+                e = self.edges[ei]
+                if all(derivable[t] for t in e.tails):
+                    for t in e.tails:
+                        if not useful[t]:
+                            useful[t] = True
+                            stack.append(t)
+        stranded = tuple(v for v in range(self.n_nodes) if not useful[v])
         if stranded and goal_ok:
             warnings.append(f"nodes not on any leaf-to-goal path: {list(stranded)}")
         report = ValidationReport(
@@ -187,33 +210,6 @@ class Hypergraph:
         if not report.ok:
             raise CyclicForestError(report.errors[0], node=report.cyclic_node)
         return report.topo_order
-
-    def _derivable(self, order: Sequence[int]) -> list[bool]:
-        out = [False] * self.n_nodes
-        for v in order:
-            for ei in self.in_edges[v]:
-                if all(out[t] for t in self.edges[ei].tails):
-                    out[v] = True
-                    break
-        return out
-
-    def _useful(self, derivable: Sequence[bool]) -> list[bool]:
-        """Nodes reachable from the goal through fully derivable edges."""
-        out = [False] * self.n_nodes
-        if not derivable[self.goal]:
-            return out
-        out[self.goal] = True
-        stack = [self.goal]
-        while stack:
-            v = stack.pop()
-            for ei in self.in_edges[v]:
-                e = self.edges[ei]
-                if all(derivable[t] for t in e.tails):
-                    for t in e.tails:
-                        if not out[t]:
-                            out[t] = True
-                            stack.append(t)
-        return out
 
 
 def _inside_values(
@@ -348,9 +344,7 @@ def envelope_points(
     values = _lower_chain_values(graph, w0, v)
     backs = [value.back for value in values]
     roots = [(graph.goal, i) for i in range(len(values[graph.goal]))]
-    tokens = _yields(graph.edges, backs, roots)
-    derivations = tuple(Derivation(t, graph, r, backs) for t, r in zip(tokens, roots))
-    return values[graph.goal].chain(), derivations
+    return values[graph.goal].chain(), tuple(_derivations(graph, backs, roots))
 
 
 def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[str, ...]]:
@@ -388,6 +382,12 @@ def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[s
         yield tuple(toks)
 
 
+def _derivations(graph: Hypergraph, backs: list, roots: list) -> list["Derivation"]:
+    """One Derivation per root item over ``backs``, with its yield."""
+    tokens = _yields(graph.edges, backs, roots)
+    return [Derivation(t, graph, root, backs) for t, root in zip(tokens, roots)]
+
+
 @dataclass(frozen=True, eq=False)
 class Derivation:
     """One tree of edges with its realized yield and dense feature vector.
@@ -395,8 +395,8 @@ class Derivation:
     Only this module builds derivations, and each is one root item
     ``(node, j)`` over per-node back-pointer lists: entry j of
     ``_backs[node]`` is ``(edge_id, j of each tail's item...)``.
-    ``tree`` is built from them on first read and ``features`` is summed
-    on first read, in ``edge_ids`` preorder; a line search reads neither.
+    ``tree`` is folded from their preorder and ``features`` summed in
+    ``edge_ids`` preorder, each on first read; a line search reads neither.
     Equality and hashing look at the tree, read off the back-pointers.
     """
 
@@ -415,15 +415,15 @@ class Derivation:
 
     @cached_property
     def tree(self) -> DerivationTree:
-        """The nested ``(edge_id, child trees)`` tuple of this derivation."""
-        backs = self._backs
-        edges = self._graph.edges
-
-        def expand(item: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
-            back = backs[item[0]][item[1]]
-            return back[0], list(zip(edges[back[0]].tails, back[1:]))
-
-        return _build_tree(self._root, expand)
+        """The nested ``(edge_id, child trees)`` tuple of this derivation:
+        the reversed ``_preorder``, a postorder, folded on a stack."""
+        stack: list = []
+        for eid, count in reversed(list(self._preorder())):
+            cut = len(stack) - count
+            tree = (eid, tuple(stack[cut:]))
+            del stack[cut:]
+            stack.append(tree)
+        return stack[0]
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -454,52 +454,36 @@ class Derivation:
             stack.extend(zip(edges[back[0]].tails, back[1:]))
 
 
-def _build_tree(root, expand: Callable) -> DerivationTree:
-    """The tree that ``expand(item) -> (edge_id, child items)`` spells from root.
-
-    ``expand`` is called in preorder, children left to right, by one
-    iterative post-order pass, so derivations thousands of edges deep (long
-    lattices) do not hit the recursion limit.  Each call builds one tree.
-    """
-    # frame: (edge_id, child items, built child trees)
-    frames = [(*expand(root), [])]
-    while True:
-        eid, items, trees = frames[-1]
-        if len(trees) < len(items):
-            frames.append((*expand(items[len(trees)]), []))
-            continue
-        frames.pop()
-        tree = (eid, tuple(trees))
-        if not frames:
-            return tree
-        frames[-1][2].append(tree)
-
-
-def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
-    """The Derivation that ``tree``, ``(edge_id, child trees in tail
-    order)``, spells; its ``tree`` equals the argument.
-
-    One iterative preorder walk checks each record against the forest and
-    appends its edge to its head node's back-pointer list; ``_yields``
-    writes the yield from those lists.  Raises ProvenanceError when the
-    tree does not fit this forest.
-    """
+def _index(graph: Hypergraph, start, expand: Callable) -> Derivation:
+    """The Derivation that ``expand(item) -> (edge_id, child items)`` spells
+    from ``start``.  One iterative walk, so no depth hits the recursion
+    limit, calls ``expand`` in preorder, children left to right, and appends
+    each edge to its head node's back-pointer list."""
     edges = graph.edges
     backs: list[list] = [[] for _ in range(graph.n_nodes)]
-    # (item for _check_record, the parent's back-pointer or None)
-    stack = [((tree, None, 0), None)]
+    # (item, the parent's back-pointer or None)
+    stack = [(start, None)]
     while stack:
         item, parent = stack.pop()
-        eid, children = _check_record(graph, item)
+        eid, children = expand(item)
         table = backs[edges[eid].head]
-        if parent is not None:
+        if parent is None:
+            root = (edges[eid].head, 0)
+        else:
             parent.append(len(table))
         back = [eid]
         table.append(back)
         stack.extend((child, back) for child in reversed(children))
-    root = (edges[tree[0]].head, 0)
-    (tokens,) = _yields(edges, backs, [root])
-    return Derivation(tokens, graph, root, backs)
+    return _derivations(graph, backs, [root])[0]
+
+
+def realize(graph: Hypergraph, tree: DerivationTree) -> Derivation:
+    """The Derivation that ``tree``, ``(edge_id, child trees in tail
+    order)``, spells; its ``tree`` equals the argument.  ``_index`` walks the
+    tree once, checking each record with ``_check_record``.  Raises
+    ProvenanceError when a record is not an ``(int, tuple)`` pair or the
+    tree does not fit this forest."""
+    return _index(graph, (tree, None, 0), lambda item: _check_record(graph, item))
 
 
 def _check_record(graph: Hypergraph, item) -> tuple[int, list]:
@@ -508,6 +492,9 @@ def _check_record(graph: Hypergraph, item) -> tuple[int, list]:
     record, parent, slot = item
     if record is None:
         raise ProvenanceError("point has opaque provenance; not produced by inside")
+    if not (record.__class__ is tuple and len(record) == 2 and record[0].__class__ is int
+            and record[1].__class__ is tuple):
+        raise ProvenanceError(f"record {record!r:.60} is not (int edge id, tuple of children)")
     eid, children = record
     edges = graph.edges
     if not 0 <= eid < len(edges):
@@ -564,25 +551,22 @@ def enumerate_derivations(
     graph: Hypergraph, cap: int = DEFAULT_DERIVATION_CAP
 ) -> list[Derivation]:
     """All derivations of the goal, in deterministic (edge, tail-combination)
-    order, entered in one back-pointer table that the results share.
+    order, entered in one back-pointer table that the results share; the
+    nodes that ``validate`` reports unreachable get no entries.
     Raises EnumerationOverflowError when the count exceeds ``cap``."""
     n = count_derivations(graph)
     if n > cap:
         raise EnumerationOverflowError(f"{n} derivations exceed the cap of {cap}")
     report = graph.validate()
-    derivable = graph._derivable(report.topo_order)
-    useful = graph._useful(derivable)
+    skip = set(report.unreachable)
     edges = graph.edges
     backs: list[list] = [[] for _ in range(graph.n_nodes)]
     for node in report.topo_order:
-        if not useful[node]:
+        if node in skip:
             continue
         table = backs[node]
         for ei in graph.in_edges[node]:
             for tails in iter_product(*(range(len(backs[t])) for t in edges[ei].tails)):
                 table.append((ei, *tails))
     roots = [(graph.goal, j) for j in range(len(backs[graph.goal]))]
-    return [
-        Derivation(tokens, graph, root, backs)
-        for tokens, root in zip(_yields(edges, backs, roots), roots)
-    ]
+    return _derivations(graph, backs, roots)

@@ -256,8 +256,18 @@ def loads_corpus(text: str) -> Corpus:
 
 
 def load_corpus(path: str) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        return loads_corpus(fh.read())
+    """``loads_corpus`` of a file; a byte that is not UTF-8 is a
+    ForestFormatError that names the file and the byte's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The lines before the bad byte, and ("x") the one it stands on.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        byte = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise _fail(f"corpus file {path}, line {line}", byte) from None
+    return loads_corpus(text)
 
 
 def serialize_corpus(corpus: Corpus) -> str:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forest import Derivation, Edge, Hypergraph, _build_tree, realize
+from .forest import Derivation, Edge, Hypergraph, _index
 from .semiring import ConvexHullValue
 
 DEFAULT_VOCAB = ("a", "b", "c", "d", "e")
@@ -93,8 +93,8 @@ def random_forest(
 def random_derivation(rng: np.random.Generator, graph: Hypergraph) -> Derivation:
     """One uniform-per-edge top-down sample from a fully derivable forest.
 
-    Edges are drawn root first, then tails left to right, depth first, and
-    the drawn tree is passed to ``realize``.
+    Edges are drawn root first, then tails left to right, depth first, by
+    the walk ``forest.realize`` uses, straight into back-pointers.
     """
     graph.topo_order()
     edges, in_edges = graph.edges, graph.in_edges
@@ -103,7 +103,7 @@ def random_derivation(rng: np.random.Generator, graph: Hypergraph) -> Derivation
         ei = int(rng.choice(in_edges[node]))
         return ei, edges[ei].tails
 
-    return realize(graph, _build_tree(graph.goal, expand))
+    return _index(graph, graph.goal, expand)
 
 
 def random_corpus(

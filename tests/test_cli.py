@@ -499,6 +499,19 @@ class TestArgumentHandling:
         missing = str(tmp_path / "nope.jsonl")
         assert cli.run(["validate", missing]) == 2
 
+    def test_corpus_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys) -> None:
+        fixture = (FIXTURES / "corpus.jsonl").read_bytes()
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(fixture + b'{"id": "\xff"}\n')
+        line = len(fixture.splitlines()) + 1
+        assert cli.run(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "internal error" not in err
+        assert err == (
+            f"data error: corpus file {path}, line {line}: "
+            "byte 0xff is not UTF-8 (invalid start byte)\n"
+        )
+
     @pytest.mark.parametrize("where", ["corpus", "weights", "direction"])
     def test_integer_too_large_for_a_float_is_a_data_error(
         self, files, capsys, where

@@ -88,6 +88,16 @@ class TestConstruction:
                 2, [Edge.make(1, (0,), {}, template)], goal=1, n_features=0
             )
 
+    def test_node_count_is_bounded_by_the_edges(self) -> None:
+        # The goal, two heads and one tail: a fifth node would be touched by
+        # no edge.  The count is refused before a list per node is built.
+        edges = [Edge.make(1, (), {}, ()), Edge.make(2, (1,), {}, (0,))]
+        assert Hypergraph(4, edges, goal=3, n_features=0).n_nodes == 4
+        for n in (5, 10**5):
+            message = f"{n} nodes; the goal and edges name at most 4"
+            with pytest.raises(ForestFormatError, match=message):
+                Hypergraph(n, edges, goal=0, n_features=0)
+
     def test_immutable(self) -> None:
         g = Hypergraph(1, [Edge.make(0, (), {}, ())], goal=0, n_features=0)
         with pytest.raises(AttributeError):
@@ -280,9 +290,14 @@ class TestRealize:
             ((0, ((1, ()),)), "edge 0 expects 0 tails, provenance recorded 1"),
             ((5, ((5, ()), (2, ()))), "edge 5 tail 0 is node 0, provenance supplies node 2"),
             (None, "point has opaque provenance"),
+            ((1,), r"record \(1,\) is not \(int edge id, tuple of children\)"),
+            ((0, 5), r"record \(0, 5\) is not"),
+            ((1.0, ()), r"record \(1.0, \(\)\) is not"),
+            ((True, ()), r"record \(True, \(\)\) is not"),
         ],
         ids=["negative-edge-id", "edge-id-past-the-end", "leaf-with-a-child",
-             "child-heads-another-node", "opaque"],
+             "child-heads-another-node", "opaque", "one-element-record",
+             "children-not-a-tuple", "float-edge-id", "bool-edge-id"],
     )
     def test_tree_that_does_not_fit_is_refused(self, tree, message) -> None:
         with pytest.raises(ProvenanceError, match=message):
@@ -553,16 +568,16 @@ class TestEnvelopePoints:
 
     def test_search_path_builds_no_tree(self, rng, monkeypatch) -> None:
         # Yields come straight from the back-pointers; a tree is built only
-        # when a caller reads Derivation.tree (or features).
+        # when a caller reads Derivation.tree.
         sentences = random_corpus(rng, n_sentences=3, integer_features=True)
         graph = random_forest(rng, n_nodes=30, max_edges_per_node=3, integer_features=True)
         sentences.append((graph, random_derivation(rng, graph).tokens))
         w0, v = random_vectors(rng, 3, integer=True)
 
-        def forbidden(*_):
+        def forbidden(_):
             raise AssertionError("derivation tree built on the search path")
 
-        monkeypatch.setattr(forest, "_build_tree", forbidden)
+        monkeypatch.setattr(forest.Derivation, "tree", property(forbidden))
         metric = get_metric("bleu")
         result = line_search(sentences, w0, v, metric)
         sweep(sentences, w0, v, metric, -2.0, 2.0, 9)
@@ -628,13 +643,14 @@ class TestEnvelopePoints:
         w0, v = random_vectors(rng, 3, integer=False)
         _, derivations = envelope_points(graph, w0, v)
         _, again = envelope_points(graph, w0, v)
-        built = forest._build_tree
-        monkeypatch.setattr(forest, "_build_tree", lambda *_: pytest.fail("tree built"))
+        built = forest.Derivation.tree
+        no_tree = property(lambda _: pytest.fail("tree built"))
+        monkeypatch.setattr(forest.Derivation, "tree", no_tree)
         ids = [d.edge_ids() for d in derivations]
         features = [d.features.tobytes() for d in derivations]
         assert list(derivations) == list(again) and len(set(derivations + again)) == len(again)
         assert [hash(d) for d in derivations] == [hash(d) for d in again]
-        monkeypatch.setattr(forest, "_build_tree", built)
+        monkeypatch.setattr(forest.Derivation, "tree", built)
         trees = [realize(graph, d.tree) for d in derivations]
         assert ids == [t.edge_ids() for t in trees]
         assert features == [t.features.tobytes() for t in trees]
@@ -774,13 +790,16 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     def test_each_derivation_is_its_realized_tree(self, integer) -> None:
-        rng = np.random.default_rng(17)
+        # Enumerated and drawn derivations alike; draws use their own
+        # generator, so the graphs stay those of the seed.
+        rng, draws = np.random.default_rng(17), np.random.default_rng(23)
         for _ in range(10):
             for g in (
                 random_lattice(rng, n_nodes=6, integer_features=integer),
                 random_forest(rng, n_nodes=7, max_edges_per_node=3, integer_features=integer),
             ):
-                for d in enumerate_derivations(g):
+                drawn = [random_derivation(draws, g) for _ in range(5)]
+                for d in enumerate_derivations(g) + drawn:
                     again = realize(g, d.tree)
                     assert d == again and d.tokens == again.tokens
                     assert d.features.tobytes() == again.features.tobytes()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,12 @@ class TestLoadsCorpus:
             (doc_with(goal="2"), "integer"),
             (doc_with(goal=True), "integer"),
             (doc_with(nodes=0), "positive"),
+            pytest.param(
+                doc_with(nodes=10**5),
+                "line 1: 100000 nodes; the goal and edges name at most 2",
+                id="node-count-past-the-edges",
+            ),
+            pytest.param(doc_with(nodes=10**400), "line 1: 10+ nodes", id="huge-node-count"),
             (doc_with(id=7), "'id'"),
             ('{"id": "s", "nodes": 1, "goal": 0, "edges": []}', "missing keys"),
             (doc_with(extra=1), "unknown keys"),
@@ -184,6 +191,22 @@ class TestSerializeCorpus:
         p = tmp_path / "c.jsonl"
         p.write_text(SENTENCE + "\n", encoding="utf-8")
         assert len(load_corpus(str(p))) == 1
+
+    @pytest.mark.parametrize(
+        "lines, line, byte",
+        [
+            ([b"\xff"], 1, "0xff"),
+            ([SENTENCE.encode(), b"", b'{"id": "\xc3"}'], 3, "0xc3"),
+            ([SENTENCE.encode().replace(b"the", b"\xe2\x80the")], 1, "0xe2"),
+        ],
+        ids=["first-line", "after-a-blank-line", "cut-sequence"],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, lines, line, byte) -> None:
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b"\r\n".join(lines) + b"\n")
+        message = f"^{re.escape(f'corpus file {p}, line {line}')}: byte {byte} is not UTF-8"
+        with pytest.raises(ForestFormatError, match=message):
+            load_corpus(str(p))
 
 
 class TestLoadVectorMap:
