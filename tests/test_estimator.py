@@ -3,6 +3,7 @@ import pytest
 
 from hullmert import Edge, Hypergraph, MertEstimator
 from hullmert.errors import ConfigError
+from hullmert.forest import envelope_points
 from hullmert.io import loads_corpus
 from hullmert.linesearch import decode_loss
 from hullmert.metrics import ExactMatch
@@ -122,7 +123,7 @@ class TestDecodeTies:
     order, in ``decode_loss`` and ``predict`` alike."""
 
     @staticmethod
-    def tied_sentence(ref: str) -> tuple[Hypergraph, tuple[str, ...]]:
+    def tied_sentence(ref: str, skip: bool = False) -> tuple[Hypergraph, tuple[str, ...]]:
         # At weights [1, 1] all three word edges score exactly 1.
         g = Hypergraph(
             2,
@@ -135,6 +136,22 @@ class TestDecodeTies:
             goal=1,
             n_features=2,
         )
+        if skip:
+            # Node 2's in-edges: an arc from node 1, the skip arc from node
+            # 0, then a second arc from node 1.  The skip arc and the path
+            # through the second arc have equal features, {0: 0.5}.
+            g = Hypergraph(
+                3,
+                [
+                    Edge.make(0, (), {}, ("s",)),
+                    Edge.make(1, (0,), {}, (0,)),
+                    Edge.make(2, (1,), {1: 1.0}, (0, "first")),
+                    Edge.make(2, (0,), {0: 0.5}, (0, "skip")),
+                    Edge.make(2, (1,), {0: 0.5}, (0, "second")),
+                ],
+                goal=2,
+                n_features=2,
+            )
         return g, ("s", ref)
 
     def test_predict_takes_the_first_edge(self) -> None:
@@ -146,3 +163,16 @@ class TestDecodeTies:
     def test_decode_loss_takes_the_first_edge(self, ref: str, loss: float) -> None:
         corpus = [self.tied_sentence(ref)]
         assert decode_loss(corpus, np.array([1.0, 1.0]), ExactMatch()) == loss
+
+    @pytest.mark.parametrize("ref, loss", [("skip", 0.0), ("second", 1.0)])
+    def test_ties_follow_in_edge_order_across_runs(self, ref: str, loss: float) -> None:
+        # The two arcs from node 1 are not adjacent in in-edge order, so the
+        # skip arc between them comes first and keeps the tie.
+        corpus = [self.tied_sentence(ref, skip=True)]
+        w0 = np.array([1.0, -1.0])
+        assert decode_loss(corpus, w0, ExactMatch()) == loss
+        graph, _ = corpus[0]
+        for v in ([1.0, 0.0], [0.0, 0.0]):
+            chain, derivations = envelope_points(graph, w0, np.array(v))
+            assert chain.as_tuples()[-1] == (v[0] * 0.5, -0.5)
+            assert derivations[-1].tokens == ("s", "skip")

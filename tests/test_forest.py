@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -451,6 +453,23 @@ def assert_matches_hull_reference(graph: Hypergraph, w0, v) -> None:
         assert d.features.tobytes() == ref.features.tobytes()
 
 
+def copy_parallel_features(rng, graph: Hypergraph) -> Hypergraph:
+    """``graph`` with one arc's features copied onto the next in-edge of its
+    head when both leave the same node, so the two arcs tie exactly."""
+    pairs = [
+        (a, b)
+        for ins in graph.in_edges
+        for a, b in zip(ins, ins[1:])
+        if graph.edges[a].tails == graph.edges[b].tails
+    ]
+    if not pairs:
+        return graph
+    a, b = pairs[rng.integers(len(pairs))]
+    edges = list(graph.edges)
+    edges[b] = dataclasses.replace(edges[b], features=edges[a].features)
+    return Hypergraph(graph.n_nodes, edges, graph.goal, graph.n_features)
+
+
 def random_vectors(rng, n: int, integer: bool):
     if integer:
         return (rng.integers(-3, 4, size=n).astype(float),
@@ -492,22 +511,34 @@ class TestEnvelopePoints:
         seed=st.integers(0, 2**32 - 1),
         integer=st.booleans(),
         still=st.booleans(),
+        tie=st.booleans(),
         n_nodes=st.integers(2, 30),
         max_parallel=st.integers(1, 4),
     )
     @settings(max_examples=150, deadline=None)
     def test_lattice_goal_chain_is_at_most_the_edge_count(
-        self, seed, integer, still, n_nodes, max_parallel
+        self, seed, integer, still, tie, n_nodes, max_parallel
     ) -> None:
         # Macherey et al. (2008): a lattice's envelope has at most |E|
         # segments.  still=True is v = 0, the fixed-weight decode.
+        # tie=True gives two parallel arcs one point, an exact tie in a run.
         rng = np.random.default_rng(seed)
         graph = random_lattice(
             rng, n_nodes=n_nodes, max_parallel=max_parallel, integer_features=integer
         )
         w0, v = random_vectors(rng, 3, integer)
-        chain, _ = envelope_points(graph, w0, np.zeros(3) if still else v)
+        if tie:
+            graph = copy_parallel_features(rng, graph)
+        if still:
+            v = np.zeros(3)
+        chain, _ = envelope_points(graph, w0, v)
         assert 1 <= len(chain) <= graph.n_edges
+        # Runs of parallel arcs are summed before the product; every node
+        # must still equal the per-edge recursion, bit for bit.
+        got = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
+        assert [chain_bits(x) for x in got] == [
+            chain_bits(x) for x in lower_chain_values(graph, w0, v)
+        ]
 
     def test_projection_bits_do_not_depend_on_the_vector_type(self, rng) -> None:
         # Edges are projected on Python floats; float64 arrays, lists and
@@ -709,6 +740,38 @@ class TestEnvelopePoints:
             envelope_points(g, np.zeros(1), np.ones(1))
         with pytest.raises(InvalidGeometryError):
             envelope_points(g, np.ones(1), np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "n_features, after",
+        [(2, {1: 2.0}), (3, {2: 1.0})],
+        ids=["dominated-arc", "before-a-bad-feature-id"],
+    )
+    def test_run_raises_as_the_oracle_raises(self, n_features, after) -> None:
+        # Node 1's chain is {(0, 1e308)}.  The 1 -> 2 arcs project to
+        # (0, 0), (1, 1e308) and (2, 0); the middle one lies above the
+        # chord, off the run's hull, yet its translate (1, 2e308)
+        # overflows.  With n_features=3 the last arc uses feature id 2,
+        # beyond the vectors: the earlier arc's overflow must raise first.
+        g = Hypergraph(
+            3,
+            [
+                Edge.make(0, (), {}, ("s",)),
+                Edge.make(1, (0,), {0: 1.0}, (0, "a")),
+                Edge.make(2, (1,), {}, (0, "b")),
+                Edge.make(2, (1,), {0: 1.0, 1: 1.0}, (0, "c")),
+                Edge.make(2, (1,), after, (0, "d")),
+            ],
+            goal=2,
+            n_features=n_features,
+        )
+        w0, v = np.array([-1e308, 0.0]), np.array([0.0, 1.0])
+        with pytest.raises(InvalidGeometryError) as want:
+            lower_chain_values(g, w0, v)
+        with pytest.raises(InvalidGeometryError) as got:
+            forest._lower_chain_values(g, w0.tolist(), v.tolist())
+        assert str(got.value) == str(want.value)
+        with pytest.raises(InvalidGeometryError, match=re.escape(str(want.value))):
+            envelope_points(g, w0, v)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_projection_raises(self) -> None:
