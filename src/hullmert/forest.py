@@ -13,17 +13,16 @@ dual points of all envelope hypotheses, each traceable back to its
 derivation via provenance.  The line search runs the same recursion in the
 lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
-back-pointers.  Its kernel sums each run of parallel arcs (or leaves)
-before one product with their tail's chain V, by the distributive law
-sum_e ({p_e} * V) = (sum_e {p_e}) * V.  Every ``Derivation`` is a root
-item (node, point index) over per-node back-pointer lists: the kernel's,
-the table that ``enumerate_derivations`` fills, or those one walk
-(``_index``) enters for a checked tree (``realize``) or a random draw
-(``sampling``).  ``_yields`` writes every yield, copying the yield of an
-item that several walks share from its first walk, so a deep lattice path
-costs linear, not quadratic, time and memory.  ``tree`` and ``features``
-are read off the back-pointers only when asked for; the line search
-reads neither.
+back-pointers; its kernel sums each run of parallel arcs (or leaves)
+before one product with their tail's chain V: sum_e ({p_e} * V) =
+(sum_e {p_e}) * V.  Every ``Derivation`` is a root item (node, point
+index) over per-node back-pointer lists: the kernel's, the table that
+``enumerate_derivations`` fills, or those one walk (``_index``) enters for a
+checked tree (``realize``) or a random draw (``sampling``).  ``_yields``
+writes every yield, copying the yield of an item that several walks share
+from its first walk, so a deep lattice path costs linear, not quadratic,
+time and memory.  ``tree`` and ``features`` are read off the back-pointers
+only when asked for; the line search reads neither.
 """
 
 from __future__ import annotations
@@ -285,14 +284,18 @@ def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullV
 
 
 def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> list:
-    """Every node's ``LowerChainValue``, bit for bit (exceptions and their
-    order included) ``oracle.lower_chain_values``.  Edges are projected,
-    summed left to right.  A lone edge is translated by its first tail
-    inline, then multiplied by the rest.  A run, consecutive in-edges with
-    one tail tuple of length at most one, makes one strict lower hull of
-    its points and then one product with the tail's chain, whose points
-    are the sums x_e + t_j that translation makes.  Each arc's translate
-    is still checked in arc order, so a dominated arc that overflows raises."""
+    """Every node's ``LowerChainValue`` by the recursion of
+    ``oracle.lower_chain_values``, with each run of consecutive in-edges
+    that share one tail tuple of length at most one summed before its
+    product: over a one-point chain (every chain at v = 0) the arcs'
+    translates make one hull; over a longer chain the hull of the arcs' own
+    points multiplies it once.  Errors and their order are the oracle's.
+    The values are the oracle's bit for bit where its per-edge union does
+    not depend on the order of its operands (v = 0, small integer
+    coordinates, general position).  A run with a turn inside ``EPS_GEOM``'s
+    band may keep other points of the same envelope; at a tie that
+    translation rounds over a longer chain, the arc whose own point is
+    lower."""
     edges = graph.edges
     n = len(w0)
     mismatch = n != len(v)
@@ -303,7 +306,7 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
         total = zero
         ins = graph.in_edges[node]
         last = len(ins) - 1
-        run = None
+        run = []
         for pos, ei in enumerate(ins):
             e = edges[ei]
             feats = e.features
@@ -320,47 +323,42 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
             tails = e.tails
-            ends = len(tails) > 1 or pos == last or edges[ins[pos + 1]].tails != tails
-            if run is not None or not ends:
-                # ins[pos] is in a run: consecutive arcs that share tails.
-                if run is None:
-                    run = []
-                    first = values[tails[0]] if tails else None
-                    check = first is not None and first.xs
-                    if check:
-                        x_lo, x_hi = first.xs[0], first.xs[-1]
-                        y_lo, y_hi = min(first.ys), max(first.ys)
-                # Rounded addition is monotone: the arc's translate is
-                # finite exactly when its four extreme sums are.
-                if check and not (
-                    -inf < x + x_lo and x + x_hi < inf and -inf < y + y_lo and y + y_hi < inf
+            more = len(tails) < 2 and pos < last and edges[ins[pos + 1]].tails == tails
+            b = (ei,)
+            if tails:
+                first = values[tails[0]]
+                xs, ys = first.xs, first.ys
+                if not xs:
+                    continue
+                # A run's arcs, and a translate made here, miss ``_product``'s
+                # check.  Rounded addition is monotone: a translate is finite
+                # exactly when its four extreme sums are.
+                if (run or more or len(xs) == 1) and not (
+                    -inf < x + xs[0] and x + xs[-1] < inf
+                    and -inf < y + min(ys) and y + max(ys) < inf
                 ):
                     raise InvalidGeometryError("non-finite point in a product of lower chains")
-                run.append((x, y, (ei,)))
-                if not ends:
-                    continue
-                # Edge ids rise along in_edges, so sorting the tuples keeps
-                # an identical point's earlier arc first.
+                if len(xs) == 1:
+                    x, y, b = x + xs[0], y + ys[0], (ei, 0)
+            if more:
+                run.append((x, y, b))
+                continue
+            if run:
+                # Edge ids rise along in_edges: an identical point keeps
+                # the earlier arc.
+                run.append((x, y, b))
                 run.sort()
                 k = _strict_lower(*zip(*run))
-                run = None
-                if len(k.xs) > 1:
-                    k = k if first is None else k * first
-                    total = k if total is zero else total + k
-                    continue
-                # A one-point hull (every hull at v = 0) goes the way of a
-                # lone edge, which costs less than ``__mul__``.
-                (x,), (y,), ((ei,),) = k.xs, k.ys, k.back
-            if not tails:
-                k = LowerChainValue([x], [y], [(ei,)])
+                run = []
+                if tails and len(xs) > 1:
+                    k = k * first
+            elif tails and len(xs) > 1:
+                back = [(ei, j) for j in range(len(xs))]
+                k = _product([x + t for t in xs], [y + t for t in ys], back)
             else:
-                first = values[tails[0]]
-                if not first.xs:
-                    continue
-                back = [(ei, j) for j in range(len(first.xs))]
-                k = _product([x + t for t in first.xs], [y + t for t in first.ys], back)
-                for t in tails[1:]:
-                    k = k * values[t]
+                k = LowerChainValue([x], [y], [b])
+            for t in tails[1:]:
+                k = k * values[t]
             total = k if total is zero else total + k
         values[node] = total
     return values

@@ -124,18 +124,6 @@ class TestDecodeTies:
 
     @staticmethod
     def tied_sentence(ref: str, skip: bool = False) -> tuple[Hypergraph, tuple[str, ...]]:
-        # At weights [1, 1] all three word edges score exactly 1.
-        g = Hypergraph(
-            2,
-            [
-                Edge.make(0, (), {}, ("s",)),
-                Edge.make(1, (0,), {0: 1.0}, (0, "first")),
-                Edge.make(1, (0,), {1: 1.0}, (0, "second")),
-                Edge.make(1, (0,), {0: 0.5, 1: 0.5}, (0, "third")),
-            ],
-            goal=1,
-            n_features=2,
-        )
         if skip:
             # Node 2's in-edges: an arc from node 1, the skip arc from node
             # 0, then a second arc from node 1.  The skip arc and the path
@@ -150,6 +138,19 @@ class TestDecodeTies:
                     Edge.make(2, (1,), {0: 0.5}, (0, "second")),
                 ],
                 goal=2,
+                n_features=2,
+            )
+        else:
+            # At weights [1, 1] all three word edges score exactly 1.
+            g = Hypergraph(
+                2,
+                [
+                    Edge.make(0, (), {}, ("s",)),
+                    Edge.make(1, (0,), {0: 1.0}, (0, "first")),
+                    Edge.make(1, (0,), {1: 1.0}, (0, "second")),
+                    Edge.make(1, (0,), {0: 0.5, 1: 0.5}, (0, "third")),
+                ],
+                goal=1,
                 n_features=2,
             )
         return g, ("s", ref)

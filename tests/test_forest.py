@@ -533,8 +533,9 @@ class TestEnvelopePoints:
             v = np.zeros(3)
         chain, _ = envelope_points(graph, w0, v)
         assert 1 <= len(chain) <= graph.n_edges
-        # Runs of parallel arcs are summed before the product; every node
-        # must still equal the per-edge recursion, bit for bit.
+        # Runs of parallel arcs are summed before the product.  These draws
+        # are small integers or floats in general position, where every
+        # node must still equal the per-edge recursion, bit for bit.
         got = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
         assert [chain_bits(x) for x in got] == [
             chain_bits(x) for x in lower_chain_values(graph, w0, v)
@@ -772,6 +773,88 @@ class TestEnvelopePoints:
         assert str(got.value) == str(want.value)
         with pytest.raises(InvalidGeometryError, match=re.escape(str(want.value))):
             envelope_points(g, w0, v)
+
+    @pytest.mark.parametrize(
+        "w0, v, arcs",
+        [
+            ([-1.0, 1e-17, 0.0], [0.0, 0.0, 0.0], [{}, {1: 1.0}]),
+            ([-1e16, 0.0, 0.4], [0.0, 1.0, 0.0], [{}, {1: 1.0, 2: 1.0}, {1: 2.0}]),
+        ],
+        ids=["tie-that-rounding-makes", "collinear-after-rounding"],
+    )
+    def test_run_over_a_one_point_chain_is_the_oracle(self, w0, v, arcs) -> None:
+        # Node 1's chain is one point, (0, 1) or (0, 1e16), and translation
+        # rounds the 1 -> 2 arcs together.  At v = 0 both arcs land on
+        # (0, 1), though the second one's own point is 1e-17 lower; at v the
+        # points (0, 0), (1, -0.4) and (2, 0) land on one line.  Such a run
+        # is hulled on its translates: the earlier arc keeps the tie and the
+        # middle point drops, as in the per-edge recursion.
+        g = Hypergraph(
+            3,
+            [Edge.make(0, (), {}, ("s",)), Edge.make(1, (0,), {0: 1.0}, (0, "a"))]
+            + [Edge.make(2, (1,), f, (0, f"w{i}")) for i, f in enumerate(arcs)],
+            goal=2,
+            n_features=3,
+        )
+        w0, v = np.array(w0), np.array(v)
+        got = forest._lower_chain_values(g, w0.tolist(), v.tolist())
+        assert [chain_bits(x) for x in got] == [
+            chain_bits(x) for x in lower_chain_values(g, w0, v)
+        ]
+        _, derivations = envelope_points(g, w0, v)
+        assert derivations[0].tokens == ("s", "a", "w0")
+
+    @pytest.mark.parametrize(
+        "edges, w0, v",
+        [
+            (
+                [
+                    (0, (), {0: -2.0, 1: 1.8969819276895477}),
+                    (1, (0,), {0: -2.0, 1: -3.369827681106118}),
+                    (1, (0,), {0: 4.0, 1: 6.739655377762362}),
+                    (1, (0,), {0: 0.0, 1: 3.778854393749608e-09}),
+                    (1, (0,), {0: -3.0, 1: -5.054741528574713}),
+                ],
+                [0.0, 1.0, 0.0],
+                [1.0, 0.0, 0.0],
+            ),
+            (
+                [
+                    (0, (), {}),
+                    (1, (0,), {0: 1.0}),
+                    (1, (0,), {0: 1.0, 1: 3.0, 2: -20.0}),
+                    (2, (1,), {}),
+                    (2, (1,), {1: 1.0, 2: 1.0}),
+                    (2, (1,), {1: 2.0}),
+                ],
+                [-1e16, 0.0, 0.4],
+                [0.0, 1.0, 0.0],
+            ),
+        ],
+        ids=["turn-inside-the-band", "collinear-after-rounding-over-two-points"],
+    )
+    def test_near_degenerate_run_keeps_the_oracle_envelope(self, edges, w0, v) -> None:
+        # Where a turn lies inside EPS_GEOM's band, the per-edge union
+        # depends on the order of its operands, and a summed run may keep
+        # other points of the same envelope.  In the first graph the four
+        # arcs' translates lie on a line but for 4e-9, and the per-edge
+        # recursion keeps a middle point that one hull drops.  In the
+        # second, node 1's chain is (0, 1e16), (3, 1e16 + 8), and the run's
+        # own hull (0, 0), (1, -0.4), (2, 0) reaches it through the product,
+        # where rounding makes three of the sums collinear.
+        g = Hypergraph(
+            1 + edges[-1][0],
+            [Edge.make(h, t, f, (*range(len(t)), f"w{i}")) for i, (h, t, f) in enumerate(edges)],
+            goal=edges[-1][0],
+            n_features=3,
+        )
+        w0, v = np.array(w0), np.array(v)
+        got = forest._lower_chain_values(g, w0.tolist(), v.tolist())
+        for a, b in zip(got, lower_chain_values(g, w0, v)):
+            assert (a.xs[0], a.xs[-1]) == (b.xs[0], b.xs[-1])
+            tol = 1e-8 * (1.0 + max(a.ys + b.ys) - min(a.ys + b.ys))
+            for p, q in ((a, b), (b, a)):
+                assert np.abs(np.interp(p.xs, q.xs, q.ys) - p.ys).max() <= tol
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_projection_raises(self) -> None:
