@@ -5,8 +5,9 @@ which emits plot-ready tab-separated (eta, loss) rows.  Exit codes: 0
 success, 1 usage problems (including out-of-range or non-finite flag
 values), 2 data problems, 3 internal invariant violations (including a
 failed ``verify``).  Output bytes depend only on the inputs, never on
-timing or on the thread count that ``linesearch --threads`` sets; ``sweep``
-and ``optimize`` run serially and take no ``--threads``.  Every search
+timing.  Every command builds envelopes serially: ``linesearch --threads``
+is checked (below 1 is a usage error) and otherwise changes nothing, and
+``sweep`` and ``optimize`` take no ``--threads``.  Every search
 coalesces surface boundaries at ``linesearch.DEFAULT_MERGE_EPS``, and no
 flag sets another tolerance.  No flag moves a reported eta within its
 interval (``linesearch.pick_eta`` places it), and ``verify`` takes no
@@ -63,7 +64,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("linesearch", help="exact error minimization along a direction")
     _add_common(p, direction=True)
-    p.add_argument("--threads", type=int, default=1, help="worker threads; >= 1")
+    p.add_argument(
+        "--threads", type=int, default=1, help=">= 1; envelopes are built serially at any value"
+    )
 
     p = sub.add_parser("sweep", help="corpus loss on an eta grid, as TSV rows")
     _add_common(p, direction=True)
@@ -190,7 +193,7 @@ def cmd_linesearch(args) -> tuple[str, int]:
         "sentences": sentences,
         "surface": {
             "boundaries": list(result.boundaries),
-            "counts": [list(stats) for stats in result.surface.stats],
+            "counts": [stats.tolist() for stats in result.surface.stats],
             "losses": list(result.interval_losses),
         },
         "best_interval": result.best_interval,

@@ -13,7 +13,8 @@ A corpus is line-delimited JSON, one sentence per line:
 Feature names are strings; the loader assigns them a stable global index
 by sorting all names seen in the corpus, so the dense vector layout does
 not depend on sentence order.  Yield entries are strings; "$k" substitutes
-tail k's yield (tokens of that exact shape are reserved for slots).
+tail k's yield (tokens of that exact shape, "$" and ASCII digits, are
+reserved for slots).
 ``nodes`` is the node count, or equivalently a list of the ids 0..n-1.
 
 All floats in serialized output use 17 significant digits, dictionary keys
@@ -27,6 +28,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +43,7 @@ from .errors import (
 from .forest import Edge, Hypergraph
 from .metrics import tokenize
 
-_SLOT_RE = re.compile(r"^\$(\d+)$")
+_SLOT_RE = re.compile(r"\$([0-9]+)")  # fullmatch: no trailing newline, ASCII digits
 _SENTENCE_KEYS = {"id", "nodes", "goal", "edges", "reference"}
 _EDGE_KEYS = {"head", "tails", "features", "yield"}
 
@@ -161,6 +163,17 @@ def _parse_reference(value, where: str) -> tuple[str, ...]:
     raise _fail(where, f"'reference' must be a string or list of tokens, got {value!r}")
 
 
+def _parse_features(features: dict, where: str) -> dict[str, float]:
+    """The map as it is when every value is a finite float; else each
+    value checked in order, and an integer made a float."""
+    values = features.values()
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return features
+    return {
+        name: _check_number(val, where, f"feature {name!r}") for name, val in features.items()
+    }
+
+
 def _parse_template(value, where: str) -> tuple[str | int, ...]:
     if not isinstance(value, list):
         raise _fail(where, f"'yield' must be a list, got {value!r}")
@@ -168,7 +181,7 @@ def _parse_template(value, where: str) -> tuple[str | int, ...]:
     for item in value:
         if not isinstance(item, str):
             raise _fail(where, f"yield entries must be strings, got {item!r}")
-        m = _SLOT_RE.match(item)
+        m = _SLOT_RE.fullmatch(item) if item[:1] == "$" else None
         out.append(int(m.group(1)) if m else item)
     return tuple(out)
 
@@ -207,9 +220,7 @@ def _parse_doc(doc, where: str) -> dict:
         features = e.get("features", {})
         if not isinstance(features, dict):
             raise _fail(ewhere, "'features' must be an object")
-        feats = {}
-        for name, val in features.items():
-            feats[name] = _check_number(val, ewhere, f"feature {name!r}")
+        feats = _parse_features(features, ewhere)
         template = _parse_template(e.get("yield", []), ewhere)
         edges.append((head, tails, feats, template))
     return {
@@ -242,9 +253,11 @@ def loads_corpus(text: str) -> Corpus:
     }
     index = FeatureIndex(names)
     sentences = []
+    ids = index.ids
     for where, doc in docs:
+        # Names are distinct, so the pairs sort by id; values are floats.
         edges = [
-            Edge.make(head, tails, {index.ids[n]: v for n, v in feats.items()}, template)
+            Edge(head, tails, tuple(sorted([(ids[n], v) for n, v in feats.items()])), template)
             for head, tails, feats, template in doc["edges"]
         ]
         try:
@@ -315,22 +328,67 @@ def load_vector_map(path: str, label: str) -> dict[str, float]:
     return out
 
 
+_encode_str = json.encoder.encode_basestring  # json.dumps(s, ensure_ascii=False)
+
+
 def _float_repr(x: float) -> str:
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
-        raise ValueError("refusing to serialize NaN")
     out = format(x, ".17g")
     # ".17g" may emit bare exponents like "1e+300"; that is valid JSON.
+    # Only "inf", "-inf" and "nan" hold an "n".
+    if "n" in out:
+        if x != x:
+            raise ValueError("refusing to serialize NaN")
+        return '"inf"' if x > 0 else '"-inf"'
     return out
 
 
+def _write_items(items, out: list[str]) -> None:
+    """A list of only floats, or only ints, in one join; a float list with
+    an infinity or NaN (an "n" in its text) goes one item at a time."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        text = ",".join(map(format, items, repeat(".17g")))
+        if "n" not in text:
+            out.append(f"[{text}]")
+            return
+    elif kinds == {int}:
+        out.append(f"[{','.join(map(str, items))}]")
+        return
+    out.append("[")
+    for i, item in enumerate(items):
+        if i:
+            out.append(",")
+        _write_canonical(item, out)
+    out.append("]")
+
+
+def _write_dict(obj, out: list[str]) -> None:
+    out.append("{")
+    for i, key in enumerate(sorted(obj)):
+        if not isinstance(key, str):
+            raise ValueError(f"report keys must be strings, got {key!r}")
+        out.append(f",{_encode_str(key)}:" if i else f"{_encode_str(key)}:")
+        _write_canonical(obj[key], out)
+    out.append("}")
+
+
 def _write_canonical(obj, out: list[str]) -> None:
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if obj is None:
+    """Exact built-in types first; numpy values, bool, None and subclasses
+    take the generic branch.  ``oracle.canonical_json`` is the reference."""
+    kind = type(obj)
+    if kind is float:
+        out.append(_float_repr(obj))
+    elif kind is str:
+        out.append(_encode_str(obj))
+    elif kind is dict:
+        _write_dict(obj, out)
+    elif kind is list or kind is tuple:
+        _write_items(obj, out)
+    elif kind is int:
+        out.append(str(obj))
+    elif isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        _write_canonical(obj.tolist(), out)
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
@@ -339,25 +397,11 @@ def _write_canonical(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_float_repr(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(_encode_str(obj))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_canonical(item, out)
-        out.append("]")
+        _write_items(obj, out)
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise ValueError(f"report keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _write_canonical(obj[key], out)
-        out.append("}")
+        _write_dict(obj, out)
     else:
         raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
 

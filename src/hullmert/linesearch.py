@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -208,13 +207,13 @@ def build_envelopes(
     v: np.ndarray,
     threads: int = 1,
 ) -> list[Envelope]:
-    """Per-sentence envelopes, in input order regardless of thread count.
+    """Per-sentence envelopes, built one after another in input order.
 
-    Sentences are independent, so they may be handed to a thread pool; the
-    result list follows the input order either way.  The inside pass holds
-    the GIL, so the pool does not pay: ``corpus_surface``, ``sweep`` and
-    ``optimize`` always build serially, and only this function and
-    ``line_search`` take ``threads``.
+    ``threads`` is checked (``ConfigError`` below 1) and otherwise changes
+    nothing: the inside pass holds the GIL, so threads over sentences would
+    contend for it rather than run in parallel.  Only this function and
+    ``line_search`` take it; ``corpus_surface``, ``sweep`` and ``optimize``
+    do not.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -229,13 +228,7 @@ def build_envelopes(
             "direction is all zeros; every derivation's score is constant in eta",
             DegenerateDirectionWarning,
         )
-    graphs = [g for g, _ in sentences]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda n: _sentence_envelope(n, graphs[n], w0, v), range(len(graphs)))
-            )
-    return [_sentence_envelope(n, g, w0, v) for n, g in enumerate(graphs)]
+    return [_sentence_envelope(n, g, w0, v) for n, (g, _) in enumerate(sentences)]
 
 
 def _sentence_envelope(n: int, graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> Envelope:

@@ -7,12 +7,15 @@ or redundant on purpose: the envelope machinery is trusted only as far as
 it agrees with these slower, more obvious computations.  The reference
 algebra lives here too: ``check_axioms`` tests the semiring laws on
 sample values, and ``convexify_equivalence`` the hull-then-sum identity
-that makes hull multiplication well defined.  Nothing on the fast path
-imports this module.
+that makes hull multiplication well defined.  ``canonical_json`` is the
+report writer that ``io.canonical_json``'s type-dispatched one must match
+byte for byte.  Nothing on the fast path imports this module.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -351,3 +354,57 @@ def duality_report(
         )
     ok = max_score_err <= DEFAULT_REL_TOL and max_point_err <= DEFAULT_REL_TOL
     return DualityReport(ok, len(env.chain), env.boundaries, max_score_err, max_point_err)
+
+
+def _float_repr(x: float) -> str:
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if math.isnan(x):
+        raise ValueError("refusing to serialize NaN")
+    return format(x, ".17g")
+
+
+def _write_canonical(obj, out: list[str]) -> None:
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_float_repr(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _write_canonical(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise ValueError(f"report keys must be strings, got {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(":")
+            _write_canonical(obj[key], out)
+        out.append("}")
+    else:
+        raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+def canonical_json(obj) -> str:
+    """The canonical report, one ``isinstance`` test per value: sorted
+    keys, 17-significant-digit floats, no whitespace, infinities as the
+    strings "inf"/"-inf"."""
+    out: list[str] = []
+    _write_canonical(obj, out)
+    return "".join(out)

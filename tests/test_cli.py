@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -191,6 +192,28 @@ class TestLineSearch:
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_threads_flag_starts_no_thread(self, capsys, monkeypatch) -> None:
+        # --threads is checked but builds envelopes serially: with thread
+        # starts refused, --threads 4 still prints the --threads 1 bytes.
+        argv = [
+            "linesearch", str(FIXTURES / "corpus.jsonl"),
+            "--weights", str(FIXTURES / "weights.json"),
+            "--direction", str(FIXTURES / "direction.json"),
+            "--metric", "bleu",
+        ]
+        assert cli.run(argv + ["--threads", "1"]) == 0
+        serial = capsys.readouterr().out
+
+        def refuse(self):
+            raise AssertionError("hullmert linesearch started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert cli.run(argv + ["--threads", "4"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == serial
+        assert out.out.encode() == (FIXTURES / "golden_linesearch.json").read_bytes()
 
     def test_empty_corpus_is_a_usage_error(self, files, capsys) -> None:
         corpus = files("c.jsonl", "")

@@ -470,6 +470,27 @@ def copy_parallel_features(rng, graph: Hypergraph) -> Hypergraph:
     return Hypergraph(graph.n_nodes, edges, graph.goal, graph.n_features)
 
 
+@st.composite
+def shuffled_lattices(draw):
+    """A random lattice with its edge list permuted, which interleaves the
+    in-edges of a node from different tails, and vectors for it: small
+    integers (exact ties across tails) or floats, and v = 0 at times."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+    graph = random_lattice(
+        rng,
+        n_nodes=draw(st.integers(3, 20)),
+        max_parallel=draw(st.integers(2, 4)),
+        p_skip=0.6,
+        integer_features=integer,
+    )
+    edges = [graph.edges[i] for i in rng.permutation(graph.n_edges)]
+    w0, v = random_vectors(rng, 3, integer)
+    if draw(st.booleans()):
+        v = np.zeros(3)
+    return Hypergraph(graph.n_nodes, edges, graph.goal, graph.n_features), w0, v
+
+
 def random_vectors(rng, n: int, integer: bool):
     if integer:
         return (rng.integers(-3, 4, size=n).astype(float),
@@ -536,6 +557,19 @@ class TestEnvelopePoints:
         # Runs of parallel arcs are summed before the product.  These draws
         # are small integers or floats in general position, where every
         # node must still equal the per-edge recursion, bit for bit.
+        got = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
+        assert [chain_bits(x) for x in got] == [
+            chain_bits(x) for x in lower_chain_values(graph, w0, v)
+        ]
+
+    @given(lattice=shuffled_lattices())
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_in_edges_keep_the_oracle_values(self, lattice) -> None:
+        # A lattice's in-edges come grouped by tail; shuffled, a skip arc
+        # sits between two parallel arcs.  Only consecutive arcs with one
+        # tail tuple form a run, so every node's chain and back-pointers
+        # must still be the per-edge recursion's.
+        graph, w0, v = lattice
         got = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
         assert [chain_bits(x) for x in got] == [
             chain_bits(x) for x in lower_chain_values(graph, w0, v)

@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hullmert import oracle
 from hullmert.errors import (
     DataError,
     ForestFormatError,
@@ -115,6 +118,21 @@ class TestLoadsCorpus:
             doc_with(edges=[{"head": 0, "features": {}, "yield": ["$x", "$"]}])
         )
         assert corpus.sentences[0].graph.edges[0].template == ("$x", "$")
+
+    @pytest.mark.parametrize(
+        "word", ["$0\n", "$\u0663"], ids=["trailing-newline", "arabic-indic-three"]
+    )
+    def test_slot_lookalikes_stay_literal(self, word: str) -> None:
+        # A slot is "$" and ASCII digits, the whole entry: "$" before a
+        # trailing newline and non-ASCII digits do not make one.
+        edges = [
+            {"head": 0, "features": {}, "yield": ["w"]},
+            {"head": 1, "tails": [0], "features": {}, "yield": ["$0", word]},
+        ]
+        corpus = loads_corpus(doc_with(nodes=2, goal=1, edges=edges))
+        assert corpus.sentences[0].graph.edges[1].template == (0, word)
+        again = loads_corpus(serialize_corpus(corpus))
+        assert again.sentences[0].graph.edges == corpus.sentences[0].graph.edges
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -271,3 +289,70 @@ class TestCanonicalJson:
     def test_finite_output_parses_back(self) -> None:
         obj = {"a": [0.1, 2, "s"], "b": {"c": -1.25e-8}}
         assert json.loads(canonical_json(obj)) == obj
+
+
+# Strings with JSON escapes: quotes, backslashes, control characters,
+# non-ASCII text and surrogates.
+TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'), max_size=6)
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 1e16]
+)
+INTS = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, 10**30])
+SCALARS = st.one_of(
+    FLOATS,
+    INTS,
+    TEXT,
+    st.booleans(),
+    st.none(),
+    FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.lists(FLOATS, max_size=5).map(lambda xs: np.array(xs, dtype=np.float64)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5).map(
+        lambda xs: np.array(xs, dtype=np.int64)
+    ),
+    # Float-only and int-only lists take the writer's joined paths.
+    st.lists(FLOATS, max_size=6),
+    st.lists(INTS, max_size=6).map(tuple),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=20,
+)
+# Each is refused: NaN anywhere, a key that is not a string, keys that
+# do not sort.
+REFUSED = st.sampled_from(
+    [
+        math.nan,
+        np.float64(math.nan),
+        [0.5, math.nan],
+        (1, math.nan),
+        np.array([0.5, math.nan]),
+        {1: "x"},
+        {"a": 1, 2: "b"},
+        {("k",): 1.0},
+    ]
+)
+
+
+def write_outcome(write, obj):
+    try:
+        return write(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalJsonMatchesTheReference:
+    @given(VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes(self, obj) -> None:
+        assert canonical_json(obj) == oracle.canonical_json(obj)
+
+    @given(st.lists(VALUES | REFUSED, min_size=1, max_size=5), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_refusals(self, items, as_dict) -> None:
+        # The first refused value in writing order raises, in both writers.
+        obj = {f"k{i}": x for i, x in enumerate(items)} if as_dict else items
+        assert write_outcome(canonical_json, obj) == write_outcome(oracle.canonical_json, obj)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,30 @@ class TestBuildEnvelopes:
         pooled = build_envelopes(corpus, w0, v, threads=4)
         assert [e.chain for e in serial] == [e.chain for e in pooled]
         assert [e.boundaries for e in serial] == [e.boundaries for e in pooled]
+
+    def test_no_thread_is_started_at_any_count(self, rng, monkeypatch) -> None:
+        # The inside pass holds the GIL, so a pool over sentences costs
+        # time; threads > 1 must run the serial path and give its result.
+        corpus = random_corpus(rng, n_sentences=6, n_nodes=6)
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        metric = get_metric("bleu")
+        serial = line_search(corpus, w0, v, metric, threads=1)
+
+        def refuse(self):
+            raise AssertionError("line_search started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        got = line_search(corpus, w0, v, metric, threads=4)
+        assert got.boundaries == serial.boundaries
+        assert got.interval_losses == serial.interval_losses
+        assert (got.best_interval, got.eta, got.loss) == (
+            serial.best_interval, serial.eta, serial.loss
+        )
+        assert got.weights.tobytes() == serial.weights.tobytes()
+        assert [e.chain for e in got.envelopes] == [e.chain for e in serial.envelopes]
+        assert [[d.tokens for d in e.derivations] for e in got.envelopes] == [
+            [d.tokens for d in e.derivations] for e in serial.envelopes
+        ]
 
 
 class TestSentenceSurface:
