@@ -391,34 +391,40 @@ def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[s
     """The yield of each root item ``(node, j)``, whose edge is
     ``backs[node][j][0]`` and whose tail t is ``(tail node, backs[node][j][t + 1])``.
 
-    One walk per root fills each edge's template.  The span of an item's
-    first walk (token list, start, end) is recorded, and any later visit,
-    from this root or a later one, copies it, so each reached item is
-    expanded once.
+    One walk per root fills each template left to right; the root fills the
+    one slot of a template of its own.  The span of an item's first walk
+    (token list, start, end) is recorded, and any later visit copies it, so
+    each reached item is expanded once: entered directly, it pushes one
+    continuation (itself, its start, back-pointer, tails, template, position).
     """
     spans: dict = {}
     for root in roots:
         toks: list[str] = []
-        stack = [root]
-        while stack:
-            item = stack.pop()
-            if item.__class__ is str:
-                toks.append(item)
-                continue
-            if item.__class__ is list:
-                # [item, start]: the item's first walk ends here.
-                spans[item[0]] = (toks, item[1], len(toks))
-                continue
-            span = spans.get(item)
-            if span is not None:
-                toks.extend(span[0][span[1]:span[2]])
-                continue
-            stack.append([item, len(toks)])
-            back = backs[item[0]][item[1]]
-            edge = edges[back[0]]
-            tails = edge.tails
-            for slot in reversed(edge.template):
-                stack.append(slot if slot.__class__ is str else (tails[slot], back[slot + 1]))
+        stack: list = []
+        item, start, back, tails, template, k = None, 0, (None, root[1]), (root[0],), (0,), 0
+        while True:
+            if k < len(template):
+                slot = template[k]
+                k += 1
+                if slot.__class__ is str:
+                    toks.append(slot)
+                    continue
+                child = (tails[slot], back[slot + 1])
+                span = spans.get(child)
+                if span is not None:
+                    src, a, b = span
+                    toks += src[a:b]
+                    continue
+                stack.append((item, start, back, tails, template, k))
+                back = backs[child[0]][child[1]]
+                edge = edges[back[0]]
+                item, start = child, len(toks)
+                tails, template, k = edge.tails, edge.template, 0
+            elif stack:
+                spans[item] = (toks, start, len(toks))
+                item, start, back, tails, template, k = stack.pop()
+            else:
+                break
         yield tuple(toks)
 
 

@@ -488,9 +488,9 @@ def sweep(
 ) -> SweepResult:
     """Corpus loss on a uniform grid of ``steps`` points over [lo, hi].
 
-    The surface is built once; grid points are read off it, so a sweep
-    samples exactly the function the line search minimizes.  Grid ties go
-    to the smallest eta.  A single step evaluates the range start only.
+    The surface is built once and the grid read off it by one ``searchsorted``,
+    so a sweep samples exactly the function the line search minimizes.  Grid
+    ties go to the smallest eta.  A single step evaluates the range start only.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -502,7 +502,8 @@ def sweep(
     if steps == 1:
         etas: tuple[float, ...] = (float(lo),)
     else:
-        etas = tuple(float(x) for x in np.linspace(lo, hi, steps))
-    losses = tuple(surface.loss_at(eta) for eta in etas)
+        etas = tuple(np.linspace(lo, hi, steps).tolist())
+    at = np.searchsorted(surface.boundaries, etas, side="right")
+    losses = tuple(map(surface.interval_losses().__getitem__, at.tolist()))
     best_index = min(range(len(etas)), key=lambda i: (losses[i], i))
     return SweepResult(etas, losses, best_index, etas[best_index], losses[best_index])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -186,7 +187,7 @@ class Bleu(Metric):
                 ref_ids.append(-1)
                 size += len(vocab)
             get = vocab.get
-            hyp_ids += [get(t, -1) for t in hyp]
+            hyp_ids += map(get, hyp, repeat(-1))
             hyp_ids.append(-1)
             hyp_len.append(len(hyp))
             ref_len.append(len(ref))

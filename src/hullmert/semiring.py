@@ -169,12 +169,14 @@ def _lower_merge(xa, ya, ba, xb, yb, bb) -> "LowerChainValue":
     """Lower hull of two point lists, each sorted by non-decreasing x: one
     loop merges them (at equal x the lower y first, at an identical point
     a's first) and keeps only the first lowest point at each x and the
-    vertices that turn strictly left (``orientation``'s band)."""
+    vertices that turn strictly left (``orientation``'s band).  The top two
+    stack points stay in locals; the second is read again only after a pop."""
     cx: list[float] = []
     cy: list[float] = []
     cb: list = []
     n = i = j = 0
     na, nb = len(xa), len(xb)
+    ox = oy = ax = ay = 0.0
     while True:
         if j < nb and (i == na or xb[j] < xa[i] or (xb[j] == xa[i] and yb[j] < ya[i])):
             x, y, b = xb[j], yb[j], bb[j]
@@ -184,23 +186,30 @@ def _lower_merge(xa, ya, ba, xb, yb, bb) -> "LowerChainValue":
             i += 1
         else:
             return LowerChainValue(cx, cy, cb)
-        if n and cx[-1] == x:
-            if not y < cy[-1]:
+        if n and ax == x:
+            if not y < ay:
                 continue
             del cx[-1], cy[-1], cb[-1]
             n -= 1
+            ax, ay = ox, oy
+            if n >= 2:
+                ox, oy = cx[-2], cy[-2]
         while n >= 2:
-            ox, oy, ax, ay = cx[-2], cy[-2], cx[-1], cy[-1]
             t1 = (ax - ox) * (y - oy)
             t2 = (ay - oy) * (x - ox)
             if t1 - t2 > EPS_GEOM * (abs(t1) + abs(t2)):
                 break
             del cx[-1], cy[-1], cb[-1]
             n -= 1
+            ax, ay = ox, oy
+            if n >= 2:
+                ox, oy = cx[-2], cy[-2]
         cx.append(x)
         cy.append(y)
         cb.append(b)
         n += 1
+        ox, oy = ax, ay
+        ax, ay = x, y
 
 
 def _strict_lower(xs: list[float], ys: list[float], back: list) -> "LowerChainValue":
@@ -281,7 +290,8 @@ class LowerChainValue:
         ``minkowski_indexed`` without the wrap-around edge; each output
         point extends the left point's back-pointer by the index of the
         right point.  Object identity with ``one`` short-circuits, as
-        in ``ConvexHullValue``.
+        in ``ConvexHullValue``.  The current points and left back-pointer stay
+        in locals; the loop ends with one chain, and the other's rest follows.
         """
         xa, xb = self.xs, other.xs
         if not xa or not xb:
@@ -291,39 +301,45 @@ class LowerChainValue:
         if other is LowerChainValue.one:
             return self
         ya, ba, yb = self.ys, self.back, other.ys
-        if len(xa) == 1:
-            x0, y0, b0 = xa[0], ya[0], ba[0]
-            xs = [x0 + x for x in xb]
-            ys = [y0 + y for y in yb]
-            back = [None] * len(xs) if b0 is None else [b0 + (j,) for j in range(len(xs))]
-        else:
-            xs = [xa[0] + xb[0]]
-            ys = [ya[0] + yb[0]]
-            back = [None if ba[0] is None else ba[0] + (0,)]
-            na, nb = len(xa) - 1, len(xb) - 1
-            i = j = 0
-            while i < na or j < nb:
-                if i == na:
-                    j += 1
-                elif j == nb:
-                    i += 1
-                else:
-                    # Edge-angle order; both edges point right (x increases).
-                    # difference_sign(t1, t2) inline; NaN reads as -1.
-                    t1 = (xa[i + 1] - xa[i]) * (yb[j + 1] - yb[j])
-                    t2 = (ya[i + 1] - ya[i]) * (xb[j + 1] - xb[j])
-                    d = t1 - t2
-                    band = EPS_GEOM * (abs(t1) + abs(t2))
-                    if d > band:
-                        i += 1
-                    elif abs(d) <= band:
-                        i += 1
-                        j += 1
-                    else:
-                        j += 1
-                xs.append(xa[i] + xb[j])
-                ys.append(ya[i] + yb[j])
-                back.append(None if ba[i] is None else ba[i] + (j,))
+        px, py, pb, qx, qy = xa[0], ya[0], ba[0], xb[0], yb[0]
+        xs = [px + qx]
+        ys = [py + qy]
+        back = [None if pb is None else pb + (0,)]
+        na, nb = len(xa) - 1, len(xb) - 1
+        i = j = 0
+        while i < na and j < nb:
+            nx, ny = xa[i + 1], ya[i + 1]
+            mx, my = xb[j + 1], yb[j + 1]
+            # Edge-angle order; both edges point right (x increases).
+            # difference_sign(t1, t2) inline; NaN reads as -1.
+            t1 = (nx - px) * (my - qy)
+            t2 = (ny - py) * (mx - qx)
+            d = t1 - t2
+            band = EPS_GEOM * (abs(t1) + abs(t2))
+            if d > band:
+                i += 1
+                px, py, pb = nx, ny, ba[i]
+            elif abs(d) <= band:
+                i += 1
+                j += 1
+                px, py, pb = nx, ny, ba[i]
+                qx, qy = mx, my
+            else:
+                j += 1
+                qx, qy = mx, my
+            xs.append(px + qx)
+            ys.append(py + qy)
+            back.append(None if pb is None else pb + (j,))
+        while j < nb:
+            j += 1
+            xs.append(px + xb[j])
+            ys.append(py + yb[j])
+            back.append(None if pb is None else pb + (j,))
+        while i < na:
+            i += 1
+            xs.append(xa[i] + qx)
+            ys.append(ya[i] + qy)
+            back.append(None if ba[i] is None else ba[i] + (j,))
         return _product(xs, ys, back)
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from hullmert import Edge, Hypergraph
+from hullmert.geometry import EPS_GEOM
+from hullmert.semiring import LowerChainValue, _product
 
 
 def make_line_graph(lines: list[tuple[float, float]]) -> Hypergraph:
@@ -33,3 +35,127 @@ UNBOUNDED_ETAS = {
     "-1e17": (-1e17, -1.0000000000000002e17, -9.999999999999998e16),
     "1e300": (1e300, math.nextafter(1e300, -math.inf), math.nextafter(1e300, math.inf)),
 }
+
+
+def chain_bits(value: LowerChainValue) -> tuple:
+    """A lower chain's coordinates as hex strings (so -0.0 differs from 0.0)
+    and its back-pointers."""
+    return [x.hex() for x in value.xs], [y.hex() for y in value.ys], value.back
+
+
+# Frozen references for the hot loops of ``semiring`` and ``forest``: the
+# same algorithms in the form they had before their state moved into
+# locals.  The differential tests require the same bits, back-pointers and
+# errors from the rewritten loops.
+
+
+def reference_lower_merge(xa, ya, ba, xb, yb, bb) -> LowerChainValue:
+    """``semiring._lower_merge`` reading the top two stack points from the
+    lists at every step."""
+    cx: list[float] = []
+    cy: list[float] = []
+    cb: list = []
+    n = i = j = 0
+    na, nb = len(xa), len(xb)
+    while True:
+        if j < nb and (i == na or xb[j] < xa[i] or (xb[j] == xa[i] and yb[j] < ya[i])):
+            x, y, b = xb[j], yb[j], bb[j]
+            j += 1
+        elif i < na:
+            x, y, b = xa[i], ya[i], ba[i]
+            i += 1
+        else:
+            return LowerChainValue(cx, cy, cb)
+        if n and cx[-1] == x:
+            if not y < cy[-1]:
+                continue
+            del cx[-1], cy[-1], cb[-1]
+            n -= 1
+        while n >= 2:
+            ox, oy, ax, ay = cx[-2], cy[-2], cx[-1], cy[-1]
+            t1 = (ax - ox) * (y - oy)
+            t2 = (ay - oy) * (x - ox)
+            if t1 - t2 > EPS_GEOM * (abs(t1) + abs(t2)):
+                break
+            del cx[-1], cy[-1], cb[-1]
+            n -= 1
+        cx.append(x)
+        cy.append(y)
+        cb.append(b)
+        n += 1
+
+
+def reference_mul(a: LowerChainValue, b: LowerChainValue) -> LowerChainValue:
+    """``LowerChainValue.__mul__`` indexing both chains at every step and
+    stepping through an exhausted chain one point at a time."""
+    xa, xb = a.xs, b.xs
+    if not xa or not xb:
+        return LowerChainValue.zero
+    if a is LowerChainValue.one:
+        return b
+    if b is LowerChainValue.one:
+        return a
+    ya, ba, yb = a.ys, a.back, b.ys
+    if len(xa) == 1:
+        x0, y0, b0 = xa[0], ya[0], ba[0]
+        xs = [x0 + x for x in xb]
+        ys = [y0 + y for y in yb]
+        back = [None] * len(xs) if b0 is None else [b0 + (j,) for j in range(len(xs))]
+    else:
+        xs = [xa[0] + xb[0]]
+        ys = [ya[0] + yb[0]]
+        back = [None if ba[0] is None else ba[0] + (0,)]
+        na, nb = len(xa) - 1, len(xb) - 1
+        i = j = 0
+        while i < na or j < nb:
+            if i == na:
+                j += 1
+            elif j == nb:
+                i += 1
+            else:
+                # Edge-angle order; both edges point right (x increases).
+                # difference_sign(t1, t2) inline; NaN reads as -1.
+                t1 = (xa[i + 1] - xa[i]) * (yb[j + 1] - yb[j])
+                t2 = (ya[i + 1] - ya[i]) * (xb[j + 1] - xb[j])
+                d = t1 - t2
+                band = EPS_GEOM * (abs(t1) + abs(t2))
+                if d > band:
+                    i += 1
+                elif abs(d) <= band:
+                    i += 1
+                    j += 1
+                else:
+                    j += 1
+            xs.append(xa[i] + xb[j])
+            ys.append(ya[i] + yb[j])
+            back.append(None if ba[i] is None else ba[i] + (j,))
+    return _product(xs, ys, back)
+
+
+def reference_yields(edges, backs: list, roots: list):
+    """``forest._yields`` pushing a marker, every token and every child of
+    an item onto the stack."""
+    spans: dict = {}
+    for root in roots:
+        toks: list[str] = []
+        stack = [root]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                toks.append(item)
+                continue
+            if item.__class__ is list:
+                # [item, start]: the item's first walk ends here.
+                spans[item[0]] = (toks, item[1], len(toks))
+                continue
+            span = spans.get(item)
+            if span is not None:
+                toks.extend(span[0][span[1]:span[2]])
+                continue
+            stack.append([item, len(toks)])
+            back = backs[item[0]][item[1]]
+            edge = edges[back[0]]
+            tails = edge.tails
+            for slot in reversed(edge.template):
+                stack.append(slot if slot.__class__ is str else (tails[slot], back[slot + 1]))
+        yield tuple(toks)

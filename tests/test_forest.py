@@ -36,6 +36,8 @@ from hullmert.oracle import Tropical, dual_points, lower_chain_values
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LowerChainValue
 
+from helpers import chain_bits, reference_yields
+
 
 def binary_forest() -> Hypergraph:
     """Goal = binary edge over a 2-way node and a 3-way node."""
@@ -423,10 +425,6 @@ class TestReconstruct:
             ProvenanceError, match="edge 5 tail 0 is node 0, provenance supplies node 1"
         ):
             reconstruct(binary_forest(), value, 0)
-
-
-def chain_bits(value: LowerChainValue) -> tuple:
-    return [x.hex() for x in value.xs], [y.hex() for y in value.ys], value.back
 
 
 def assert_matches_hull_reference(graph: Hypergraph, w0, v) -> None:
@@ -1003,3 +1001,52 @@ class TestEnumeration:
             edges.append(Edge.make(i, (i - 1,), {}, (0, "b")))
         g = Hypergraph(n, edges, goal=n - 1, n_features=0)
         assert count_derivations(g) == 2 ** 40
+
+
+@st.composite
+def templated_forests(draw):
+    """A small forest, a lattice when every edge has at most one tail,
+    whose templates put zero to two tokens before, between and after the
+    slots, in any slot order, with tails shared between edges."""
+    lattice = draw(st.booleans())
+    n_nodes = draw(st.integers(1, 7))
+    words = st.lists(st.sampled_from(["a", "b", "c"]), max_size=2)
+    edges = []
+    for node in range(n_nodes):
+        for _ in range(draw(st.integers(1, 3))):
+            arity = 0 if node == 0 else draw(st.integers(0, 1 if lattice else 3))
+            tails = tuple(draw(st.integers(0, node - 1)) for _ in range(arity))
+            template = draw(words)
+            for slot in draw(st.permutations(range(arity))):
+                template += [slot] + draw(words)
+            features = {0: float(draw(st.integers(-2, 2))), 1: float(draw(st.integers(-2, 2)))}
+            edges.append(Edge.make(node, tails, features, template))
+    return Hypergraph(n_nodes, edges, n_nodes - 1, 2)
+
+
+class TestYieldsMatchTheReference:
+    """``_yields`` enters each item's first slot directly and pushes one
+    continuation per item; the frozen reference in ``helpers`` pushes a
+    marker and every token and child.  Both must spell the same yields
+    over every back-pointer table a Derivation can hold."""
+
+    @given(graph=templated_forests(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_yields(self, graph, seed) -> None:
+        def check(backs, roots) -> None:
+            got = list(forest._yields(graph.edges, backs, roots))
+            assert got == list(reference_yields(graph.edges, backs, roots))
+
+        # The kernel's back-pointers, under a random direction.
+        rng = np.random.default_rng(seed)
+        w0, v = random_vectors(rng, 2, integer=True)
+        values = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
+        check([x.back for x in values], [(graph.goal, i) for i in range(len(values[graph.goal]))])
+        # One table shared by every derivation, each root listed twice.
+        if count_derivations(graph) <= 500:
+            derivations = enumerate_derivations(graph)
+            roots = [d._root for d in derivations]
+            check(derivations[0]._backs, roots + roots[::-1])
+        # A drawn tree, whose back-pointers are lists.
+        drawn = random_derivation(rng, graph)
+        check(drawn._backs, [drawn._root])

@@ -630,6 +630,21 @@ class TestSweep:
         assert result.best_index == 3  # tie on the right resolved to smallest eta
         assert result.best_eta == -2.0
 
+    @pytest.mark.parametrize("steps", [1, 2, 2001])
+    def test_grid_reads_the_surface_at_each_eta(self, rng, steps) -> None:
+        # The grid spans the outermost boundaries, so its ends fall on them
+        # and read the interval on their right, as ``loss_at`` does.
+        corpus = random_corpus(rng, n_sentences=3, n_nodes=6)
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        surface = corpus_surface(corpus, w0, v, Bleu())
+        assert len(surface.boundaries) >= 2
+        lo, hi = surface.boundaries[0], surface.boundaries[-1]
+        result = sweep(corpus, w0, v, Bleu(), lo, hi, steps)
+        etas = (lo,) if steps == 1 else tuple(float(x) for x in np.linspace(lo, hi, steps))
+        assert result.etas == etas
+        assert result.losses == tuple(surface.loss_at(eta) for eta in etas)
+        assert result.best_index == min(range(steps), key=lambda i: (result.losses[i], i))
+
     def test_grid_agreement_away_from_boundaries(self, rng) -> None:
         metric = ExactMatch()
         corpus = random_corpus(rng, n_sentences=3, n_nodes=5)
@@ -1096,3 +1111,65 @@ class TestExactSignDecisions:
         corpus = [(graph, ("h1",))]
         result = line_search(corpus, LINE_W0, LINE_V, ExactMatch())
         assert result.loss == 0.0
+
+
+@st.composite
+def search_problems(draw):
+    """A seeded corpus of two to four lattices or branching forests, larger
+    than any brute-force oracle takes, with float or integer features and
+    vectors, and either metric."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forest = draw(st.booleans())
+    integer = draw(st.booleans())
+    corpus = []
+    for _ in range(int(rng.integers(2, 5))):
+        if forest:
+            graph = random_forest(rng, n_nodes=14, max_edges_per_node=3, integer_features=integer)
+        else:
+            graph = random_lattice(rng, n_nodes=16, max_parallel=3, integer_features=integer)
+        corpus.append((graph, random_derivation(rng, graph).tokens))
+    w0, v = np.zeros(3), np.zeros(3)
+    while not v.any():
+        if integer:
+            w0, v = (rng.integers(-3, 4, size=3).astype(float) for _ in range(2))
+        else:
+            w0, v = rng.normal(size=3), rng.normal(size=3)
+    return corpus, w0, v, get_metric(draw(st.sampled_from(["bleu", "exact"])))
+
+
+class TestMetamorphicRelations:
+    """Changes of input under which the reported loss must not change.
+    They need no oracle, so they run at sizes no brute-force check
+    reaches, and they guard bit-level rewrites of the hot loops."""
+
+    @given(search_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_negating_the_direction(self, problem) -> None:
+        corpus, w0, v, metric = problem
+        assert line_search(corpus, w0, -v, metric).loss == line_search(corpus, w0, v, metric).loss
+
+    @given(search_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_reversing_the_sentences(self, problem) -> None:
+        corpus, w0, v, metric = problem
+        assert (line_search(corpus[::-1], w0, v, metric).loss
+                == line_search(corpus, w0, v, metric).loss)
+
+    @given(search_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_weights_and_direction_by_two(self, problem) -> None:
+        corpus, w0, v, metric = problem
+        assert (line_search(corpus, 2 * w0, 2 * v, metric).loss
+                == line_search(corpus, w0, v, metric).loss)
+
+    @given(search_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_shifting_the_weights_along_the_direction(self, problem) -> None:
+        # w0 + 10 v + eta v = w0 + (eta + 10) v.  When one interval holds
+        # the minimum, the same interval is chosen, 10 to the left.
+        corpus, w0, v, metric = problem
+        base = line_search(corpus, w0, v, metric)
+        shifted = line_search(corpus, w0 + 10 * v, v, metric)
+        assert shifted.loss == base.loss
+        if base.boundaries and base.interval_losses.count(base.loss) == 1:
+            assert math.isclose(shifted.eta, base.eta - 10, rel_tol=1e-9, abs_tol=1e-9)

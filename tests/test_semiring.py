@@ -18,8 +18,11 @@ from hullmert.oracle import Tropical, check_axioms, convexify_equivalence
 from hullmert.semiring import (
     ConvexHullValue,
     LowerChainValue,
+    _lower_merge,
     _strict_lower,
 )
+
+from helpers import chain_bits, reference_lower_merge, reference_mul
 
 int_pairs = st.tuples(
     st.integers(-30, 30).map(float), st.integers(-30, 30).map(float)
@@ -410,3 +413,111 @@ class TestConvexifyEquivalence:
     @settings(max_examples=80)
     def test_holds_on_random_integer_sets(self, a, b) -> None:
         assert convexify_equivalence(a, b)
+
+
+def outcome(fn, *args) -> tuple:
+    """A value's bits and back-pointers, or the error it raised."""
+    try:
+        return ("value", chain_bits(fn(*args)))
+    except Exception as exc:  # compared, never swallowed
+        return ("error", type(exc), str(exc))
+
+
+# Band-edge triples as in ``band_edge_cases``: the middle vertex of each
+# sits on, just inside or just outside the sign test's band.
+BAND_TRIPLES = [
+    [(0.0, 0.0), (1.0, t2 / 2), (2.0, t1)] for t1, t2, _ in band_edge_cases()
+]
+
+
+@st.composite
+def point_lists(draw, huge: bool = False) -> list[tuple[float, float]]:
+    """Points for the hot loops: small integers (equal x and identical
+    points), floats, nearly collinear runs, band-edge triples, and a
+    convex run that one low point drains to a single vertex followed by
+    a lower point at the same x.  ``huge`` adds coordinates of 1e308,
+    whose differences overflow, so an edge angle is inf * 0 = NaN."""
+    choices = [
+        st.integers(-6, 6).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    ]
+    if huge:
+        choices.append(st.sampled_from([-1e308, 1e308]))
+    coords = st.one_of(*choices)
+    points = draw(st.lists(st.tuples(coords, coords), max_size=7))
+    step = draw(st.sampled_from([1.0, 1e-3]))
+    slope = draw(st.sampled_from([1e6, 1.0, -7.5]))
+    for t in draw(st.lists(st.integers(0, 4), max_size=3)):
+        nudge = draw(st.sampled_from([0.0, 2e-6, -2e-6, 1e-12]))
+        points.append((t * step, t * step * slope + nudge))
+    if draw(st.booleans()):
+        points += draw(st.sampled_from(BAND_TRIPLES))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))
+        points += [(float(t), float(t * t)) for t in range(k)]
+        points += [(float(k), -100.0), (float(k), -101.0)]
+    return points
+
+
+def sorted_operand(draw, points, tag: str) -> tuple[list, list, list]:
+    """The points sorted by x alone (equal x keep their drawn order), with
+    labelled or None back-pointers."""
+    points = sorted(points, key=lambda p: p[0])
+    opaque = draw(st.booleans())
+    back = [None if opaque else (tag, i) for i in range(len(points))]
+    return [p[0] for p in points], [p[1] for p in points], back
+
+
+@st.composite
+def merge_operands(draw):
+    """Two x-sorted operands of ``_lower_merge`` split from one point set,
+    with some of a's points repeated in b."""
+    points = draw(point_lists())
+    left = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    a = [p for p, f in zip(points, left) if f]
+    b = [p for p, f in zip(points, left) if not f]
+    b += draw(st.lists(st.sampled_from(a), max_size=3)) if a else []
+    return sorted_operand(draw, a, "a"), sorted_operand(draw, b, "b")
+
+
+@st.composite
+def product_operand(draw) -> LowerChainValue:
+    """A lower chain, an x-sorted point list that is not one, a single
+    point, or the identity ``one``."""
+    kind = draw(st.sampled_from(["chain", "raw", "point", "one"]))
+    if kind == "one":
+        return LowerChainValue.one
+    points = draw(point_lists(huge=True))
+    if kind == "point" or not points:
+        points = points[:1] or [(0.0, 0.0)]
+    if kind == "chain":
+        chain = lower_hull(Point2(*p) for p in points)
+        points = [(p.x, p.y) for p in chain]
+    xs, ys, back = sorted_operand(draw, points, "p")
+    return LowerChainValue(xs, ys, back)
+
+
+class TestHotLoopsMatchTheirReferences:
+    """``_lower_merge`` and ``LowerChainValue.__mul__`` keep their state in
+    locals; the frozen references in ``helpers`` read it from the lists.
+    Every point, back-pointer and error must be the same."""
+
+    @given(merge_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_union_matches_the_reference(self, operands) -> None:
+        a, b = operands
+        assert outcome(_lower_merge, *a, *b) == outcome(reference_lower_merge, *a, *b)
+        assert outcome(_strict_lower, *a) == outcome(reference_lower_merge, *a, (), (), ())
+
+    @given(product_operand(), product_operand())
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_the_reference(self, a, b) -> None:
+        assert outcome(LowerChainValue.__mul__, a, b) == outcome(reference_mul, a, b)
+
+    def test_drained_stack_reloads_its_second_point(self) -> None:
+        # (2, -1.5) pops, and (1, -1) must then be tested against (0, 0),
+        # which keeps it; a stale second point would pop it too.
+        xs, ys = [0.0, 1.0, 2.0, 3.0], [0.0, -1.0, -1.5, -2.5]
+        got = _strict_lower(xs, ys, [0, 1, 2, 3])
+        assert (got.xs, got.ys, got.back) == ([0.0, 1.0, 3.0], [0.0, -1.0, -2.5], [0, 1, 3])
+        assert chain_bits(got) == chain_bits(reference_lower_merge(xs, ys, [0, 1, 2, 3], (), (), ()))
