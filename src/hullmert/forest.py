@@ -15,8 +15,14 @@ lower-chain semiring (``envelope_points``), which keeps only the face of
 the hull that reaches the envelope and reads derivations off flat
 back-pointers; its kernel sums each run of parallel arcs (or leaves)
 before one product with their tail's chain V: sum_e ({p_e} * V) =
-(sum_e {p_e}) * V.  Every ``Derivation`` is a root item (node, point
-index) over per-node back-pointer lists: the kernel's, the table that
+(sum_e {p_e}) * V.  An edge with two or more tails forms
+({p_e} * V_1) * V_2 by one merge (``semiring._edge_product``) that reads
+V_1's points translated by p_e and builds no translate; a translate that
+rounding folds (two equal x values) and an empty V_2 take the
+translate-then-multiply path, and a translate that is not finite makes a
+product that ``_product`` refuses with the same error.  Every
+``Derivation`` is a root item (node, point index) over per-node
+back-pointer lists: the kernel's, the table that
 ``enumerate_derivations`` fills, or those one walk (``_index``) enters for a
 checked tree (``realize``) or a random draw (``sampling``).  ``_yields``
 writes every yield, copying the yield of an item that several walks share
@@ -45,7 +51,13 @@ from .errors import (
     ProvenanceError,
 )
 from .geometry import ConvexChain
-from .semiring import ConvexHullValue, LowerChainValue, _product, _strict_lower
+from .semiring import (
+    ConvexHullValue,
+    LowerChainValue,
+    _edge_product,
+    _strict_lower,
+    _translate,
+)
 
 # A semiring value type: ``__add__``, ``__mul__`` and class values ``zero``
 # and ``one`` obeying the semiring laws (``oracle.check_axioms`` tests them).
@@ -295,7 +307,12 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     coordinates, general position).  A run with a turn inside ``EPS_GEOM``'s
     band may keep other points of the same envelope; at a tie that
     translation rounds over a longer chain, the arc whose own point is
-    lower."""
+    lower.  An edge with two or more tails multiplies its point into its
+    first two tails with ``_edge_product`` and the rest with ``__mul__``:
+    bit for bit translate-then-multiply, which falls back to that path
+    where rounding folds the translate or the second tail is empty, and
+    whose ``_product`` check refuses a translate that is not finite, since
+    every translated point of the first tail appears in the merge."""
     edges = graph.edges
     n = len(w0)
     mismatch = n != len(v)
@@ -323,7 +340,16 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
             tails = e.tails
-            more = len(tails) < 2 and pos < last and edges[ins[pos + 1]].tails == tails
+            if len(tails) > 1:
+                first = values[tails[0]]
+                if not first.xs:
+                    continue
+                k = _edge_product(x, y, ei, first, values[tails[1]])
+                for t in tails[2:]:
+                    k = k * values[t]
+                total = k if total is zero else total + k
+                continue
+            more = pos < last and edges[ins[pos + 1]].tails == tails
             b = (ei,)
             if tails:
                 first = values[tails[0]]
@@ -353,12 +379,9 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
                 if tails and len(xs) > 1:
                     k = k * first
             elif tails and len(xs) > 1:
-                back = [(ei, j) for j in range(len(xs))]
-                k = _product([x + t for t in xs], [y + t for t in ys], back)
+                k = _translate(x, y, ei, first)
             else:
                 k = LowerChainValue([x], [y], [b])
-            for t in tails[1:]:
-                k = k * values[t]
             total = k if total is zero else total + k
         values[node] = total
     return values

@@ -19,7 +19,11 @@ face of a sum or product depends only on the operands' lower faces.
 Macherey et al. (2008) and Kumar et al. (2009).  The line-search hot path
 runs on it, with flat per-point back-pointers instead of provenance
 records.  Addition is one loop that merges by x and hulls as it goes,
-building no merged list.  It and the Minkowski merge of ``__mul__`` inline
+building no merged list.  A hyperedge's point enters its first two tails
+by one Minkowski merge (``_edge_product``) that reads the first chain
+translated and builds no translate; where rounding folds the translate,
+or the second chain is empty, it builds the translate and multiplies.
+The union, the Minkowski merge of ``__mul__`` and ``_edge_product`` inline
 ``geometry.difference_sign``'s band and decide every sign, NaN included,
 bit for bit as that function does.
 
@@ -225,6 +229,82 @@ def _product(xs: list[float], ys: list[float], back: list) -> "LowerChainValue":
         # Sums far beyond the x spacing rounded two x values together.
         return _strict_lower(xs, ys, back)
     return LowerChainValue(xs, ys, back)
+
+
+def _translate(x: float, y: float, ei: int, a: "LowerChainValue") -> "LowerChainValue":
+    """{(x, y)} * a for edge ``ei``'s point: a's points translated, with
+    back-pointers ``(ei, i)``."""
+    back = [(ei, i) for i in range(len(a.xs))]
+    return _product([x + t for t in a.xs], [y + t for t in a.ys], back)
+
+
+def _edge_product(
+    x: float, y: float, ei: int, a: "LowerChainValue", b: "LowerChainValue"
+) -> "LowerChainValue":
+    """({(x, y)} * a) * b for edge ``ei``'s point and a non-empty ``a``,
+    with back-pointers ``(ei, i, j)``, by one open Minkowski merge that
+    reads a's points translated by (x, y) and builds no translate.
+
+    Each translated coordinate is formed as ``x + xa[i]`` and differenced
+    as such, so every band decision and every sum is that of
+    ``_translate(x, y, ei, a) * b``, and so is the result.  Two inputs take
+    that path itself: a translate in which rounding makes two adjacent x
+    values equal (``_product`` re-hulls it before the merge), and an empty
+    ``b`` (the translate's own finiteness check raises first) or ``one``
+    (whose product is the translate itself).
+    Otherwise every point of ``a`` appears in the merge and b's coordinates
+    are finite, so a translate that is not finite yields a product that is
+    not, and ``_product`` refuses it with the same message."""
+    xb = b.xs
+    if not xb or b is LowerChainValue.one:
+        return _translate(x, y, ei, a) * b
+    xa, ya, yb = a.xs, a.ys, b.ys
+    px, py, qx, qy = x + xa[0], y + ya[0], xb[0], yb[0]
+    xs = [px + qx]
+    ys = [py + qy]
+    back = [(ei, 0, 0)]
+    na, nb = len(xa) - 1, len(xb) - 1
+    i = j = 0
+    while i < na and j < nb:
+        nx = x + xa[i + 1]
+        if nx == px:
+            return _translate(x, y, ei, a) * b
+        ny = y + ya[i + 1]
+        mx, my = xb[j + 1], yb[j + 1]
+        # As in __mul__: edge-angle order, difference_sign's band inline.
+        t1 = (nx - px) * (my - qy)
+        t2 = (ny - py) * (mx - qx)
+        d = t1 - t2
+        band = EPS_GEOM * (abs(t1) + abs(t2))
+        if d > band:
+            i += 1
+            px, py = nx, ny
+        elif abs(d) <= band:
+            i += 1
+            j += 1
+            px, py = nx, ny
+            qx, qy = mx, my
+        else:
+            j += 1
+            qx, qy = mx, my
+        xs.append(px + qx)
+        ys.append(py + qy)
+        back.append((ei, i, j))
+    while j < nb:
+        j += 1
+        xs.append(px + xb[j])
+        ys.append(py + yb[j])
+        back.append((ei, i, j))
+    while i < na:
+        i += 1
+        nx = x + xa[i]
+        if nx == px:
+            return _translate(x, y, ei, a) * b
+        px = nx
+        xs.append(px + qx)
+        ys.append(y + ya[i] + qy)
+        back.append((ei, i, j))
+    return _product(xs, ys, back)
 
 
 class LowerChainValue:

@@ -45,8 +45,9 @@ def chain_bits(value: LowerChainValue) -> tuple:
 
 # Frozen references for the hot loops of ``semiring`` and ``forest``: the
 # same algorithms in the form they had before their state moved into
-# locals.  The differential tests require the same bits, back-pointers and
-# errors from the rewritten loops.
+# locals, or before a binary edge's translate stopped being built.  The
+# differential tests require the same bits, back-pointers and errors from
+# the rewritten loops.
 
 
 def reference_lower_merge(xa, ya, ba, xb, yb, bb) -> LowerChainValue:
@@ -130,6 +131,13 @@ def reference_mul(a: LowerChainValue, b: LowerChainValue) -> LowerChainValue:
             ys.append(ya[i] + yb[j])
             back.append(None if ba[i] is None else ba[i] + (j,))
     return _product(xs, ys, back)
+
+
+def reference_edge_product(x, y, ei, a: LowerChainValue, b: LowerChainValue) -> LowerChainValue:
+    """``semiring._edge_product`` as the translate {(x, y)} * a, made whole
+    through ``_product`` with back-pointers (ei, i), then multiplied by b."""
+    back = [(ei, i) for i in range(len(a.xs))]
+    return reference_mul(_product([x + t for t in a.xs], [y + t for t in a.ys], back), b)
 
 
 def reference_yields(edges, backs: list, roots: list):

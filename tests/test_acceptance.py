@@ -4,7 +4,8 @@ Eleven independent checks, one test each, covering the semiring laws, the
 size and hull bounds, oracle and duality agreement, envelope and search
 correctness, runtime scaling, and the golden CLI report.  Checks 3 and 10
 run on the reference ``inside_hull``; their twins 3b and 10b hold
-``envelope_points``, which the line search runs, to the same limits.  Every test
+``envelope_points``, which the line search runs, to the same limits, and
+11b holds a corpus of branching forests to a golden report of its own.  Every test
 prints a single ``PASS`` line with its measured numbers; run with ``-s``
 to see them, or rely on the verbose test names.  Thresholds are asserted,
 never logged and ignored.
@@ -23,10 +24,12 @@ from hullmert.errors import CapExceededError
 from hullmert.forest import (
     Edge,
     Hypergraph,
+    _lower_chain_values,
     enumerate_derivations,
     envelope_points,
     inside_hull,
 )
+from hullmert.io import load_corpus, load_vector_map
 from hullmert.geometry import full_hull
 from hullmert.linesearch import build_envelope, line_search
 from hullmert.metrics import Bleu, ExactMatch
@@ -375,3 +378,33 @@ def test_11_golden_report_reproduced_at_any_thread_count():
             f"report bytes diverge from golden at --threads {threads}"
         )
     _passed(11, "golden pipeline: byte-identical report at 1, 2, and 4 threads")
+
+
+def test_11b_forest_golden_report():
+    # Float features on branching forests, where an edge's point is
+    # multiplied into its first two tails by one merge: the fixture must
+    # hold an edge whose first tail's chain has two or more points.
+    corpus = load_corpus(str(FIXTURES / "forest_corpus.jsonl"))
+    w0 = corpus.features.vectorize(load_vector_map(str(FIXTURES / "weights.json"), "w"), "w")
+    v = corpus.features.vectorize(load_vector_map(str(FIXTURES / "direction.json"), "v"), "v")
+    merged = 0
+    for sentence in corpus.sentences:
+        values = _lower_chain_values(sentence.graph, w0.tolist(), v.tolist())
+        merged += sum(
+            len(e.tails) >= 2 and len(values[e.tails[0]]) >= 2 for e in sentence.graph.edges
+        )
+    assert merged >= 1, "no edge multiplies a many-point first tail"
+    golden = (FIXTURES / "golden_forest_linesearch.json").read_bytes()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "hullmert", "linesearch",
+            str(FIXTURES / "forest_corpus.jsonl"),
+            "--weights", str(FIXTURES / "weights.json"),
+            "--direction", str(FIXTURES / "direction.json"),
+            "--metric", "bleu",
+        ],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden, "forest report bytes diverge from golden"
+    _passed(11, f"forest golden: byte-identical report, {merged} edges merge many-point tails")

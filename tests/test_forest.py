@@ -489,6 +489,43 @@ def shuffled_lattices(draw):
     return Hypergraph(graph.n_nodes, edges, graph.goal, graph.n_features), w0, v
 
 
+@st.composite
+def multi_tail_forests(draw):
+    """A forest whose edges have zero to three tails over lower-numbered
+    nodes, with small-integer or float features and vectors.  Feature 3,
+    1e17 or 1e308 on some edges with two or more tails and 1 in v, moves
+    their points far beyond their tails' spread: 1e17 rounds a translate's
+    x values together, 1e308 makes translates and sums overflow.  No two
+    consecutive in-edges share a tail tuple of length at most one: such a
+    run is summed before its product, which keeps the per-edge recursion's
+    bits only in general position, and the lattice tests cover it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+    huge = draw(st.sampled_from([0.0, 1e17, -1e17, 1e308]))
+    n_nodes = draw(st.integers(3, 12))
+    edges = []
+    for head in range(n_nodes):
+        previous = None
+        for _ in range(1 if head < 2 else int(rng.integers(1, 5))):
+            feats = {
+                i: float(rng.integers(-3, 4)) if integer else float(rng.normal())
+                for i in range(3)
+                if rng.random() < 0.75
+            }
+            arity = 0 if head < 2 else int(rng.integers(0, 4))
+            tails = tuple(int(rng.integers(0, head)) for _ in range(arity))
+            if arity < 2 and tails == previous:
+                tails += (int(rng.integers(0, head)),)
+            elif arity >= 2 and huge and rng.random() < 0.3:
+                feats[3] = huge
+            previous = tails
+            edges.append(Edge.make(head, tails, feats, (f"w{head}", *range(len(tails)))))
+    w0, v = random_vectors(rng, 3, integer)
+    w0 = np.append(w0, draw(st.sampled_from([0.0, 1.0])))
+    v = np.append(v, 1.0)
+    return Hypergraph(n_nodes, edges, n_nodes - 1, 4), w0, v
+
+
 def random_vectors(rng, n: int, integer: bool):
     if integer:
         return (rng.integers(-3, 4, size=n).astype(float),
@@ -572,6 +609,25 @@ class TestEnvelopePoints:
         assert [chain_bits(x) for x in got] == [
             chain_bits(x) for x in lower_chain_values(graph, w0, v)
         ]
+
+    @given(problem=multi_tail_forests())
+    @settings(max_examples=200, deadline=None)
+    def test_multi_tail_edges_keep_the_oracle_values(self, problem) -> None:
+        # An edge's point is multiplied into its first two tails by one
+        # merge that builds no translate, and later tails by ``__mul__``.
+        # Every node's bits and back-pointers, or the error, are the
+        # per-edge recursion's.
+        graph, w0, v = problem
+
+        def outcome(fn, *args):
+            try:
+                return [chain_bits(x) for x in fn(graph, *args)]
+            except Exception as exc:  # compared, never swallowed
+                return type(exc), str(exc)
+
+        assert outcome(forest._lower_chain_values, w0.tolist(), v.tolist()) == outcome(
+            lower_chain_values, w0, v
+        )
 
     def test_projection_bits_do_not_depend_on_the_vector_type(self, rng) -> None:
         # Edges are projected on Python floats; float64 arrays, lists and

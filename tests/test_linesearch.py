@@ -1112,6 +1112,36 @@ class TestExactSignDecisions:
         result = line_search(corpus, LINE_W0, LINE_V, ExactMatch())
         assert result.loss == 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a translate that rounding makes collinear stays a chain "
+        "that is not strict",
+    )
+    def test_translate_made_collinear_keeps_no_zero_width_segment(self) -> None:
+        # The leaves' chain (0, 0), (1, -0.4), (2, 0) lifted to y = 1e16 by
+        # one arc rounds to three points on a line, and all three stay.
+        leaves = [{}, {1: 1.0, 2: 1.0}, {1: 2.0}]
+        edges = [Edge.make(0, (), f, (f"w{i}",)) for i, f in enumerate(leaves)]
+        edges.append(Edge.make(1, (0,), {0: 1.0}, (0,)))
+        graph = Hypergraph(2, edges, goal=1, n_features=3)
+        envelope = build_envelope(graph, np.array([-1e16, 0.0, 0.4]), np.array([0.0, 1.0, 0.0]))
+        assert all(lo < hi for lo, hi in zip(envelope.boundaries, envelope.boundaries[1:]))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: an orientation product that overflows reads inf > inf as "
+        "false and drops a true vertex",
+    )
+    def test_overflowing_turn_keeps_the_winning_derivation(self) -> None:
+        # (1 - 0) * (0 - 0) = 0 and (-1.7e308) * 2 = -inf: the band test
+        # reads inf > inf as false and drops b, which wins at eta = 0.
+        leaves = [{1: 0.0}, {1: 1.0, 2: 1.0}, {1: 2.0}]
+        edges = [Edge.make(0, (), f, (w,)) for f, w in zip(leaves, "abc")]
+        corpus = [(Hypergraph(1, edges, goal=0, n_features=3), ("b",))]
+        w0, v = np.array([0.0, 0.0, 1.7e308]), np.array([0.0, 1.0, 0.0])
+        result = line_search(corpus, w0, v, ExactMatch())
+        assert result.loss == decode_loss(corpus, result.weights, ExactMatch())
+
 
 @st.composite
 def search_problems(draw):
@@ -1173,3 +1203,46 @@ class TestMetamorphicRelations:
         assert shifted.loss == base.loss
         if base.boundaries and base.interval_losses.count(base.loss) == 1:
             assert math.isclose(shifted.eta, base.eta - 10, rel_tol=1e-9, abs_tol=1e-9)
+
+    @given(
+        search_problems(),
+        st.integers(0, 3),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adding_a_feature_that_is_zero_everywhere(self, problem, at, weight, step) -> None:
+        # Every edge gets feature `at` = 0.0 (later ids move up by one).
+        # Each projection adds a signed zero to a sum that starts at +0.0
+        # and is never -0.0, so every bit of the search is the same.
+        corpus, w0, v, metric = problem
+
+        def widen(graph: Hypergraph) -> Hypergraph:
+            edges = [
+                Edge.make(
+                    e.head, e.tails, {at: 0.0, **{i + (i >= at): x for i, x in e.features}},
+                    e.template,
+                )
+                for e in graph.edges
+            ]
+            return Hypergraph(graph.n_nodes, edges, graph.goal, graph.n_features + 1)
+
+        wide = [(widen(graph), ref) for graph, ref in corpus]
+        base = line_search(corpus, w0, v, metric)
+        with np.errstate(over="ignore"):  # the new weight + eta * step, not compared
+            got = line_search(wide, np.insert(w0, at, weight), np.insert(v, at, step), metric)
+        assert got.boundaries == base.boundaries
+        assert got.interval_losses == base.interval_losses
+        assert (got.best_interval, got.eta, got.loss) == (base.best_interval, base.eta, base.loss)
+
+    @given(search_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_listing_the_corpus_twice_doubles_each_exact_match_loss(self, problem) -> None:
+        # ExactMatch counts wrong sentences, so every interval's count
+        # doubles and the same interval and eta are chosen.
+        corpus, w0, v, _ = problem
+        base = line_search(corpus, w0, v, ExactMatch())
+        twice = line_search(corpus + corpus, w0, v, ExactMatch())
+        assert twice.boundaries == base.boundaries
+        assert twice.interval_losses == tuple(2 * x for x in base.interval_losses)
+        assert (twice.best_interval, twice.eta) == (base.best_interval, base.eta)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hullmert.semiring as semiring_module
 from hullmert.errors import InvalidGeometryError
 from hullmert.geometry import (
     EPS_GEOM,
@@ -18,11 +19,12 @@ from hullmert.oracle import Tropical, check_axioms, convexify_equivalence
 from hullmert.semiring import (
     ConvexHullValue,
     LowerChainValue,
+    _edge_product,
     _lower_merge,
     _strict_lower,
 )
 
-from helpers import chain_bits, reference_lower_merge, reference_mul
+from helpers import chain_bits, reference_edge_product, reference_lower_merge, reference_mul
 
 int_pairs = st.tuples(
     st.integers(-30, 30).map(float), st.integers(-30, 30).map(float)
@@ -521,3 +523,62 @@ class TestHotLoopsMatchTheirReferences:
         got = _strict_lower(xs, ys, [0, 1, 2, 3])
         assert (got.xs, got.ys, got.back) == ([0.0, 1.0, 3.0], [0.0, -1.0, -2.5], [0, 1, 3])
         assert chain_bits(got) == chain_bits(reference_lower_merge(xs, ys, [0, 1, 2, 3], (), (), ()))
+
+
+# Translations of an edge point: exact ties with small-integer chains,
+# floats, 1e17 (spacing 16, which rounds small x values together) and
+# 1e308 (translates and sums overflow).
+TRANSLATIONS = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e17, -1e17, 1e308, -1e308]),
+)
+
+
+class TestEdgeProductMatchesTranslateThenMultiply:
+    """``_edge_product`` reads a's points translated by the edge's point;
+    the reference builds the translate through ``_product`` and multiplies
+    it by b.  Every point, back-pointer and error must be the same."""
+
+    @given(
+        TRANSLATIONS,
+        TRANSLATIONS,
+        product_operand(),
+        st.one_of(product_operand(), st.just(LowerChainValue.zero)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_back_pointers_and_errors(self, x, y, a, b) -> None:
+        want = outcome(reference_edge_product, x, y, 7, a, b)
+        assert outcome(_edge_product, x, y, 7, a, b) == want
+
+    @pytest.mark.parametrize(
+        "x, y, a, b, fallback",
+        [
+            (1.0, 0.0, [(0.0, 0.0), (1.0, -1.0), (3.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)], False),
+            (1e17, 0.0, [(0.0, 0.0), (1.0, -1.0), (3.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)], True),
+            (1e17, 0.0, [(0.0, 0.0), (1.0, -1.0), (3.0, 0.0)], [(0.0, 0.0)], True),
+            (1e308, 0.0, [(0.0, 0.0), (1e308, -1.0)], [(0.0, 0.0), (1.0, 0.0)], False),
+            (1e308, 0.0, [(0.0, 0.0), (1e308, -1.0)], [], True),
+            (0.0, 1e308, [(0.0, 0.0), (1.0, 1e308)], [(0.0, 0.0), (1.0, 0.0)], False),
+            (1e308, 0.0, [(0.0, 0.0)], [(0.0, 0.0), (1e308, 0.0)], False),
+            (0.0, 0.0, [(0.0, 0.0), (1.0, -1.0)], [], True),
+        ],
+        ids=[
+            "distinct-translate", "rounded-together", "rounded-together-one-point-b",
+            "translate-overflows", "translate-overflows-empty-b", "translate-y-overflows",
+            "sum-overflows", "empty-b",
+        ],
+    )
+    def test_fallback_is_taken_only_where_it_must_be(
+        self, monkeypatch, x, y, a, b, fallback
+    ) -> None:
+        calls = []
+        translate = semiring_module._translate
+        monkeypatch.setattr(
+            semiring_module, "_translate", lambda *args: calls.append(args) or translate(*args)
+        )
+        a = LowerChainValue([p[0] for p in a], [p[1] for p in a], [None] * len(a))
+        b = LowerChainValue([p[0] for p in b], [p[1] for p in b], [None] * len(b))
+        want = outcome(reference_edge_product, x, y, 3, a, b)
+        assert outcome(_edge_product, x, y, 3, a, b) == want
+        assert bool(calls) == fallback
