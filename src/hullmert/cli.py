@@ -177,11 +177,11 @@ def cmd_linesearch(args) -> tuple[str, int]:
             {
                 "lo": lo,
                 "hi": hi,
-                "slope": p.x,
-                "intercept": -p.y,
-                "yield": " ".join(d.tokens),
+                "slope": x,
+                "intercept": -y,
+                "yield": " ".join(tokens),
             }
-            for lo, hi, p, d in env.segments()
+            for lo, hi, x, y, tokens in zip(*env._spans(), env._xs, env._ys, env._tokens)
         ]
         sentences.append({"id": s.sid, "segments": segments})
     doc = {

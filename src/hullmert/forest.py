@@ -11,16 +11,17 @@ of (edge value * product of tail values) in any semiring.  With the convex
 hull semiring (``inside_hull``, the reference) the goal value is the set of
 dual points of all envelope hypotheses, each traceable back to its
 derivation via provenance.  The line search runs the same recursion in the
-lower-chain semiring (``envelope_points``), which keeps only the face of
-the hull that reaches the envelope and reads derivations off flat
-back-pointers; its kernel sums each run of parallel arcs (or leaves)
-before one product with their tail's chain V: sum_e ({p_e} * V) =
-(sum_e {p_e}) * V.  An edge with two or more tails forms
-({p_e} * V_1) * V_2 by one merge (``semiring._edge_product``) that reads
-V_1's points translated by p_e and builds no translate; a translate that
-rounding folds (two equal x values) and an empty V_2 take the
-translate-then-multiply path, and a translate that is not finite makes a
-product that ``_product`` refuses with the same error.  Every
+lower-chain semiring (``_envelope_points``), which keeps only the face of
+the hull that reaches the envelope and hands out the goal chain's
+coordinate lists, flat back-pointers and one yield per point.  Its kernel
+sums each run of parallel arcs (or leaves) before one product with their
+tail's chain V: sum_e ({p_e} * V) = (sum_e {p_e}) * V.  An edge with two
+or more tails forms ({p_e} * V_1) * V_2 by one merge
+(``semiring._edge_product``) that reads V_1's points translated by p_e and
+builds no translate; a translate that rounding folds (two equal x values)
+and an empty V_2 take the translate-then-multiply path, and a translate
+that is not finite makes a product that ``_product`` refuses with the same
+error.  Every
 ``Derivation`` is a root item (node, point index) over per-node
 back-pointer lists: the kernel's, the table that
 ``enumerate_derivations`` fills, or those one walk (``_index``) enters for a
@@ -28,7 +29,8 @@ checked tree (``realize``) or a random draw (``sampling``).  ``_yields``
 writes every yield, copying the yield of an item that several walks share
 from its first walk, so a deep lattice path costs linear, not quadratic,
 time and memory.  ``tree`` and ``features`` are read off the back-pointers
-only when asked for; the line search reads neither.
+only when asked for; the line search reads neither, and builds no
+``Derivation`` at all (``linesearch.Envelope`` makes them on first read).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .errors import (
     InvalidGeometryError,
     ProvenanceError,
 )
-from .geometry import ConvexChain
 from .semiring import (
     ConvexHullValue,
     LowerChainValue,
@@ -387,27 +388,26 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     return values
 
 
-def envelope_points(
-    graph: Hypergraph, w0: np.ndarray, v: np.ndarray
-) -> tuple[ConvexChain, tuple["Derivation", ...]]:
-    """The goal's lower chain and one derivation per chain point.
+def _envelope_points(graph: Hypergraph, w0: list[float], v: list[float]):
+    """The goal's lower chain as coordinate lists ``xs`` and ``ys``, every
+    node's back-pointer list, and the yield of each chain point, for w0 and
+    v given as lists of floats.
 
     Runs the lower-chain inside kernel.  Its goal chain equals
-    ``lower_chain(inside_hull(graph, w0, v).hull)``, and each derivation is
-    the one ``reconstruct`` recovers for that hull point.  Yields come
-    straight from the back-pointers (``_yields``); a derivation keeps only
-    its root ``(goal, i)`` and every node's back-pointer list.
-
-    Edges are projected on Python floats, cheaper to index than an array,
-    and summed left to right in a loop: every bit matches the float64
-    array path of ``project_edge``, on every Python version.
+    ``lower_chain(inside_hull(graph, w0, v).hull)``, and point i's
+    derivation is the root item ``(goal, i)`` over the back-pointers, the
+    one ``reconstruct`` recovers for that hull point.  Yields come straight
+    from the back-pointers (``_yields``); the lower-chain values themselves
+    are not kept.  Edges are projected on the Python floats, cheaper to
+    index than an array, and summed left to right in a loop: every bit
+    matches the float64 array path of ``project_edge``, on every Python
+    version.
     """
-    w0 = np.asarray(w0, dtype=float).tolist()
-    v = np.asarray(v, dtype=float).tolist()
     values = _lower_chain_values(graph, w0, v)
+    goal = values[graph.goal]
     backs = [value.back for value in values]
-    roots = [(graph.goal, i) for i in range(len(values[graph.goal]))]
-    return values[graph.goal].chain(), tuple(_derivations(graph, backs, roots))
+    roots = [(graph.goal, i) for i in range(len(goal.xs))]
+    return goal.xs, goal.ys, backs, list(_yields(graph.edges, backs, roots))
 
 
 def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[str, ...]]:
@@ -584,7 +584,8 @@ def _check_record(graph: Hypergraph, item) -> tuple[int, list]:
 def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Derivation:
     """The derivation that one hull point of ``value`` records.
 
-    The reference for ``envelope_points``'s yields and lazily built trees.
+    The reference for ``_envelope_points``'s yields and the trees that
+    ``linesearch.Envelope.derivations`` reads off its back-pointers.
     The point's provenance record is its derivation tree, and the result is
     ``realize(graph, value.provenance[index])``, whose ``tree`` equals it.
     The derivation's feature projection reproduces the point's coordinates

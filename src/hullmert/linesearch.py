@@ -8,9 +8,13 @@ hypotheses left to right, and consecutive slopes give the eta values where
 the argmax changes.  ``build_envelope`` runs the inside pass in the
 lower-chain (envelope) semiring, which carries only that face of each
 hull; ``ConvexHullValue`` and ``inside_hull`` stay as the reference it
-must agree with point for point.  Realizing each chain point's derivation
-and scoring its yield turns the envelope into a piecewise-constant error
-surface.  A fixed-weight decode is the same inside pass at a zero
+must agree with point for point.  An ``Envelope`` keeps the goal chain's
+coordinate lists, the boundaries computed from them and one yield per
+point, and makes its ``Point2`` and ``Derivation`` objects from the
+kernel's back-pointers only when ``chain`` or ``derivations`` is read;
+nothing in this module reads them.  Scoring each chain point's yield
+turns the envelope into a piecewise-constant error surface.  A
+fixed-weight decode is the same inside pass at a zero
 direction, whose envelope has a single segment.  Every yield is scored in
 one place, ``_surfaces``: it gathers the chain-point yields of all
 sentences that a per-call memo lacks and scores them in one
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from operator import sub, truediv
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +48,8 @@ from .errors import (
     NoHypothesesError,
     _warn,
 )
-from .forest import Derivation, Hypergraph, envelope_points
-from .geometry import Point2, envelope_boundaries
+from .forest import Derivation, Hypergraph, _envelope_points
+from .geometry import Point2
 from .metrics import Metric
 
 # Every search coalesces surface boundaries this close (see ``CorpusSurface``).
@@ -54,40 +59,131 @@ DEFAULT_MERGE_EPS = 1e-9
 _UNBOUNDED_STEP = 0.1
 
 
-@dataclass(frozen=True)
 class Envelope:
     """Upper envelope of one sentence's derivation scores along a direction.
 
     ``chain`` holds the surviving dual points in order of increasing slope
     coordinate; ``boundaries[i]`` is the eta where segment i hands over to
     segment i+1; ``derivations`` realizes one argmax derivation per segment.
+
+    ``Envelope(chain, boundaries, derivations)`` keeps its arguments as
+    given.  ``build_envelope`` keeps the chain's coordinate lists, one yield
+    per point and the kernel's back-pointers instead, and makes the
+    ``Point2`` and ``Derivation`` objects on the first read of ``chain`` or
+    ``derivations``: a line search, a sweep and a decode read neither.
+    Both kinds compare, hash and print alike.  Envelopes are immutable; a
+    first read that races another builds an equal value, so they are safe
+    to share across threads.
     """
 
-    chain: tuple[Point2, ...]
-    boundaries: tuple[float, ...]
-    derivations: tuple[Derivation, ...]
+    _FIELDS = ("boundaries", "_xs", "_ys", "_tokens", "_chain", "_derivations", "_graph", "_backs")
+
+    def __init__(self, chain, boundaries, derivations):
+        xs, ys = [p.x for p in chain], [p.y for p in chain]
+        tokens = [d.tokens for d in derivations]
+        self._fill(boundaries, xs, ys, tokens, chain, derivations, None, None)
+
+    @classmethod
+    def _lazy(cls, xs, ys, boundaries, tokens, graph: Hypergraph, backs) -> "Envelope":
+        """The envelope of goal chain ``xs``, ``ys`` with yields ``tokens``,
+        whose point i is the root item ``(graph.goal, i)`` over ``backs``."""
+        env = object.__new__(cls)
+        env._fill(boundaries, xs, ys, tokens, None, None, graph, backs)
+        return env
+
+    def _fill(self, *values) -> None:
+        """Set every field, in ``_FIELDS`` order."""
+        self.__dict__.update(zip(self._FIELDS, values))
+
+    @property
+    def chain(self) -> tuple[Point2, ...]:
+        chain = self._chain
+        if chain is None:
+            chain = self.__dict__["_chain"] = tuple(map(Point2, self._xs, self._ys))
+        return chain
+
+    @property
+    def derivations(self) -> tuple[Derivation, ...]:
+        derivations = self._derivations
+        if derivations is None:
+            graph, backs = self._graph, self._backs
+            goal = graph.goal
+            derivations = tuple(
+                Derivation(tokens, graph, (goal, i), backs)
+                for i, tokens in enumerate(self._tokens)
+            )
+            self.__dict__["_derivations"] = derivations
+        return derivations
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.chain, self.boundaries, self.derivations)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(chain={self.chain!r}, "
+            f"boundaries={self.boundaries!r}, derivations={self.derivations!r})"
+        )
 
     def segment_at(self, eta: float) -> int:
         return bisect_right(self.boundaries, eta)
 
     def max_at(self, eta: float) -> float:
-        p = self.chain[self.segment_at(eta)]
-        return p.x * eta - p.y
+        i = self.segment_at(eta)
+        return self._xs[i] * eta - self._ys[i]
 
     def segments(self) -> list[tuple[float, float, Point2, Derivation]]:
         """(lo, hi, dual point, derivation) per piece; the point's x is the
         primal line's slope and -y its intercept."""
-        los = (float("-inf"),) + self.boundaries
-        his = self.boundaries + (float("inf"),)
-        return list(zip(los, his, self.chain, self.derivations))
+        return list(zip(*self._spans(), self.chain, self.derivations))
+
+    def _spans(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Each segment's lo and hi."""
+        return (float("-inf"),) + self.boundaries, self.boundaries + (float("inf"),)
 
 
 def build_envelope(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> Envelope:
-    """Inside pass in the lower-chain semiring, one derivation per point."""
-    chain, derivations = envelope_points(graph, w0, v)
-    if not chain:
+    """Inside pass in the lower-chain semiring, one yield per point."""
+    return _envelope(graph, _floats(w0), _floats(v))
+
+
+def _floats(vector) -> list[float]:
+    return np.asarray(vector, dtype=float).tolist()
+
+
+def _envelope(graph: Hypergraph, w0: list[float], v: list[float]) -> Envelope:
+    """``build_envelope`` for w0 and v given as lists of floats."""
+    xs, ys, backs, tokens = _envelope_points(graph, w0, v)
+    if not xs:
         raise NoHypothesesError("goal node derives nothing; envelope is empty")
-    return Envelope(chain.points, envelope_boundaries(chain), derivations)
+    return Envelope._lazy(xs, ys, _crossings(xs, ys), tokens, graph, backs)
+
+
+def _crossings(xs: list[float], ys: list[float]) -> tuple[float, ...]:
+    """``envelope_boundaries`` of the chain with these coordinate lists:
+    the same quotients, and the same error for a crossing that is not
+    finite."""
+    bounds = tuple(map(truediv, map(sub, ys[1:], ys), map(sub, xs[1:], xs)))
+    if not all(map(math.isfinite, bounds)):
+        i = next(i for i, b in enumerate(bounds) if not math.isfinite(b))
+        p, q = Point2(xs[i], ys[i]), Point2(xs[i + 1], ys[i + 1])
+        raise InvalidGeometryError(
+            f"envelope crossing of {p} and {q} is not finite: {bounds[i]!r}"
+        )
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -228,18 +324,20 @@ def build_envelopes(
             "direction is all zeros; every derivation's score is constant in eta",
             DegenerateDirectionWarning,
         )
+    w0, v = w0.tolist(), v.tolist()
     return [_sentence_envelope(n, g, w0, v) for n, (g, _) in enumerate(sentences)]
 
 
-def _sentence_envelope(n: int, graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> Envelope:
-    """``build_envelope`` for the sentence at position n.
+def _sentence_envelope(n: int, graph: Hypergraph, w0: list[float], v: list[float]) -> Envelope:
+    """``build_envelope`` for the sentence at position n, with w0 and v as
+    lists of floats.
 
     A ``DataError`` it raises (an overflowing projection, say) leaves with
     the position in its private ``_sentence`` attribute, so the command
     line, which holds the sentence ids, can name the sentence.
     """
     try:
-        return build_envelope(graph, w0, v)
+        return _envelope(graph, w0, v)
     except DataError as exc:
         exc._sentence = n
         raise
@@ -262,7 +360,7 @@ def _surfaces(envelopes, refs, metric: Metric, memo: _StatsMemo) -> list[ErrorSu
     shared by every later lookup.  The library scores yields nowhere else.
     """
     new = [
-        dict.fromkeys(d.tokens for d in env.derivations if d.tokens not in table)
+        dict.fromkeys(tokens for tokens in env._tokens if tokens not in table)
         for env, table in zip(envelopes, memo)
     ]
     hyps = [tokens for fresh in new for tokens in fresh]
@@ -274,7 +372,7 @@ def _surfaces(envelopes, refs, metric: Metric, memo: _StatsMemo) -> list[ErrorSu
             for tokens in fresh:
                 table[tokens] = next(rows)
     return [
-        ErrorSurface(env.boundaries, tuple(table[d.tokens] for d in env.derivations))
+        ErrorSurface(env.boundaries, tuple(map(table.__getitem__, env._tokens)))
         for env, table in zip(envelopes, memo)
     ]
 
@@ -310,7 +408,7 @@ class LineSearchResult:
 
     @property
     def envelope_sizes(self) -> tuple[int, ...]:
-        return tuple(len(e.chain) for e in self.envelopes)
+        return tuple(len(e._xs) for e in self.envelopes)
 
 
 def pick_eta(surface: CorpusSurface) -> tuple[int, float]:
@@ -377,8 +475,8 @@ def _decode(sentences, weights: np.ndarray) -> list[Envelope]:
     lower chain, so ``derivations[0]`` is the decoded derivation and its
     surface has a single interval.
     """
-    weights = np.asarray(weights, dtype=float)
-    zero_v = np.zeros_like(weights)
+    weights = _floats(weights)
+    zero_v = [0.0] * len(weights)
     return [_sentence_envelope(n, g, weights, zero_v) for n, (g, _) in enumerate(sentences)]
 
 
@@ -505,5 +603,5 @@ def sweep(
         etas = tuple(np.linspace(lo, hi, steps).tolist())
     at = np.searchsorted(surface.boundaries, etas, side="right")
     losses = tuple(map(surface.interval_losses().__getitem__, at.tolist()))
-    best_index = min(range(len(etas)), key=lambda i: (losses[i], i))
+    best_index = losses.index(min(losses))
     return SweepResult(etas, losses, best_index, etas[best_index], losses[best_index])

@@ -136,7 +136,7 @@ def dual_points(
 
 def lower_chain_values(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> list[LowerChainValue]:
     """Every node's value by ``inside`` on one ``LowerChainValue`` singleton
-    per ``project_edge``: what ``envelope_points``'s kernel must equal."""
+    per ``project_edge``: what the kernel of ``build_envelope`` must equal."""
     w0, v = np.asarray(w0, dtype=float), np.asarray(v, dtype=float)
 
     def leaf(ei: int, edge: Edge) -> LowerChainValue:

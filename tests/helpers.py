@@ -5,7 +5,9 @@ import math
 import numpy as np
 
 from hullmert import Edge, Hypergraph
-from hullmert.geometry import EPS_GEOM
+from hullmert.forest import _derivations, _lower_chain_values
+from hullmert.geometry import EPS_GEOM, envelope_boundaries
+from hullmert.linesearch import Envelope
 from hullmert.semiring import LowerChainValue, _product
 
 
@@ -167,3 +169,19 @@ def reference_yields(edges, backs: list, roots: list):
             for slot in reversed(edge.template):
                 stack.append(slot if slot.__class__ is str else (tails[slot], back[slot + 1]))
         yield tuple(toks)
+
+
+def eager_envelope(graph, w0, v):
+    """``build_envelope`` as it was before it kept coordinate lists: the
+    goal value's ``chain()``, ``envelope_boundaries`` over its ``Point2``s
+    and ``_derivations`` over the kernel's back-pointers, all built at
+    once through the eager ``Envelope`` constructor."""
+    w0 = np.asarray(w0, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist()
+    values = _lower_chain_values(graph, w0, v)
+    goal = values[graph.goal]
+    chain = goal.chain()
+    backs = [value.back for value in values]
+    roots = [(graph.goal, i) for i in range(len(goal))]
+    derivations = tuple(_derivations(graph, backs, roots))
+    return Envelope(chain.points, envelope_boundaries(chain), derivations)

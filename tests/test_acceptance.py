@@ -4,8 +4,9 @@ Eleven independent checks, one test each, covering the semiring laws, the
 size and hull bounds, oracle and duality agreement, envelope and search
 correctness, runtime scaling, and the golden CLI report.  Checks 3 and 10
 run on the reference ``inside_hull``; their twins 3b and 10b hold
-``envelope_points``, which the line search runs, to the same limits, and
-11b holds a corpus of branching forests to a golden report of its own.  Every test
+``build_envelope``, which the line search runs, to the same limits, and
+11b and 11c hold a corpus of branching forests to golden ``linesearch``
+and ``optimize`` reports of their own.  Every test
 prints a single ``PASS`` line with its measured numbers; run with ``-s``
 to see them, or rely on the verbose test names.  Thresholds are asserted,
 never logged and ignored.
@@ -26,7 +27,6 @@ from hullmert.forest import (
     Hypergraph,
     _lower_chain_values,
     enumerate_derivations,
-    envelope_points,
     inside_hull,
 )
 from hullmert.io import load_corpus, load_vector_map
@@ -141,11 +141,11 @@ def test_03b_goal_chain_bounded_by_edges_on_the_hot_path():
             continue
         w0 = rng.normal(size=3)
         v = _nonzero_direction(rng, 3, integer=False)
-        chain, derivations = envelope_points(graph, w0, v)
-        assert len(chain) == len(derivations) <= graph.n_edges, (
-            f"goal chain {len(chain)} exceeds |E| = {graph.n_edges}"
+        env = build_envelope(graph, w0, v)
+        assert len(env.chain) == len(env.derivations) <= graph.n_edges, (
+            f"goal chain {len(env.chain)} exceeds |E| = {graph.n_edges}"
         )
-        worst = max(worst, len(chain) / graph.n_edges)
+        worst = max(worst, len(env.chain) / graph.n_edges)
         checked += 1
     _passed(3, f"hot-path goal chain size: {checked} forests <= 50 edges, "
                f"max chain/|E| ratio {worst:.2f}")
@@ -295,19 +295,26 @@ def _two_way_chain(rng: np.random.Generator, n_edges: int) -> Hypergraph:
     return Hypergraph(n_nodes, edges, goal=n_nodes - 1, n_features=2)
 
 
+def _two_way_chains(rng: np.random.Generator) -> dict[int, Hypergraph]:
+    """The chains that tests 10 and 10b time, by edge count."""
+    graphs = {n_edges: _two_way_chain(rng, n_edges) for n_edges in (100, 1000, 10000)}
+    assert all(graph.n_edges == n_edges for n_edges, graph in graphs.items())
+    return graphs
+
+
 def test_10_inside_scales_near_linearly():
     rng = np.random.default_rng(20240817 + 10)
     w0 = np.array([1.0, -1.0])
     v = np.array([1.0, 1.0])
     best: dict[int, float] = {}
-    # As in test 10b: freeze the suite's heap so that collections do not
-    # walk it inside the timings.
+    graphs = _two_way_chains(rng)
+    # As in test 10b: freeze the suite's heap, the graphs included, so that
+    # collections do not walk it inside the timings.
     gc.collect()
     gc.freeze()
     try:
         for n_edges, repeats in ((100, 5), (1000, 3), (10000, 2)):
-            graph = _two_way_chain(rng, n_edges)
-            assert graph.n_edges == n_edges
+            graph = graphs[n_edges]
             timings = []
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -325,27 +332,28 @@ def test_10_inside_scales_near_linearly():
                 f"ratios {ratio_1:.1f}x and {ratio_2:.1f}x (limit 20x)")
 
 
-def test_10b_envelope_points_scales_near_linearly():
-    # The hot path also builds one derivation per chain point; on a long
-    # chain those are thousands of edges deep.  Those allocations trigger
+def test_10b_build_envelope_scales_near_linearly():
+    # The hot path also writes one yield per chain point; on a long chain
+    # those are thousands of tokens long.  Those allocations trigger
     # garbage collections, which would also walk every object left alive
-    # by earlier tests and inflate the 10000-edge time with the suite's
-    # heap.  Freezing what exists now keeps that heap out of the timing;
-    # collecting the function's own allocations still counts.
+    # by earlier tests, and the input graphs' 10,000 edges, and inflate the
+    # 10000-edge time with them.  The graphs are built first, and freezing
+    # what exists then keeps that heap out of the timing; collecting the
+    # function's own allocations still counts.
     rng = np.random.default_rng(20240817 + 10)
     w0 = np.array([1.0, -1.0])
     v = np.array([1.0, 1.0])
     best: dict[int, float] = {}
+    graphs = _two_way_chains(rng)
     gc.collect()
     gc.freeze()
     try:
         for n_edges, repeats in ((100, 5), (1000, 3), (10000, 2)):
-            graph = _two_way_chain(rng, n_edges)
-            assert graph.n_edges == n_edges
+            graph = graphs[n_edges]
             timings = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                envelope_points(graph, w0, v)
+                build_envelope(graph, w0, v)
                 timings.append(time.perf_counter() - start)
             best[n_edges] = min(timings)
     finally:
@@ -408,3 +416,21 @@ def test_11b_forest_golden_report():
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == golden, "forest report bytes diverge from golden"
     _passed(11, f"forest golden: byte-identical report, {merged} edges merge many-point tails")
+
+
+def test_11c_forest_golden_optimize_report():
+    # optimize on the same branching forests: its initial decode and each
+    # axis search run the multi-tail kernel at a zero and an axis direction.
+    golden = (FIXTURES / "golden_forest_optimize.json").read_bytes()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "hullmert", "optimize",
+            str(FIXTURES / "forest_corpus.jsonl"),
+            "--weights", str(FIXTURES / "weights.json"),
+            "--metric", "bleu",
+        ],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden, "forest optimize report bytes diverge from golden"
+    _passed(11, "forest optimize golden: byte-identical report")

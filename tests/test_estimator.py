@@ -3,9 +3,8 @@ import pytest
 
 from hullmert import Edge, Hypergraph, MertEstimator
 from hullmert.errors import ConfigError
-from hullmert.forest import envelope_points
 from hullmert.io import loads_corpus
-from hullmert.linesearch import decode_loss
+from hullmert.linesearch import build_envelope, decode_loss
 from hullmert.metrics import ExactMatch
 from hullmert.sampling import random_corpus
 
@@ -174,6 +173,6 @@ class TestDecodeTies:
         assert decode_loss(corpus, w0, ExactMatch()) == loss
         graph, _ = corpus[0]
         for v in ([1.0, 0.0], [0.0, 0.0]):
-            chain, derivations = envelope_points(graph, w0, np.array(v))
-            assert chain.as_tuples()[-1] == (v[0] * 0.5, -0.5)
-            assert derivations[-1].tokens == ("s", "skip")
+            env = build_envelope(graph, w0, np.array(v))
+            assert (env.chain[-1].x, env.chain[-1].y) == (v[0] * 0.5, -0.5)
+            assert env.derivations[-1].tokens == ("s", "skip")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import re
@@ -14,6 +15,7 @@ from hullmert.errors import (
     EnumerationOverflowError,
     ForestFormatError,
     InvalidGeometryError,
+    NoHypothesesError,
     ProvenanceError,
 )
 from hullmert.forest import (
@@ -22,7 +24,6 @@ from hullmert.forest import (
     count_derivations,
     edge_dot,
     enumerate_derivations,
-    envelope_points,
     inside,
     inside_hull,
     project_edge,
@@ -30,13 +31,20 @@ from hullmert.forest import (
     reconstruct,
 )
 from hullmert.geometry import full_hull, lower_chain
-from hullmert.linesearch import decode_loss, line_search, optimize, sweep
+from hullmert.linesearch import (
+    LineSearchResult,
+    build_envelope,
+    decode_loss,
+    line_search,
+    optimize,
+    sweep,
+)
 from hullmert.metrics import get_metric
-from hullmert.oracle import Tropical, dual_points, lower_chain_values
+from hullmert.oracle import Tropical, dual_points, lower_chain_values, probe_etas
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LowerChainValue
 
-from helpers import chain_bits, reference_yields
+from helpers import chain_bits, eager_envelope, reference_yields
 
 
 def binary_forest() -> Hypergraph:
@@ -275,8 +283,8 @@ class TestRealize:
                 id="random_derivation",
             ),
             pytest.param(
-                lambda g: envelope_points(g, np.zeros(0), np.zeros(0))[1][0],
-                id="envelope_points",
+                lambda g: build_envelope(g, np.zeros(0), np.zeros(0)).derivations[0],
+                id="build_envelope",
             ),
         ],
     )
@@ -327,7 +335,7 @@ class TestRealize:
         g = Hypergraph(n, edges, goal=n - 1, n_features=1)
         # Every derivation is at y = 0, so the chain keeps the two ends:
         # all "b" edges, then all "a" edges.
-        _, (low, high) = envelope_points(g, np.zeros(1), np.ones(1))
+        low, high = build_envelope(g, np.zeros(1), np.ones(1)).derivations
         tree = (0, ())
         for i in range(1, n):
             tree = (2 * i - 1 if i == 1 else 2 * i, (tree,))
@@ -437,7 +445,8 @@ def assert_matches_hull_reference(graph: Hypergraph, w0, v) -> None:
     assert [chain_bits(x) for x in got] == [
         chain_bits(x) for x in lower_chain_values(graph, w0, v)
     ]
-    chain, derivations = envelope_points(graph, w0, v)
+    env = build_envelope(graph, w0, v)
+    chain, derivations = env.chain, env.derivations
     value = inside_hull(graph, w0, v)
     want = lower_chain(value.hull)
     assert [(p.x.hex(), p.y.hex()) for p in chain] == [
@@ -587,7 +596,7 @@ class TestEnvelopePoints:
             graph = copy_parallel_features(rng, graph)
         if still:
             v = np.zeros(3)
-        chain, _ = envelope_points(graph, w0, v)
+        chain = build_envelope(graph, w0, v).chain
         assert 1 <= len(chain) <= graph.n_edges
         # Runs of parallel arcs are summed before the product.  These draws
         # are small integers or floats in general position, where every
@@ -633,7 +642,7 @@ class TestEnvelopePoints:
         # Edges are projected on Python floats; float64 arrays, lists and
         # integer arrays must all give the float64 array path's bits.
         def bits(chain):
-            return [(p.x.hex(), p.y.hex()) for p in chain.points]
+            return [(p.x.hex(), p.y.hex()) for p in chain]
 
         for integer in (False, True):
             graph = random_forest(rng, n_nodes=14, max_edges_per_node=3, integer_features=integer)
@@ -643,7 +652,7 @@ class TestEnvelopePoints:
             if integer:
                 kinds.append((w0.astype(np.int64), v.astype(np.int64)))
             for a, b in kinds:
-                assert bits(envelope_points(graph, a, b)[0]) == want
+                assert bits(build_envelope(graph, a, b).chain) == want
 
     def test_projection_sums_left_to_right(self) -> None:
         # (1e16 + 1.0) rounds to 1e16, so the left-to-right sum of the first
@@ -660,8 +669,8 @@ class TestEnvelopePoints:
         )
         ones = np.ones(3)
         for w0, v in [(ones, ones), ([1.0] * 3, [1.0] * 3), (np.ones(3, dtype=np.int64),) * 2]:
-            chain, _ = envelope_points(g, w0, v)
-            assert [(p.x.hex(), p.y.hex()) for p in chain.points] == [
+            chain = build_envelope(g, w0, v).chain
+            assert [(p.x.hex(), p.y.hex()) for p in chain] == [
                 ((0.0).hex(), (0.0).hex()),
                 ((1.0).hex(), (-1.0).hex()),
             ]
@@ -683,8 +692,9 @@ class TestEnvelopePoints:
         )
         w0, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
         assert_matches_hull_reference(g, w0, v)
-        chain, derivations = envelope_points(g, w0, v)
-        assert chain.as_tuples() == ((1e20, -1.0),) and derivations[0].tokens == ("q",)
+        env = build_envelope(g, w0, v)
+        assert [(p.x, p.y) for p in env.chain] == [(1e20, -1.0)]
+        assert env.derivations[0].tokens == ("q",)
 
     def test_search_path_builds_no_tree(self, rng, monkeypatch) -> None:
         # Yields come straight from the back-pointers; a tree is built only
@@ -727,7 +737,7 @@ class TestEnvelopePoints:
             return yields(edges, [CountingBacks(n, b) for n, b in enumerate(backs)], roots)
 
         monkeypatch.setattr(forest, "_yields", counting_yields)
-        _, derivations = envelope_points(graph, w0, v)
+        derivations = build_envelope(graph, w0, v).derivations
         assert len(derivations) > 1
         # Each reached (node, point index) once in all: distinct items are
         # distinct subtrees, since distinct chain points of a node differ in x.
@@ -749,7 +759,7 @@ class TestEnvelopePoints:
         graph = random_forest(rng, n_nodes=20, max_edges_per_node=3)
         w0, v = random_vectors(rng, 3, integer=False)
         before = chain_values()
-        _, derivations = envelope_points(graph, w0, v)
+        derivations = build_envelope(graph, w0, v).derivations
         assert chain_values() == before
         for i, d in enumerate(derivations):
             assert vars(d).keys() == {"tokens", "_graph", "_root", "_backs"}
@@ -761,8 +771,8 @@ class TestEnvelopePoints:
         # and the result equal those of the realized tree.
         graph = random_forest(rng, n_nodes=40, max_edges_per_node=3)
         w0, v = random_vectors(rng, 3, integer=False)
-        _, derivations = envelope_points(graph, w0, v)
-        _, again = envelope_points(graph, w0, v)
+        derivations = build_envelope(graph, w0, v).derivations
+        again = build_envelope(graph, w0, v).derivations
         built = forest.Derivation.tree
         no_tree = property(lambda _: pytest.fail("tree built"))
         monkeypatch.setattr(forest.Derivation, "tree", no_tree)
@@ -782,7 +792,7 @@ class TestEnvelopePoints:
         rng = np.random.default_rng(11)
         graph = random_forest(rng, n_nodes=12, max_edges_per_node=3)
         w0, v = rng.normal(size=3), rng.normal(size=3)
-        _, derivations = envelope_points(graph, w0, v)
+        derivations = build_envelope(graph, w0, v).derivations
         assert [[x.hex() for x in d.features] for d in derivations] == [
             ["0x1.192b0e63cf878p+0", "0x1.6e06b00b9a7a7p+0", "0x1.ac7f4a90c91dbp+2"],
             ["-0x1.448d7e113e288p-3", "-0x1.fcfd5518fd0f4p-1", "0x1.d1ae28444b1b9p+2"],
@@ -809,14 +819,16 @@ class TestEnvelopePoints:
         for _ in range(10):
             graph = random_forest(rng, n_nodes=10, integer_features=True)
             w0, v = random_vectors(rng, 3, integer=True)
-            chain, derivations = envelope_points(graph, w0, v)
-            for p, d in zip(chain, derivations):
+            env = build_envelope(graph, w0, v)
+            for p, d in zip(env.chain, env.derivations):
                 assert (p.x, p.y) == (float(v @ d.features), -float(w0 @ d.features))
 
-    def test_empty_language_gives_an_empty_chain(self) -> None:
+    def test_empty_language_has_no_envelope(self) -> None:
         g = Hypergraph(2, [Edge.make(0, (), {}, ())], goal=1, n_features=1)
-        chain, derivations = envelope_points(g, np.zeros(1), np.ones(1))
-        assert not chain and derivations == ()
+        xs, ys, _, tokens = forest._envelope_points(g, [0.0], [1.0])
+        assert xs == ys == tokens == []
+        with pytest.raises(NoHypothesesError, match="goal node derives nothing"):
+            build_envelope(g, np.zeros(1), np.ones(1))
 
     def test_overflowing_sum_raises(self) -> None:
         g = Hypergraph(
@@ -826,9 +838,9 @@ class TestEnvelopePoints:
             n_features=1,
         )
         with pytest.raises(InvalidGeometryError):
-            envelope_points(g, np.zeros(1), np.ones(1))
+            build_envelope(g, np.zeros(1), np.ones(1))
         with pytest.raises(InvalidGeometryError):
-            envelope_points(g, np.ones(1), np.zeros(1))
+            build_envelope(g, np.ones(1), np.zeros(1))
 
     @pytest.mark.parametrize(
         "n_features, after",
@@ -860,7 +872,7 @@ class TestEnvelopePoints:
             forest._lower_chain_values(g, w0.tolist(), v.tolist())
         assert str(got.value) == str(want.value)
         with pytest.raises(InvalidGeometryError, match=re.escape(str(want.value))):
-            envelope_points(g, w0, v)
+            build_envelope(g, w0, v)
 
     @pytest.mark.parametrize(
         "w0, v, arcs",
@@ -889,7 +901,7 @@ class TestEnvelopePoints:
         assert [chain_bits(x) for x in got] == [
             chain_bits(x) for x in lower_chain_values(g, w0, v)
         ]
-        _, derivations = envelope_points(g, w0, v)
+        derivations = build_envelope(g, w0, v).derivations
         assert derivations[0].tokens == ("s", "a", "w0")
 
     @pytest.mark.parametrize(
@@ -948,17 +960,121 @@ class TestEnvelopePoints:
     def test_non_finite_projection_raises(self) -> None:
         g = Hypergraph(1, [Edge.make(0, (), {0: 1e308}, ("a",))], goal=0, n_features=1)
         with pytest.raises(InvalidGeometryError):
-            envelope_points(g, np.array([10.0]), np.zeros(1))
+            build_envelope(g, np.array([10.0]), np.zeros(1))
 
     def test_dimension_mismatch(self) -> None:
         g = Hypergraph(1, [Edge.make(0, (), {1: 1.0}, ())], goal=0, n_features=2)
         with pytest.raises(DimensionMismatchError):
-            envelope_points(g, np.array([1.0]), np.array([1.0]))
+            build_envelope(g, np.array([1.0]), np.array([1.0]))
 
     def test_negative_zero_is_canonical(self) -> None:
         g = Hypergraph(1, [Edge.make(0, (), {0: 1.0}, ("a",))], goal=0, n_features=1)
-        chain, _ = envelope_points(g, np.array([0.0]), np.array([-0.0]))
+        chain = build_envelope(g, np.array([0.0]), np.array([-0.0])).chain
         assert [(p.x.hex(), p.y.hex()) for p in chain] == [("0x0.0p+0", "0x0.0p+0")]
+
+
+@st.composite
+def far_leaves(draw):
+    """One node with two to five leaves at any finite dual points, so that
+    adjacent chain points can lie so far apart that their crossing
+    overflows to inf or, when their x values do too, reads inf / inf."""
+    coords = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.sampled_from([-1.7e308, -1e308, 1e308, 1.7e308]),
+        st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False),
+    )
+    points = draw(st.lists(st.tuples(coords, coords), min_size=2, max_size=5))
+    edges = [Edge.make(0, (), {0: x, 1: -y}, (f"h{i}",)) for i, (x, y) in enumerate(points)]
+    return Hypergraph(1, edges, 0, 2), [0.0, 1.0], [1.0, 0.0]
+
+
+@st.composite
+def envelope_problems(draw):
+    """Far leaves, or a lattice (in-edges interleaved) or a branching
+    forest, float or integer, with v = 0 at times, and w0 and v each scaled
+    so that its points overflow or lie far apart."""
+    if draw(st.booleans()):
+        return draw(far_leaves())
+    graph, w0, v = draw(st.one_of(shuffled_lattices(), multi_tail_forests()))
+    if draw(st.booleans()):
+        v = np.zeros_like(v)
+    scales = st.sampled_from([1.0, 1e307, 4e307])
+    a, b = draw(scales), draw(scales)
+    return graph, [x * a for x in w0.tolist()], [x * b for x in v.tolist()]
+
+
+def envelope_bits(env) -> tuple:
+    """Everything an envelope reports, floats as hex strings."""
+    return (
+        [(p.x.hex(), p.y.hex()) for p in env.chain],
+        [b.hex() for b in env.boundaries],
+        [(d.tree, d.tokens) for d in env.derivations],
+        [
+            (lo.hex(), hi.hex(), p.x.hex(), p.y.hex(), d.tree, d.tokens)
+            for lo, hi, p, d in env.segments()
+        ],
+    )
+
+
+class TestLazyEnvelope:
+    """``build_envelope`` keeps the goal chain's coordinate lists and makes
+    its ``Point2`` and ``Derivation`` objects on first read; everything it
+    reports must be the eager route's (``helpers.eager_envelope``) bit for
+    bit, and a crossing that is not finite must raise its error."""
+
+    @given(problem=envelope_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_lazy_envelope_is_the_eager_one(self, problem) -> None:
+        graph, w0, v = problem
+        try:
+            want = eager_envelope(graph, w0, v)
+        except InvalidGeometryError as exc:
+            with pytest.raises(InvalidGeometryError) as got:
+                build_envelope(graph, w0, v)
+            assert str(got.value) == str(exc)
+            return
+        assert hash(build_envelope(graph, w0, v)) == hash(want)
+        assert build_envelope(graph, w0, v) == want
+        got = build_envelope(graph, w0, v)
+        etas = [*probe_etas(want), *want.boundaries]
+        assert [got.max_at(eta).hex() for eta in etas] == [want.max_at(eta).hex() for eta in etas]
+        # envelope_sizes reads only the envelopes.
+        sizes = LineSearchResult((), (), 0, 0.0, 0.0, None, (got, want), None).envelope_sizes
+        assert sizes == (len(want.chain),) * 2
+        assert envelope_bits(got) == envelope_bits(want)
+        assert repr(got) == repr(want)
+        assert got.chain is got.chain and got.derivations is got.derivations
+
+    @pytest.mark.parametrize(
+        "edges, crossing",
+        [
+            ([{0: 1.0}, {0: -1.0, 1: 1.0}], "inf"),
+            ([{0: 1.0, 1: -1e308}, {0: -1.0, 1: 1e308}], "nan"),
+        ],
+        ids=["overflowing-rise", "overflowing-run"],
+    )
+    def test_crossing_that_is_not_finite_raises_as_the_eager_route(self, edges, crossing) -> None:
+        # Dual points (0, -1e308) and (1, 1e308): the rise overflows.  With
+        # x at -1e308 and 1e308 too, the crossing is inf / inf.
+        g = Hypergraph(1, [Edge.make(0, (), f, (f"h{i}",)) for i, f in enumerate(edges)], 0, 2)
+        w0, v = [1e308, 0.0], [0.0, 1.0]
+        with pytest.raises(InvalidGeometryError) as want:
+            eager_envelope(g, w0, v)
+        assert str(want.value).endswith(f"is not finite: {crossing}")
+        with pytest.raises(InvalidGeometryError, match=re.escape(str(want.value))):
+            build_envelope(g, w0, v)
+
+    def test_envelopes_are_immutable(self, diamond_graph) -> None:
+        lazy = build_envelope(diamond_graph, np.ones(1), np.ones(1))
+        eager = eager_envelope(diamond_graph, np.ones(1), np.ones(1))
+        for env in (lazy, eager):
+            for name in ("chain", "boundaries", "derivations", "_xs"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(env, name, ())
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(env, name)
+            assert copy.copy(env) == env
+        assert lazy == eager and hash(lazy) == hash(eager)
 
 
 class TestRandomDerivation:

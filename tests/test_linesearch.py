@@ -21,6 +21,7 @@ from hullmert.errors import (
     NoHypothesesError,
 )
 from hullmert.forest import Derivation, Edge, Hypergraph, realize
+from hullmert.geometry import Point2
 from hullmert.io import load_corpus
 from hullmert.linesearch import (
     DEFAULT_MERGE_EPS,
@@ -53,6 +54,7 @@ from hullmert.semiring import ConvexHullValue
 from helpers import LINE_V, LINE_W0, UNBOUNDED_ETAS, make_line_graph
 
 INF = float("inf")
+ONE_NAN = float("nan")
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
@@ -729,7 +731,7 @@ class TestSettingsAreChecked:
         def forbidden(*_):
             raise AssertionError("envelope built before the settings were checked")
 
-        monkeypatch.setattr(linesearch_module, "envelope_points", forbidden)
+        monkeypatch.setattr(linesearch_module, "_envelope_points", forbidden)
         with pytest.raises(ConfigError, match=setting.replace("_", "-")):
             call_entry(entry, **{setting: value})
 
@@ -754,7 +756,7 @@ class TestSettingsAreChecked:
         def forbidden(*_):
             raise AssertionError("envelope built before the thread count was refused")
 
-        monkeypatch.setattr(linesearch_module, "envelope_points", forbidden)
+        monkeypatch.setattr(linesearch_module, "_envelope_points", forbidden)
         with pytest.raises(TypeError, match="threads"):
             call_entry(entry, threads=value)
 
@@ -776,7 +778,7 @@ class TestSettingsAreChecked:
         def forbidden(*_):
             raise AssertionError("envelope built before the tolerance was refused")
 
-        monkeypatch.setattr(linesearch_module, "envelope_points", forbidden)
+        monkeypatch.setattr(linesearch_module, "_envelope_points", forbidden)
         with pytest.raises(TypeError, match="merge_eps"):
             call_entry(entry, merge_eps=value)
 
@@ -864,6 +866,84 @@ class TestHotPathRepresentation:
         assert len(calls) == 3 * intervals
         assert swept.losses == tuple(surface.loss_at(eta) for eta in swept.etas)
         assert len(calls) == 3 * intervals
+
+
+class TestEnvelopeObjectsOnRead:
+    def test_search_entry_points_build_no_point_or_derivation(self, rng, monkeypatch) -> None:
+        # Envelopes keep the goal chain's coordinates and one yield per
+        # point; a search, a sweep, a decode and a prediction read only
+        # those, so no Point2 or Derivation is made until a caller reads
+        # Envelope.chain or .derivations.
+        corpus = random_corpus(rng, n_sentences=3, integer_features=True)
+        for _ in range(2):
+            graph = random_forest(rng, n_nodes=12, max_edges_per_node=3)
+            corpus.append((graph, random_derivation(rng, graph).tokens))
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        metric = get_metric("bleu")
+        estimator = MertEstimator(metric="bleu").fit(corpus)
+        made = {"Point2": 0, "Derivation": 0}
+        post_init, init = Point2.__post_init__, Derivation.__init__
+
+        def counting_post_init(point) -> None:
+            made["Point2"] += 1
+            post_init(point)
+
+        def counting_init(derivation, *args) -> None:
+            made["Derivation"] += 1
+            init(derivation, *args)
+
+        monkeypatch.setattr(Point2, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Derivation, "__init__", counting_init)
+        calls = {
+            "line_search": lambda: line_search(corpus, w0, v, metric),
+            "optimize": lambda: optimize(corpus, w0, metric, iterations=2),
+            "sweep": lambda: sweep(corpus, w0, v, metric, -2.0, 2.0, 41),
+            "decode_loss": lambda: decode_loss(corpus, w0, metric),
+            "MertEstimator.predict": lambda: estimator.predict(corpus),
+        }
+        for name, call in calls.items():
+            call()
+            assert made == {"Point2": 0, "Derivation": 0}, name
+        # The counters see the objects a reader asks for.
+        env = line_search(corpus, w0, v, metric).envelopes[-1]
+        assert len(env.chain) == len(env.derivations) > 0
+        assert made == {"Point2": len(env.chain), "Derivation": len(env.chain)}
+
+
+class TestSweepPick:
+    @given(
+        table=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.0, "one nan", "fresh nan"]),
+            min_size=1,
+            max_size=6,
+        ),
+        steps=st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_best_index_is_the_first_least_loss(self, table, steps) -> None:
+        # A user metric's loss per envelope segment: ties, both zeros, and
+        # NaN, as one object that every interval repeats or a new object
+        # per interval.  The grid repeats each interval's loss object, and
+        # (loss, index) tuples compare a repeated object by identity.
+        k = len(table)
+        # Line i, slope i and intercept -i(i-1)/2, leads on (i, i+1).
+        lines = [(float(i), -i * (i - 1) / 2) for i in range(k)]
+        corpus = [(make_line_graph(lines), ("h0",))]
+
+        class SegmentLoss(ExactMatch):
+            def stats(self, hyp, ref) -> np.ndarray:
+                return np.array([float(hyp[0][1:])])
+
+            def loss(self, aggregate) -> float:
+                value = table[int(aggregate[0])]
+                if value == "fresh nan":
+                    return float("nan")
+                return ONE_NAN if value == "one nan" else value
+
+        result = sweep(corpus, LINE_W0, LINE_V, SegmentLoss(), -0.5, k - 0.5, steps)
+        losses = result.losses
+        assert result.best_index == min(range(len(losses)), key=lambda i: (losses[i], i))
+        assert result.best_loss is losses[result.best_index]
 
 
 class CountingBleu(Bleu):
