@@ -10,9 +10,9 @@ lower-chain (envelope) semiring, which carries only that face of each
 hull; ``ConvexHullValue`` and ``inside_hull`` stay as the reference it
 must agree with point for point.  An ``Envelope`` keeps the goal chain's
 coordinate lists, the boundaries computed from them and one yield per
-point, and makes its ``Point2`` and ``Derivation`` objects from the
-kernel's back-pointers only when ``chain`` or ``derivations`` is read;
-nothing in this module reads them.  Scoring each chain point's yield
+point; its ``chain`` and ``derivations`` are cached properties, built
+from the kernel's back-pointers on first read, and nothing in this
+module reads them.  Scoring each chain point's yield
 turns the envelope into a piecewise-constant error surface.  A
 fixed-weight decode is the same inside pass at a zero
 direction, whose envelope has a single segment.  Every yield is scored in
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from operator import sub, truediv
 from typing import Sequence
 
@@ -66,54 +67,47 @@ class Envelope:
     coordinate; ``boundaries[i]`` is the eta where segment i hands over to
     segment i+1; ``derivations`` realizes one argmax derivation per segment.
 
-    ``Envelope(chain, boundaries, derivations)`` keeps its arguments as
-    given.  ``build_envelope`` keeps the chain's coordinate lists, one yield
-    per point and the kernel's back-pointers instead, and makes the
-    ``Point2`` and ``Derivation`` objects on the first read of ``chain`` or
-    ``derivations``: a line search, a sweep and a decode read neither.
-    Both kinds compare, hash and print alike.  Envelopes are immutable; a
+    Every envelope keeps the chain's coordinate lists and one yield per
+    point.  ``chain`` and ``derivations`` are cached properties:
+    ``Envelope(chain, boundaries, derivations)`` fills both caches with its
+    arguments, and ``build_envelope`` leaves them empty, keeping the
+    kernel's back-pointers to build the objects on first read.  A line
+    search, a sweep and a decode read neither.  Envelopes are immutable; a
     first read that races another builds an equal value, so they are safe
     to share across threads.
     """
 
-    _FIELDS = ("boundaries", "_xs", "_ys", "_tokens", "_chain", "_derivations", "_graph", "_backs")
-
     def __init__(self, chain, boundaries, derivations):
-        xs, ys = [p.x for p in chain], [p.y for p in chain]
-        tokens = [d.tokens for d in derivations]
-        self._fill(boundaries, xs, ys, tokens, chain, derivations, None, None)
+        self.__dict__.update(
+            boundaries=boundaries,
+            _xs=[p.x for p in chain],
+            _ys=[p.y for p in chain],
+            _tokens=[d.tokens for d in derivations],
+            chain=chain,
+            derivations=derivations,
+        )
 
     @classmethod
     def _lazy(cls, xs, ys, boundaries, tokens, graph: Hypergraph, backs) -> "Envelope":
         """The envelope of goal chain ``xs``, ``ys`` with yields ``tokens``,
         whose point i is the root item ``(graph.goal, i)`` over ``backs``."""
         env = object.__new__(cls)
-        env._fill(boundaries, xs, ys, tokens, None, None, graph, backs)
+        env.__dict__.update(
+            boundaries=boundaries, _xs=xs, _ys=ys, _tokens=tokens, _graph=graph, _backs=backs
+        )
         return env
 
-    def _fill(self, *values) -> None:
-        """Set every field, in ``_FIELDS`` order."""
-        self.__dict__.update(zip(self._FIELDS, values))
-
-    @property
+    @cached_property
     def chain(self) -> tuple[Point2, ...]:
-        chain = self._chain
-        if chain is None:
-            chain = self.__dict__["_chain"] = tuple(map(Point2, self._xs, self._ys))
-        return chain
+        return tuple(map(Point2, self._xs, self._ys))
 
-    @property
+    @cached_property
     def derivations(self) -> tuple[Derivation, ...]:
-        derivations = self._derivations
-        if derivations is None:
-            graph, backs = self._graph, self._backs
-            goal = graph.goal
-            derivations = tuple(
-                Derivation(tokens, graph, (goal, i), backs)
-                for i, tokens in enumerate(self._tokens)
-            )
-            self.__dict__["_derivations"] = derivations
-        return derivations
+        graph, backs = self._graph, self._backs
+        goal = graph.goal
+        return tuple(
+            Derivation(tokens, graph, (goal, i), backs) for i, tokens in enumerate(self._tokens)
+        )
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -512,10 +506,6 @@ class OptimizeResult:
     iterations_run: int
 
 
-def _axis_directions(d: int) -> list[np.ndarray]:
-    return [np.eye(d)[i] for i in range(d)]
-
-
 def optimize(
     sentences: Sequence[tuple[Hypergraph, Sequence[str]]],
     w0: np.ndarray,
@@ -533,7 +523,7 @@ def optimize(
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     w = np.asarray(w0, dtype=float).copy()
     if directions is None:
-        dirs = _axis_directions(len(w))
+        dirs = list(np.eye(len(w)))
     else:
         dirs = [np.asarray(v, dtype=float) for v in directions]
     # One memo serves the initial decode and every axis search: each

@@ -1224,13 +1224,13 @@ class TestExactSignDecisions:
 
 
 @st.composite
-def search_problems(draw):
+def search_problems(draw, integer=st.booleans()):
     """A seeded corpus of two to four lattices or branching forests, larger
     than any brute-force oracle takes, with float or integer features and
-    vectors, and either metric."""
+    vectors (as ``integer`` draws), and either metric."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     forest = draw(st.booleans())
-    integer = draw(st.booleans())
+    integer = draw(integer)
     corpus = []
     for _ in range(int(rng.integers(2, 5))):
         if forest:
@@ -1311,6 +1311,29 @@ class TestMetamorphicRelations:
         base = line_search(corpus, w0, v, metric)
         with np.errstate(over="ignore"):  # the new weight + eta * step, not compared
             got = line_search(wide, np.insert(w0, at, weight), np.insert(v, at, step), metric)
+        assert got.boundaries == base.boundaries
+        assert got.interval_losses == base.interval_losses
+        assert (got.best_interval, got.eta, got.loss) == (base.best_interval, base.eta, base.loss)
+
+    @given(search_problems(integer=st.just(True)), st.permutations(range(3)))
+    @settings(max_examples=60, deadline=None)
+    def test_renumbering_the_features(self, problem, order) -> None:
+        # Feature i becomes feature order[i] on every edge, in w0 and in v.
+        # Integer projections sum exactly in any order, so every bit of the
+        # search is the same; float ones may differ in their last bits.
+        corpus, w0, v, metric = problem
+
+        def renumber(graph: Hypergraph) -> Hypergraph:
+            edges = [
+                Edge.make(e.head, e.tails, {order[i]: x for i, x in e.features}, e.template)
+                for e in graph.edges
+            ]
+            return Hypergraph(graph.n_nodes, edges, graph.goal, graph.n_features)
+
+        moved_w0, moved_v = np.empty(3), np.empty(3)
+        moved_w0[order], moved_v[order] = w0, v
+        base = line_search(corpus, w0, v, metric)
+        got = line_search([(renumber(g), ref) for g, ref in corpus], moved_w0, moved_v, metric)
         assert got.boundaries == base.boundaries
         assert got.interval_losses == base.interval_losses
         assert (got.best_interval, got.eta, got.loss) == (base.best_interval, base.eta, base.loss)

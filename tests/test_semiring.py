@@ -381,14 +381,16 @@ class TestInlineSignTest:
     @pytest.mark.parametrize("t1, t2, sign", band_edge_cases())
     def test_product_matches_minkowski_indexed(self, t1, t2, sign) -> None:
         # Edge angles (1, t2) and (1, t1): the merge compares 1 * t1 with t2 * 1.
+        # _edge_product merges alike: translating a by (0, 0) is exact, and
+        # edge 0's back-pointers (0, i, j) are a.back[i] + (j,).
         a = LowerChainValue([0.0, 1.0], [0.0, t2], [(0, 0), (0, 1)])
         b = LowerChainValue([0.0, 1.0], [0.0, t1], [None, None])
-        got = a * b
         pts, pairs = minkowski_indexed(a.chain(), b.chain())
         # The closed merge ends its open part at the two last vertices.
         end = pairs.index((1, 1)) + 1
-        assert chain_points(got) == pts[:end]
-        assert got.back == [a.back[i] + (j,) for i, j in pairs[:end]]
+        for got in (a * b, _edge_product(0.0, 0.0, 0, a, b)):
+            assert chain_points(got) == pts[:end]
+            assert got.back == [a.back[i] + (j,) for i, j in pairs[:end]]
         assert pairs[1] == {1: (1, 0), 0: (1, 1), -1: (0, 1)}[sign]
 
     def test_overflowing_edge_angle_advances_the_right_chain(self) -> None:
