@@ -22,15 +22,17 @@ sentences that a per-call memo lacks and scores them in one
 statistics array per (sentence, yield).  A search, a sweep, a decode and
 ``sentence_surface`` all go through it, and ``optimize`` shares its memo
 between the initial decode and every axis search.
-Surfaces add across sentences: one sorted pass over all sentence
-boundaries takes a prefix sum of each sentence's step in statistics, so
-the corpus loss is a step function with one loss per interval, and its
-exact minimum is read off those.  Integer statistics sum exactly; float
-statistics from a user-defined ``Metric`` are summed in boundary order.
+Surfaces add across sentences: one stable sort orders all sentence
+boundaries, and one cumulative sum adds each sentence's step in
+statistics in that order, so the corpus loss is a step function with one
+loss per interval, and its exact minimum is read off those.  Integer
+statistics sum exactly; float statistics from a user-defined ``Metric``
+are summed in boundary order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
@@ -236,15 +238,19 @@ def _interval_point(starts, ends, k: int) -> float | None:
 class CorpusSurface:
     """Sum of per-sentence surfaces on the merged interval decomposition.
 
-    One pass over all sentence boundaries in sorted order: the running
-    total starts at the sum of leftmost statistics and adds a sentence's
-    step ``stats[i+1] - stats[i]`` at each of its boundaries.  Boundaries
-    within ``merge_eps`` of the previous one chain into a cluster reported
-    at its minimum; an interval's statistics are the total as its right
-    cluster opens (the last interval's, the final total), so every sentence
-    is read on the correct side of all of its own boundaries.  Integer
-    statistics sum exactly; float ones from a user-defined ``Metric`` are
-    summed in boundary order.  Interval losses are computed once, here.
+    One stable sort orders all sentence boundaries by value, ties in
+    sentence order, as ``sorted((b, n, i))`` would; one cumulative sum
+    then starts from the sum of the leftmost statistics and adds a
+    sentence's step ``stats[i+1] - stats[i]`` at each of its boundaries,
+    in that order.  Boundaries within ``merge_eps`` of the previous one
+    chain into a cluster reported at its minimum; an interval's
+    statistics are the total as its right cluster opens (the last
+    interval's, the final total), so every sentence is read on the
+    correct side of all of its own boundaries.  Integer statistics sum
+    exactly; float ones from a user-defined ``Metric`` are summed in
+    boundary order, bit for bit as ``oracle.merge_surfaces`` sums them.
+    A NaN boundary, which no sort places as that loop does, raises
+    ``InvalidGeometryError``.  Interval losses are computed once, here.
 
     This is the one place ``merge_eps`` is set (``>= 0``, ``inf`` allowed;
     ``ConfigError`` otherwise).  The search entry points pass
@@ -258,28 +264,38 @@ class CorpusSurface:
         if not merge_eps >= 0:  # NaN fails too
             raise ConfigError(f"merge-eps must be >= 0, got {merge_eps}")
         self.metric = metric
-        self.surfaces = tuple(surfaces)
-        steps = sorted(
-            (b, n, i) for n, s in enumerate(self.surfaces) for i, b in enumerate(s.boundaries)
+        self.surfaces = surfaces = tuple(surfaces)
+        zero = metric.zero_stats()
+        counts = np.array([len(s.boundaries) for s in surfaces], dtype=np.intp)
+        bounds = np.fromiter(
+            itertools.chain.from_iterable(s.boundaries for s in surfaces), float, int(counts.sum())
         )
-        total = sum((s.stats[0] for s in self.surfaces), metric.zero_stats())
-        starts: list[float] = []
-        ends: list[float] = []
-        stats: list[np.ndarray] = []
-        for b, n, i in steps:
-            if ends and b - ends[-1] <= merge_eps:
-                ends[-1] = b
-            else:
-                starts.append(b)
-                ends.append(b)
-                stats.append(total.copy())
-            sentence = self.surfaces[n].stats
-            total += sentence[i + 1] - sentence[i]
-        stats.append(total)
-        self.boundaries = tuple(starts)
-        self._cluster_max = tuple(ends)
-        self.stats = tuple(stats)
-        self._losses = tuple(metric.loss(s) for s in self.stats)
+        if np.isnan(bounds).any():
+            raise InvalidGeometryError("a sentence surface has a NaN boundary")
+        # Boundaries in (b, sentence, index) order: the stable sort keeps
+        # equal ones (-0.0 and 0.0 included) in sentence order.
+        order = np.argsort(bounds, kind="stable")
+        bounds = bounds[order]
+        rows = list(itertools.chain.from_iterable(s.stats for s in surfaces))
+        rows = np.array(rows) if rows else np.empty((0, *zero.shape), zero.dtype)
+        # Boundary j of sentence n lies between rows j + n and j + n + 1.
+        below = order + np.repeat(np.arange(len(counts)), counts)[order]
+        firsts = np.cumsum(counts) - counts + np.arange(len(counts))
+        # Running totals in the loop's order: zero, each sentence's first
+        # row, then each step in boundary order.
+        totals = np.add.accumulate(
+            np.concatenate([zero[None], rows[firsts], rows[below + 1] - rows[below]])
+        )
+        # A cluster opens at each boundary more than merge_eps beyond the
+        # previous one; a difference that overflows or is NaN opens one.
+        opens = np.ones(len(bounds), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.logical_not(bounds[1:] - bounds[:-1] <= merge_eps, out=opens[1:])
+        starts = np.flatnonzero(opens)
+        self.boundaries = tuple(bounds[starts].tolist())
+        self._cluster_max = tuple(bounds[starts[1:] - 1].tolist() + bounds[-1:].tolist())
+        self.stats = tuple(totals[np.append(starts + len(counts), len(totals) - 1)])
+        self._losses = tuple(map(metric.loss, self.stats))
 
     def interval_losses(self) -> tuple[float, ...]:
         return self._losses
@@ -437,7 +453,11 @@ def line_search(
     metric: Metric,
     threads: int = 1,
 ) -> LineSearchResult:
-    """Exact minimum of the corpus loss along w0 + eta * v."""
+    """Exact minimum of the corpus loss along w0 + eta * v.
+
+    ``InvalidGeometryError`` says when the weights at the chosen eta are
+    not finite (a direction entry large enough to overflow them).
+    """
     return _line_search(sentences, w0, v, metric, threads, _stats_memo(sentences))
 
 
@@ -449,13 +469,17 @@ def _line_search(
     envelopes, surface = _corpus_surface(sentences, w0, v, metric, threads, memo)
     losses = surface.interval_losses()
     chosen, eta = pick_eta(surface)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = w0 + eta * v
+    if not np.isfinite(weights).all():
+        raise InvalidGeometryError(f"weights at the chosen eta = {eta!r} are not finite")
     return LineSearchResult(
         boundaries=surface.boundaries,
         interval_losses=losses,
         best_interval=chosen,
         eta=eta,
         loss=losses[chosen],
-        weights=w0 + eta * v,
+        weights=weights,
         envelopes=tuple(envelopes),
         surface=surface,
     )

@@ -229,15 +229,21 @@ class Bleu(Metric):
         return out
 
     def loss(self, aggregate: np.ndarray) -> float:
-        # Summed left to right: sum() compensates its rounding since Python 3.12.
+        # Summed left to right: sum() compensates its rounding since Python
+        # 3.12.  A conditional floors a count as max(count, EPS_COUNT) would,
+        # NaN included, without the builtin's call.
         stats = aggregate.tolist()
+        max_n = self.max_n
         log_precision = 0.0
-        for m, t in zip(stats[: self.max_n], stats[self.max_n : 2 * self.max_n]):
-            log_precision += math.log(max(m, EPS_COUNT) / max(t, EPS_COUNT))
-        log_precision /= self.max_n
-        hyp_len, ref_len = stats[-2], stats[-1]
-        brevity = min(0.0, 1.0 - ref_len / max(hyp_len, EPS_COUNT))
-        return 1.0 - math.exp(brevity + log_precision)
+        for n in range(max_n):
+            m, t = stats[n], stats[max_n + n]
+            log_precision += math.log(
+                (EPS_COUNT if EPS_COUNT > m else m) / (EPS_COUNT if EPS_COUNT > t else t)
+            )
+        log_precision /= max_n
+        hyp_len = stats[-2]
+        brevity = 1.0 - stats[-1] / (EPS_COUNT if EPS_COUNT > hyp_len else hyp_len)
+        return 1.0 - math.exp((brevity if brevity < 0.0 else 0.0) + log_precision)
 
 
 _METRICS = {ExactMatch.name: ExactMatch, Bleu.name: Bleu}

@@ -9,7 +9,9 @@ algebra lives here too: ``check_axioms`` tests the semiring laws on
 sample values, and ``convexify_equivalence`` the hull-then-sum identity
 that makes hull multiplication well defined.  ``canonical_json`` is the
 report writer that ``io.canonical_json``'s type-dispatched one must match
-byte for byte.  Nothing on the fast path imports this module.
+byte for byte, and ``merge_surfaces`` the boundary-order loop that
+``CorpusSurface``'s sort and cumulative sum must match bit for bit.
+Nothing on the fast path imports this module.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .forest import (
     realize,
 )
 from .geometry import ConvexChain, Point2, full_hull
-from .linesearch import Envelope, _interval_point, build_envelope
+from .linesearch import Envelope, ErrorSurface, _interval_point, build_envelope
 from .metrics import Metric
 from .semiring import ConvexHullValue, LowerChainValue
 
@@ -178,6 +180,36 @@ def grid_line_search(
     v = np.asarray(v, dtype=float)
     losses = [decode_corpus_loss(sentences, w0 + eta * v, metric) for eta in etas]
     return list(etas), losses
+
+
+def merge_surfaces(
+    metric: Metric, surfaces: Sequence[ErrorSurface], merge_eps: float
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[np.ndarray, ...], tuple[float, ...]]:
+    """``CorpusSurface``'s boundaries, cluster maxima, interval statistics
+    and interval losses, by one Python step per boundary.
+
+    The boundaries are visited in ``sorted((b, n, i))`` order; the running
+    total starts at the sum of first rows and adds ``stats[i + 1] -
+    stats[i]`` of sentence n at its boundary i.  A boundary within
+    ``merge_eps`` of the previous one joins its cluster; any other opens a
+    cluster, recording the total before its step.
+    """
+    steps = sorted((b, n, i) for n, s in enumerate(surfaces) for i, b in enumerate(s.boundaries))
+    total = sum((s.stats[0] for s in surfaces), metric.zero_stats())
+    starts: list[float] = []
+    ends: list[float] = []
+    stats: list[np.ndarray] = []
+    for b, n, i in steps:
+        if ends and b - ends[-1] <= merge_eps:
+            ends[-1] = b
+        else:
+            starts.append(b)
+            ends.append(b)
+            stats.append(total.copy())
+        sentence = surfaces[n].stats
+        total += sentence[i + 1] - sentence[i]
+    stats.append(total)
+    return tuple(starts), tuple(ends), tuple(stats), tuple(metric.loss(s) for s in stats)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,7 @@ from hullmert import Edge, Hypergraph
 from hullmert.forest import _derivations, _lower_chain_values
 from hullmert.geometry import EPS_GEOM, envelope_boundaries
 from hullmert.linesearch import Envelope
+from hullmert.metrics import EPS_COUNT
 from hullmert.semiring import LowerChainValue, _product
 
 
@@ -45,11 +46,11 @@ def chain_bits(value: LowerChainValue) -> tuple:
     return [x.hex() for x in value.xs], [y.hex() for y in value.ys], value.back
 
 
-# Frozen references for the hot loops of ``semiring`` and ``forest``: the
-# same algorithms in the form they had before their state moved into
-# locals, or before a binary edge's translate stopped being built.  The
-# differential tests require the same bits, back-pointers and errors from
-# the rewritten loops.
+# Frozen references for the hot loops of ``semiring``, ``forest`` and
+# ``metrics``: the same algorithms in the form they had before their state
+# moved into locals, before a binary edge's translate stopped being built,
+# or before BLEU's floors stopped calling builtins.  The differential tests
+# require the same bits, back-pointers and errors from the rewritten loops.
 
 
 def reference_lower_merge(xa, ya, ba, xb, yb, bb) -> LowerChainValue:
@@ -169,6 +170,19 @@ def reference_yields(edges, backs: list, roots: list):
             for slot in reversed(edge.template):
                 stack.append(slot if slot.__class__ is str else (tails[slot], back[slot + 1]))
         yield tuple(toks)
+
+
+def reference_bleu_loss(max_n: int, aggregate) -> float:
+    """``Bleu.loss`` flooring counts with the ``max`` and ``min`` builtins
+    over slices of the statistics."""
+    stats = aggregate.tolist()
+    log_precision = 0.0
+    for m, t in zip(stats[:max_n], stats[max_n : 2 * max_n]):
+        log_precision += math.log(max(m, EPS_COUNT) / max(t, EPS_COUNT))
+    log_precision /= max_n
+    hyp_len, ref_len = stats[-2], stats[-1]
+    brevity = min(0.0, 1.0 - ref_len / max(hyp_len, EPS_COUNT))
+    return 1.0 - math.exp(brevity + log_precision)
 
 
 def eager_envelope(graph, w0, v):

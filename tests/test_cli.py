@@ -557,6 +557,26 @@ class TestArgumentHandling:
             named = f"{where} file {paths[where]}: 'tm'"
         assert err.startswith(f"data error: {named} must be finite"), err
 
+    def test_weights_that_overflow_at_the_chosen_eta_are_a_data_error(
+        self, files, capsys
+    ) -> None:
+        # y is 0.0 on every edge, so its direction entry moves no score but
+        # overflows the weights at the chosen eta, 5.1.
+        corpus = files("c.jsonl", (
+            '{"id": "s", "nodes": 1, "goal": 0, "edges": ['
+            '{"head": 0, "tails": [], "features": {"x": 1.0}, "yield": ["a"]},'
+            '{"head": 0, "tails": [], "features": {"x": -1.0, "y": 0.0}, "yield": ["b"]}],'
+            ' "reference": "a"}\n'
+        ))
+        argv = ["linesearch", corpus, "--weights", files("w.json", '{"x": -5, "y": 1}'),
+                "--direction", files("v.json", '{"x": 1, "y": 1e308}')]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "data error: weights at the chosen eta = 5.1 are not finite\n"
+
     def test_bleu_metric_accepted(self, files, capsys) -> None:
         corpus = files("c.jsonl", TWO_HYP)
         weights = files("w.json", '{"tm": 0.5}')

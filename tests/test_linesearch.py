@@ -2,11 +2,12 @@ import inspect
 import math
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hullmert.estimator as estimator_module
@@ -39,11 +40,12 @@ from hullmert.linesearch import (
     sentence_surface,
     sweep,
 )
-from hullmert.metrics import Bleu, ExactMatch, get_metric
+from hullmert.metrics import Bleu, ExactMatch, Metric, get_metric
 from hullmert.oracle import (
     DEFAULT_REL_TOL,
     decode_corpus_loss,
     grid_line_search,
+    merge_surfaces,
     naive_envelope,
     probe_etas,
     viterbi_derivation,
@@ -234,6 +236,51 @@ class TestSentenceSurface:
         assert [s.tolist() for s in surf.stats] == [[1.0], [0.0], [1.0]]
 
 
+class HalfCounts(Metric):
+    """A user metric whose statistics are not integers, so their sums
+    round and depend on the order they are taken in."""
+
+    name = "half-counts"
+    n_stats = 2
+
+    def loss(self, aggregate: np.ndarray) -> float:
+        return float(aggregate[0] - 0.5 * aggregate[1])
+
+
+# Boundaries that tie across sentences, differ only in sign, are infinite,
+# or lie so far apart that their difference overflows.
+SPECIAL_BOUNDARIES = [0.0, -0.0, 1.0, 1.0 + 1e-10, 1.5, INF, -INF, 1.7e308, -1.7e308]
+
+
+@st.composite
+def sentence_surfaces(draw):
+    """A metric, zero or more sentence surfaces scored by it (some with no
+    boundaries), and a merge tolerance."""
+    metric = draw(st.sampled_from([ExactMatch(), Bleu(), HalfCounts()]))
+    if isinstance(metric, ExactMatch):
+        row = st.sampled_from([0.0, 1.0]).map(lambda x: [x])
+    elif isinstance(metric, Bleu):
+        row = st.lists(st.integers(0, 30).map(float), min_size=10, max_size=10)
+    else:
+        row = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)
+    boundary = st.sampled_from(SPECIAL_BOUNDARIES) | st.floats(allow_nan=False)
+    surfaces = []
+    for bounds in draw(st.lists(st.lists(boundary, max_size=5), max_size=5)):
+        rows = tuple(np.array(draw(row)) for _ in range(len(bounds) + 1))
+        surfaces.append(ErrorSurface(tuple(bounds), rows))
+    return metric, surfaces, draw(st.sampled_from([0.0, 1e-9, 0.5, INF]))
+
+
+def merged_bits(boundaries, cluster_max, stats, losses) -> tuple:
+    """A merged surface with every float as its bits, -0.0 apart from 0.0."""
+    return (
+        [b.hex() for b in boundaries],
+        [b.hex() for b in cluster_max],
+        [(row.dtype.str, row.shape, row.tobytes()) for row in stats],
+        [x.hex() for x in losses],
+    )
+
+
 class TestCorpusSurface:
     def test_single_surface_passthrough(self) -> None:
         metric = ExactMatch()
@@ -270,6 +317,38 @@ class TestCorpusSurface:
         corpus = CorpusSurface(metric, surfaces, merge_eps=eps)
         assert corpus.boundaries == (1.0,)
         assert [s.tolist() for s in corpus.stats] == [[3.0], [0.0]]
+
+    @given(sentence_surfaces())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_boundary_order_loop(self, case) -> None:
+        # One stable sort and one cumulative sum must reproduce the loop
+        # over sorted((b, n, i)) bit for bit, float statistics included.
+        metric, surfaces, merge_eps = case
+        got = CorpusSurface(metric, surfaces, merge_eps)
+        assert merged_bits(
+            got.boundaries, got._cluster_max, got.stats, got.interval_losses()
+        ) == merged_bits(*merge_surfaces(metric, surfaces, merge_eps))
+
+    def test_nan_boundary_is_refused(self) -> None:
+        # No sort reproduces the loop's order around a NaN.
+        s = ErrorSurface((1.0, math.nan), tuple(np.array([v]) for v in (0.0, 1.0, 0.0)))
+        with pytest.raises(InvalidGeometryError, match="NaN boundary"):
+            CorpusSurface(ExactMatch(), [s], merge_eps=1e-9)
+
+    @pytest.mark.parametrize("merge_eps", [0.0, INF])
+    @pytest.mark.parametrize(
+        "boundaries",
+        [(-sys.float_info.max, sys.float_info.max), (-INF, INF, INF)],
+        ids=["difference-overflows", "difference-is-nan"],
+    )
+    def test_boundary_differences_raise_no_warning(self, boundaries, merge_eps) -> None:
+        # The first case at inf is TestPickEta's surface with no finite eta.
+        stats = tuple(np.array([float(i % 2)]) for i in range(len(boundaries) + 1))
+        want = merge_surfaces(ExactMatch(), [ErrorSurface(boundaries, stats)], merge_eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = CorpusSurface(ExactMatch(), [ErrorSurface(boundaries, stats)], merge_eps)
+        assert (got.boundaries, got._cluster_max) == want[:2]
 
     @pytest.mark.parametrize("merge_eps", [0.0, 1e-9, 0.05, INF])
     @pytest.mark.parametrize("metric_name", ["exact", "bleu"])
@@ -487,6 +566,18 @@ class TestLineSearch:
                 ExactMatch(),
             )
         assert result.eta == 0.0 and result.weights.tolist() == [2.0]
+
+    @pytest.mark.parametrize("ref, eta", [("a", "5.1"), ("b", "4.9")])
+    def test_weights_that_overflow_are_a_data_error(self, ref, eta) -> None:
+        # Feature 1 is 0.0 on every edge, so its direction entry of 1e308
+        # moves no score, but it overflows the weights at the chosen eta.
+        edges = [Edge.make(0, (), {0: 1.0}, ("a",)), Edge.make(0, (), {0: -1.0, 1: 0.0}, ("b",))]
+        corpus = [(Hypergraph(1, edges, goal=0, n_features=2), (ref,))]
+        w0, v = np.array([-5.0, 1.0]), np.array([1.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGeometryError, match=f"chosen eta = {eta} are not finite"):
+                line_search(corpus, w0, v, ExactMatch())
 
     def test_report_fields_are_consistent(self, rng) -> None:
         metric = ExactMatch()
@@ -839,7 +930,7 @@ class TestHotPathRepresentation:
         assert est.predict(corpus) == want
 
     def test_corpus_surface_is_one_pass_with_stored_losses(self, monkeypatch, rng) -> None:
-        # The corpus surface is a prefix sum over the sorted sentence
+        # The corpus surface is a cumulative sum over the sorted sentence
         # boundaries: no sentence surface is read at a probe eta, and the
         # metric loss runs once per interval, however often it is read.
         def forbidden(*_):
@@ -1294,7 +1385,8 @@ class TestMetamorphicRelations:
     def test_adding_a_feature_that_is_zero_everywhere(self, problem, at, weight, step) -> None:
         # Every edge gets feature `at` = 0.0 (later ids move up by one).
         # Each projection adds a signed zero to a sum that starts at +0.0
-        # and is never -0.0, so every bit of the search is the same.
+        # and is never -0.0, so every bit of the search is the same, unless
+        # the new weight overflows at the chosen eta: that search is refused.
         corpus, w0, v, metric = problem
 
         def widen(graph: Hypergraph) -> Hypergraph:
@@ -1309,11 +1401,52 @@ class TestMetamorphicRelations:
 
         wide = [(widen(graph), ref) for graph, ref in corpus]
         base = line_search(corpus, w0, v, metric)
-        with np.errstate(over="ignore"):  # the new weight + eta * step, not compared
-            got = line_search(wide, np.insert(w0, at, weight), np.insert(v, at, step), metric)
+        args = (wide, np.insert(w0, at, weight), np.insert(v, at, step), metric)
+        if not math.isfinite(weight + base.eta * step):
+            with pytest.raises(InvalidGeometryError, match="chosen eta"):
+                line_search(*args)
+            return
+        got = line_search(*args)
         assert got.boundaries == base.boundaries
         assert got.interval_losses == base.interval_losses
         assert (got.best_interval, got.eta, got.loss) == (base.best_interval, base.eta, base.loss)
+
+    @given(search_problems(integer=st.just(False)))
+    @settings(max_examples=60, deadline=None)
+    def test_reversing_each_graphs_edges(self, problem) -> None:
+        # In-edge order only decides between derivations that tie exactly.
+        # Float features put them in general position once no two edges
+        # share head, tails and features (two featureless parallel words
+        # tie at every eta); then every bit of the search is the same.
+        corpus, w0, v, metric = problem
+        for graph, _ in corpus:
+            keys = [(e.head, e.tails, e.features) for e in graph.edges]
+            assume(len(set(keys)) == len(keys))
+
+        def reverse(graph: Hypergraph) -> Hypergraph:
+            return Hypergraph(graph.n_nodes, graph.edges[::-1], graph.goal, graph.n_features)
+
+        base = line_search(corpus, w0, v, metric)
+        got = line_search([(reverse(g), ref) for g, ref in corpus], w0, v, metric)
+        assert got.boundaries == base.boundaries
+        assert got.interval_losses == base.interval_losses
+        assert (got.best_interval, got.eta, got.loss) == (base.best_interval, base.eta, base.loss)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: of two derivations that tie exactly, in-edge order picks one",
+    )
+    def test_reversing_the_edges_of_a_tie_keeps_the_loss(self) -> None:
+        # Two words with the same integer features tie at every eta; the
+        # envelope keeps the one listed first, so the loss follows the order.
+        edges = [Edge.make(0, (), {0: 1.0}, ("a",)), Edge.make(0, (), {0: 1.0}, ("b",))]
+        w0, v = np.array([1.0]), np.array([1.0])
+
+        def loss(edge_list) -> float:
+            graph = Hypergraph(1, edge_list, goal=0, n_features=1)
+            return line_search([(graph, ("a",))], w0, v, ExactMatch()).loss
+
+        assert loss(edges[::-1]) == loss(edges)
 
     @given(search_problems(integer=st.just(True)), st.permutations(range(3)))
     @settings(max_examples=60, deadline=None)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullmert.errors import ConfigError
-from hullmert.metrics import Bleu, ExactMatch, get_metric, tokenize
+from hullmert.metrics import EPS_COUNT, Bleu, ExactMatch, get_metric, tokenize
+
+from helpers import reference_bleu_loss
 
 token_lists = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8).map(tuple)
 # "z" is in no reference.
@@ -166,6 +168,36 @@ class TestBleuLoss:
             hyp_len, ref_len = rng.integers(0, 30, size=2)
             agg = np.concatenate([matches, totals, [hyp_len, ref_len]]).astype(float)
             assert 0.0 <= m.loss(agg) <= 1.0 + 1e-12
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda max_n: st.tuples(
+                st.just(max_n),
+                st.lists(
+                    st.sampled_from([0.0, -0.0, EPS_COUNT, 1.0, 7.0, -1.0, math.inf, -math.inf,
+                                     math.nan])
+                    | st.floats(),
+                    min_size=2 * max_n + 2,
+                    max_size=2 * max_n + 2,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_loss_matches_the_builtin_floors(self, case) -> None:
+        # Flooring by a conditional must give max()'s and min()'s result,
+        # NaN included: the same bits, both NaN, or the same error.
+        max_n, stats = case
+
+        def outcome(loss, *args):
+            try:
+                value = loss(*args)
+            except (ValueError, OverflowError) as exc:
+                return type(exc)
+            return "nan" if math.isnan(value) else value.hex()
+
+        agg = np.array(stats)
+        assert outcome(Bleu(max_n).loss, agg) == outcome(reference_bleu_loss, max_n, agg)
 
     def test_max_n_validated(self) -> None:
         with pytest.raises(ConfigError):
