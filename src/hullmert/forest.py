@@ -11,17 +11,8 @@ of (edge value * product of tail values) in any semiring.  With the convex
 hull semiring (``inside_hull``, the reference) the goal value is the set of
 dual points of all envelope hypotheses, each traceable back to its
 derivation via provenance.  The line search runs the same recursion in the
-lower-chain semiring (``_envelope_points``), which keeps only the face of
-the hull that reaches the envelope and hands out the goal chain's
-coordinate lists, flat back-pointers and one yield per point.  Its kernel
-sums each run of parallel arcs (or leaves) before one product with their
-tail's chain V: sum_e ({p_e} * V) = (sum_e {p_e}) * V.  An edge with two
-or more tails forms ({p_e} * V_1) * V_2 by one merge
-(``semiring._edge_product``) that reads V_1's points translated by p_e and
-builds no translate; a translate that rounding folds (two equal x values)
-and an empty V_2 take the translate-then-multiply path, and a translate
-that is not finite makes a product that ``_product`` refuses with the same
-error.  Every
+lower-chain semiring (``_lower_chain_values``), which keeps only the face
+of the hull that reaches the envelope, with flat back-pointers.  Every
 ``Derivation`` is a root item (node, point index) over per-node
 back-pointer lists: the kernel's, the table that
 ``enumerate_derivations`` fills, or those one walk (``_index``) enters for a
@@ -57,7 +48,6 @@ from .semiring import (
     LowerChainValue,
     _edge_product,
     _strict_lower,
-    _translate,
 )
 
 # A semiring value type: ``__add__``, ``__mul__`` and class values ``zero``
@@ -226,12 +216,10 @@ class Hypergraph:
         return report.topo_order
 
 
-def _inside_values(
-    graph: Hypergraph, edge_value: Callable[[int, Edge], K], semiring: type[K]
-) -> list[K]:
-    """The inside recursion; every node's value, indexed by node."""
+def _inside_values(graph: Hypergraph, edge_value: Callable[[int, Edge], K], zero: K) -> list[K]:
+    """The inside recursion from the additive identity ``zero``; every
+    node's value, indexed by node."""
     order = graph.topo_order()
-    zero = semiring.zero
     values: list[K] = [zero] * graph.n_nodes
     for node in order:
         total = zero
@@ -255,7 +243,7 @@ def inside(
     Nodes with no incoming edges keep the additive identity, which
     annihilates any edge using them as a tail.
     """
-    return _inside_values(graph, edge_value, semiring)[graph.goal]
+    return _inside_values(graph, edge_value, semiring.zero)[graph.goal]
 
 
 def edge_dot(edge: Edge, vec: Sequence[float]) -> float:
@@ -298,22 +286,25 @@ def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullV
 
 def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> list:
     """Every node's ``LowerChainValue`` by the recursion of
-    ``oracle.lower_chain_values``, with each run of consecutive in-edges
-    that share one tail tuple of length at most one summed before its
-    product: over a one-point chain (every chain at v = 0) the arcs'
-    translates make one hull; over a longer chain the hull of the arcs' own
-    points multiplies it once.  Errors and their order are the oracle's.
-    The values are the oracle's bit for bit where its per-edge union does
-    not depend on the order of its operands (v = 0, small integer
-    coordinates, general position).  A run with a turn inside ``EPS_GEOM``'s
-    band may keep other points of the same envelope; at a tie that
-    translation rounds over a longer chain, the arc whose own point is
-    lower.  An edge with two or more tails multiplies its point into its
-    first two tails with ``_edge_product`` and the rest with ``__mul__``:
-    bit for bit translate-then-multiply, which falls back to that path
-    where rounding folds the translate or the second tail is empty, and
-    whose ``_product`` check refuses a translate that is not finite, since
-    every translated point of the first tail appears in the merge."""
+    ``oracle.lower_chain_values``, with edges projected on Python floats
+    and summed left to right, every bit as ``project_edge`` sums them.
+
+    Each group of consecutive in-edges that share one tail tuple of length
+    at most one takes one path, the semiring's distributive law
+    sum_e ({p_e} * V) = (sum_e {p_e}) * V: the hull of its arcs' points (a
+    lone arc is one point) is multiplied once by the tail chain V (leaves
+    have no V).  Over a one-point chain (every chain at v = 0) each point is
+    translated first, so the group is one hull of translates.  Those
+    translates, and the ones of arcs that a group's hull drops, miss
+    ``_product``'s finiteness check, so they are checked here; errors and
+    their order are the oracle's.  The values
+    are the oracle's bit for bit where its per-edge union does not depend
+    on the order of its operands (v = 0, small integer coordinates, general
+    position).  A group with a turn inside ``EPS_GEOM``'s band may keep
+    other points of the same envelope; at a tie that translation rounds
+    over a longer chain, the arc whose own point is lower.  An edge with
+    two or more tails takes ``_edge_product`` for its first two tails and
+    ``__mul__`` for the rest."""
     edges = graph.edges
     n = len(w0)
     mismatch = n != len(v)
@@ -330,13 +321,13 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
             feats = e.features
             if mismatch or feats and feats[-1][0] >= n:
                 _check_dimensions(e, w0, v)
+            # x starts at +0.0 and only accumulates, so it is never -0.0;
+            # y gets +0.0 after negation, as Point2 canonicalizes.  Sums of
+            # canonical coordinates stay canonical: products need no pass.
             x = y = 0.0
             for i, val in feats:
                 x += v[i] * val
                 y += w0[i] * val
-            # +0.0 canonicalizes -0.0 as Point2 does; sums of canonical
-            # coordinates stay canonical, so products need no second pass.
-            x += 0.0
             y = -y + 0.0
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
@@ -357,8 +348,7 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
                 xs, ys = first.xs, first.ys
                 if not xs:
                     continue
-                # A run's arcs, and a translate made here, miss ``_product``'s
-                # check.  Rounded addition is monotone: a translate is finite
+                # Rounded addition is monotone: a translate is finite
                 # exactly when its four extreme sums are.
                 if (run or more or len(xs) == 1) and not (
                     -inf < x + xs[0] and x + xs[-1] < inf
@@ -377,37 +367,13 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
                 run.sort()
                 k = _strict_lower(*zip(*run))
                 run = []
-                if tails and len(xs) > 1:
-                    k = k * first
-            elif tails and len(xs) > 1:
-                k = _translate(x, y, ei, first)
             else:
                 k = LowerChainValue([x], [y], [b])
+            if tails and len(xs) > 1:
+                k = k * first
             total = k if total is zero else total + k
         values[node] = total
     return values
-
-
-def _envelope_points(graph: Hypergraph, w0: list[float], v: list[float]):
-    """The goal's lower chain as coordinate lists ``xs`` and ``ys``, every
-    node's back-pointer list, and the yield of each chain point, for w0 and
-    v given as lists of floats.
-
-    Runs the lower-chain inside kernel.  Its goal chain equals
-    ``lower_chain(inside_hull(graph, w0, v).hull)``, and point i's
-    derivation is the root item ``(goal, i)`` over the back-pointers, the
-    one ``reconstruct`` recovers for that hull point.  Yields come straight
-    from the back-pointers (``_yields``); the lower-chain values themselves
-    are not kept.  Edges are projected on the Python floats, cheaper to
-    index than an array, and summed left to right in a loop: every bit
-    matches the float64 array path of ``project_edge``, on every Python
-    version.
-    """
-    values = _lower_chain_values(graph, w0, v)
-    goal = values[graph.goal]
-    backs = [value.back for value in values]
-    roots = [(graph.goal, i) for i in range(len(goal.xs))]
-    return goal.xs, goal.ys, backs, list(_yields(graph.edges, backs, roots))
 
 
 def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[str, ...]]:
@@ -584,7 +550,7 @@ def _check_record(graph: Hypergraph, item) -> tuple[int, list]:
 def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Derivation:
     """The derivation that one hull point of ``value`` records.
 
-    The reference for ``_envelope_points``'s yields and the trees that
+    The reference for ``linesearch._envelope``'s yields and the trees that
     ``linesearch.Envelope.derivations`` reads off its back-pointers.
     The point's provenance record is its derivation tree, and the result is
     ``realize(graph, value.provenance[index])``, whose ``tree`` equals it.
@@ -601,20 +567,9 @@ def reconstruct(graph: Hypergraph, value: ConvexHullValue, index: int) -> Deriva
 
 
 def count_derivations(graph: Hypergraph) -> int:
-    """Exact number of complete derivations of the goal node."""
-    order = graph.topo_order()
-    counts = [0] * graph.n_nodes
-    for node in order:
-        total = 0
-        for ei in graph.in_edges[node]:
-            term = 1
-            for t in graph.edges[ei].tails:
-                term *= counts[t]
-                if term == 0:
-                    break
-            total += term
-        counts[node] = total
-    return counts[graph.goal]
+    """Exact number of complete derivations of the goal node: the inside
+    recursion over Python ints, where every edge counts 1."""
+    return _inside_values(graph, lambda ei, e: 1, 0)[graph.goal]
 
 
 def enumerate_derivations(

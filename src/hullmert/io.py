@@ -29,6 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -332,7 +333,9 @@ _encode_str = json.encoder.encode_basestring  # json.dumps(s, ensure_ascii=False
 
 
 def _float_repr(x: float) -> str:
-    out = format(x, ".17g")
+    # +0.0 writes -0.0 as 0: a JSON reader parses "-0" as the integer 0,
+    # so a report with it would not read back as written.
+    out = format(x + 0.0, ".17g")
     # ".17g" may emit bare exponents like "1e+300"; that is valid JSON.
     # Only "inf", "-inf" and "nan" hold an "n".
     if "n" in out:
@@ -347,7 +350,7 @@ def _write_items(items, out: list[str]) -> None:
     an infinity or NaN (an "n" in its text) goes one item at a time."""
     kinds = set(map(type, items))
     if kinds == {float}:
-        text = ",".join(map(format, items, repeat(".17g")))
+        text = ",".join(map(format, map(add, items, repeat(0.0)), repeat(".17g")))
         if "n" not in text:
             out.append(f"[{text}]")
             return

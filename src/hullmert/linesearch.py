@@ -51,7 +51,7 @@ from .errors import (
     NoHypothesesError,
     _warn,
 )
-from .forest import Derivation, Hypergraph, _envelope_points
+from .forest import Derivation, Hypergraph, _lower_chain_values, _yields
 from .geometry import Point2
 from .metrics import Metric
 
@@ -161,10 +161,22 @@ def _floats(vector) -> list[float]:
 
 
 def _envelope(graph: Hypergraph, w0: list[float], v: list[float]) -> Envelope:
-    """``build_envelope`` for w0 and v given as lists of floats."""
-    xs, ys, backs, tokens = _envelope_points(graph, w0, v)
+    """``build_envelope`` for w0 and v given as lists of floats: the inside
+    pass, the yield walk and the crossings.
+
+    The goal chain equals ``lower_chain(inside_hull(graph, w0, v).hull)``,
+    and point i's derivation is the root item ``(goal, i)`` over every
+    node's back-pointers, the one ``reconstruct`` recovers for that hull
+    point.  Yields come straight from the back-pointers; the lower-chain
+    values themselves are not kept.
+    """
+    values = _lower_chain_values(graph, w0, v)
+    goal = graph.goal
+    xs, ys = values[goal].xs, values[goal].ys
     if not xs:
         raise NoHypothesesError("goal node derives nothing; envelope is empty")
+    backs = [value.back for value in values]
+    tokens = list(_yields(graph.edges, backs, [(goal, i) for i in range(len(xs))]))
     return Envelope._lazy(xs, ys, _crossings(xs, ys), tokens, graph, backs)
 
 

@@ -145,7 +145,7 @@ def lower_chain_values(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> list
         (p,) = project_edge(edge, w0, v).points
         return LowerChainValue.singleton(p.x, p.y, (ei,))
 
-    return _inside_values(graph, leaf, LowerChainValue)
+    return _inside_values(graph, leaf, LowerChainValue.zero)
 
 
 def decode_corpus_loss(
@@ -393,6 +393,8 @@ def _float_repr(x: float) -> str:
         return '"inf"' if x > 0 else '"-inf"'
     if math.isnan(x):
         raise ValueError("refusing to serialize NaN")
+    if x == 0.0:
+        return "0"  # -0.0 too: "-0" reads back as the integer 0
     return format(x, ".17g")
 
 

@@ -20,10 +20,8 @@ Macherey et al. (2008) and Kumar et al. (2009).  The line-search hot path
 runs on it, with flat per-point back-pointers instead of provenance
 records.  Addition is one loop that merges by x and hulls as it goes,
 building no merged list.  A hyperedge's point enters its first two tails
-by one Minkowski merge (``_edge_product``) that reads the first chain
-translated and builds no translate; where rounding folds the translate,
-or the second chain is empty, it builds the translate and multiplies.
-The union, the Minkowski merge of ``__mul__`` and ``_edge_product`` inline
+by one Minkowski merge (``_edge_product``).  The union, the Minkowski
+merge of ``__mul__`` and ``_edge_product`` inline
 ``geometry.difference_sign``'s band and decide every sign, NaN included,
 bit for bit as that function does.
 
@@ -231,13 +229,6 @@ def _product(xs: list[float], ys: list[float], back: list) -> "LowerChainValue":
     return LowerChainValue(xs, ys, back)
 
 
-def _translate(x: float, y: float, ei: int, a: "LowerChainValue") -> "LowerChainValue":
-    """{(x, y)} * a for edge ``ei``'s point: a's points translated, with
-    back-pointers ``(ei, i)``."""
-    back = [(ei, i) for i in range(len(a.xs))]
-    return _product([x + t for t in a.xs], [y + t for t in a.ys], back)
-
-
 def _edge_product(
     x: float, y: float, ei: int, a: "LowerChainValue", b: "LowerChainValue"
 ) -> "LowerChainValue":
@@ -246,18 +237,22 @@ def _edge_product(
     reads a's points translated by (x, y) and builds no translate.
 
     Each translated coordinate is formed as ``x + xa[i]`` and differenced
-    as such, so every band decision and every sum is that of
-    ``_translate(x, y, ei, a) * b``, and so is the result.  Two inputs take
-    that path itself: a translate in which rounding makes two adjacent x
-    values equal (``_product`` re-hulls it before the merge), and an empty
-    ``b`` (the translate's own finiteness check raises first) or ``one``
-    (whose product is the translate itself).
+    as such, so every band decision and every sum is that of the
+    translate-then-multiply ``LowerChainValue([x], [y], [(ei,)]) * a * b``,
+    and so is the result.  Two inputs take that path itself: a translate in
+    which rounding makes two adjacent x values equal (``_product`` re-hulls
+    it before the merge), and an empty ``b`` (the translate's own
+    finiteness check raises first) or ``one`` (whose product is the
+    translate itself).  There ``a``, if it is ``one``, is multiplied as a
+    copy, so the translate keeps back-pointer ``(ei, 0)``.
     Otherwise every point of ``a`` appears in the merge and b's coordinates
     are finite, so a translate that is not finite yields a product that is
     not, and ``_product`` refuses it with the same message."""
     xb = b.xs
     if not xb or b is LowerChainValue.one:
-        return _translate(x, y, ei, a) * b
+        if a is LowerChainValue.one:
+            a = LowerChainValue(a.xs, a.ys, a.back)
+        return LowerChainValue([x], [y], [(ei,)]) * a * b
     xa, ya, yb = a.xs, a.ys, b.ys
     px, py, qx, qy = x + xa[0], y + ya[0], xb[0], yb[0]
     xs = [px + qx]
@@ -268,7 +263,7 @@ def _edge_product(
     while i < na and j < nb:
         nx = x + xa[i + 1]
         if nx == px:
-            return _translate(x, y, ei, a) * b
+            return LowerChainValue([x], [y], [(ei,)]) * a * b
         ny = y + ya[i + 1]
         mx, my = xb[j + 1], yb[j + 1]
         # As in __mul__: edge-angle order, difference_sign's band inline.
@@ -299,7 +294,7 @@ def _edge_product(
         i += 1
         nx = x + xa[i]
         if nx == px:
-            return _translate(x, y, ei, a) * b
+            return LowerChainValue([x], [y], [(ei,)]) * a * b
         px = nx
         xs.append(px + qx)
         ys.append(y + ya[i] + qy)

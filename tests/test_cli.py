@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hullmert import cli
+from hullmert.io import canonical_json
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -178,6 +179,18 @@ class TestLineSearch:
         assert [s["yield"] for s in segs] == ["b", "a"]
         assert [s["slope"] for s in segs] == [-1, 1]
         assert [s["intercept"] for s in segs] == [-0.5, 0.5]
+
+    def test_negative_zero_weight_reads_back_as_written(self, files, capsys) -> None:
+        # lm = -0.0 reaches the report as a weight and as an intercept of
+        # -0.0; "-0" would read back as the integer 0 and be written "0".
+        weights = files("w.json", '{"lm": -0.0, "tm": -0.3}')
+        code = cli.run(
+            ["linesearch", str(FIXTURES / "corpus.jsonl"), "--weights", weights,
+             "--direction", str(FIXTURES / "direction.json")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert canonical_json(json.loads(out)) + "\n" == out
 
     def test_byte_identical_across_threads(self, files, capsys) -> None:
         corpus = files("c.jsonl", TWO_HYP + ONE_HYP.replace('"only"', '"second"'))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullmert import forest
+from hullmert import forest, linesearch
 from hullmert.errors import (
     CyclicForestError,
     DimensionMismatchError,
@@ -736,7 +736,7 @@ class TestEnvelopePoints:
         def counting_yields(edges, backs, roots):
             return yields(edges, [CountingBacks(n, b) for n, b in enumerate(backs)], roots)
 
-        monkeypatch.setattr(forest, "_yields", counting_yields)
+        monkeypatch.setattr(linesearch, "_yields", counting_yields)
         derivations = build_envelope(graph, w0, v).derivations
         assert len(derivations) > 1
         # Each reached (node, point index) once in all: distinct items are
@@ -825,8 +825,8 @@ class TestEnvelopePoints:
 
     def test_empty_language_has_no_envelope(self) -> None:
         g = Hypergraph(2, [Edge.make(0, (), {}, ())], goal=1, n_features=1)
-        xs, ys, _, tokens = forest._envelope_points(g, [0.0], [1.0])
-        assert xs == ys == tokens == []
+        goal = forest._lower_chain_values(g, [0.0], [1.0])[g.goal]
+        assert goal.xs == goal.ys == goal.back == []
         with pytest.raises(NoHypothesesError, match="goal node derives nothing"):
             build_envelope(g, np.zeros(1), np.ones(1))
 
@@ -843,25 +843,28 @@ class TestEnvelopePoints:
             build_envelope(g, np.ones(1), np.zeros(1))
 
     @pytest.mark.parametrize(
-        "n_features, after",
-        [(2, {1: 2.0}), (3, {2: 1.0})],
-        ids=["dominated-arc", "before-a-bad-feature-id"],
+        "n_features, into_1, into_2",
+        [
+            (2, [{0: 1.0}], [{}, {0: 1.0, 1: 1.0}, {1: 2.0}]),
+            (3, [{0: 1.0}], [{}, {0: 1.0, 1: 1.0}, {2: 1.0}]),
+            (2, [{0: 1.0}, {1: 1.0}], [{0: 1.0}]),
+        ],
+        ids=["dominated-arc", "before-a-bad-feature-id", "lone-arc-over-two-points"],
     )
-    def test_run_raises_as_the_oracle_raises(self, n_features, after) -> None:
-        # Node 1's chain is {(0, 1e308)}.  The 1 -> 2 arcs project to
-        # (0, 0), (1, 1e308) and (2, 0); the middle one lies above the
-        # chord, off the run's hull, yet its translate (1, 2e308)
+    def test_run_raises_as_the_oracle_raises(self, n_features, into_1, into_2) -> None:
+        # With one 0 -> 1 arc, node 1's chain is {(0, 1e308)}.  The 1 -> 2
+        # arcs project to (0, 0), (1, 1e308) and (2, 0); the middle one lies
+        # above the chord, off the run's hull, yet its translate (1, 2e308)
         # overflows.  With n_features=3 the last arc uses feature id 2,
         # beyond the vectors: the earlier arc's overflow must raise first.
+        # With two 0 -> 1 arcs, node 1's chain is {(0, 1e308), (1, 0)}, and
+        # the lone 1 -> 2 arc at (0, 1e308) translates its first point to
+        # (0, 2e308).
         g = Hypergraph(
             3,
-            [
-                Edge.make(0, (), {}, ("s",)),
-                Edge.make(1, (0,), {0: 1.0}, (0, "a")),
-                Edge.make(2, (1,), {}, (0, "b")),
-                Edge.make(2, (1,), {0: 1.0, 1: 1.0}, (0, "c")),
-                Edge.make(2, (1,), after, (0, "d")),
-            ],
+            [Edge.make(0, (), {}, ("s",))]
+            + [Edge.make(1, (0,), f, (0, f"a{i}")) for i, f in enumerate(into_1)]
+            + [Edge.make(2, (1,), f, (0, f"w{i}")) for i, f in enumerate(into_2)],
             goal=2,
             n_features=n_features,
         )

@@ -262,6 +262,9 @@ class TestCanonicalJson:
         assert canonical_json(0.1) == "0.10000000000000001"
         assert canonical_json(1.0) == "1"
         assert canonical_json(-2.5) == "-2.5"
+        # "-0" would read back as the integer 0.
+        assert canonical_json(-0.0) == "0"
+        assert canonical_json([-0.0, 1.5]) == "[0,1.5]"
 
     def test_infinities_become_strings(self) -> None:
         assert canonical_json(math.inf) == '"inf"'
@@ -342,6 +345,15 @@ def write_outcome(write, obj):
         return write(obj)
     except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
+
+
+class TestCanonicalJsonReadsBack:
+    @given(VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_written_text_reads_back_as_written(self, obj) -> None:
+        # FLOATS draw -0.0 and subnormals; "-0" would read back as 0.
+        text = canonical_json(obj)
+        assert canonical_json(json.loads(text)) == text
 
 
 class TestCanonicalJsonMatchesTheReference:

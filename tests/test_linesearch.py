@@ -822,7 +822,7 @@ class TestSettingsAreChecked:
         def forbidden(*_):
             raise AssertionError("envelope built before the settings were checked")
 
-        monkeypatch.setattr(linesearch_module, "_envelope_points", forbidden)
+        monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
         with pytest.raises(ConfigError, match=setting.replace("_", "-")):
             call_entry(entry, **{setting: value})
 
@@ -847,7 +847,7 @@ class TestSettingsAreChecked:
         def forbidden(*_):
             raise AssertionError("envelope built before the thread count was refused")
 
-        monkeypatch.setattr(linesearch_module, "_envelope_points", forbidden)
+        monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
         with pytest.raises(TypeError, match="threads"):
             call_entry(entry, threads=value)
 
@@ -869,7 +869,7 @@ class TestSettingsAreChecked:
         def forbidden(*_):
             raise AssertionError("envelope built before the tolerance was refused")
 
-        monkeypatch.setattr(linesearch_module, "_envelope_points", forbidden)
+        monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
         with pytest.raises(TypeError, match="merge_eps"):
             call_entry(entry, merge_eps=value)
 
@@ -1447,6 +1447,28 @@ class TestMetamorphicRelations:
             return line_search([(graph, ("a",))], w0, v, ExactMatch()).loss
 
         assert loss(edges[::-1]) == loss(edges)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: boundaries within an absolute DEFAULT_MERGE_EPS coalesce, "
+        "and boundaries scale as 1/|v|",
+    )
+    def test_scaling_the_direction_keeps_the_loss(self) -> None:
+        # Sentence A wants y, which wins for eta > 0; sentence B wants x,
+        # which wins for eta < 1e-3.  Along v both are right between the
+        # boundaries 0 and 1e-3.  Along 1e6 v the boundaries are 0 and
+        # 1e-9, which coalesce, and that interval is lost.
+        def sentence(x_features, ref):
+            edges = [
+                Edge.make(0, (), x_features, ("x",)),
+                Edge.make(0, (), {1: 1.0}, ("y",)),
+            ]
+            return Hypergraph(1, edges, goal=0, n_features=2), (ref,)
+
+        corpus = [sentence({}, "y"), sentence({0: 1e-3}, "x")]
+        w0, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert line_search(corpus, w0, v, ExactMatch()).loss == 0.0
+        assert line_search(corpus, w0, 1e6 * v, ExactMatch()).loss == 0.0
 
     @given(search_problems(integer=st.just(True)), st.permutations(range(3)))
     @settings(max_examples=60, deadline=None)

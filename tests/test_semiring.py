@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hullmert.semiring as semiring_module
 from hullmert.errors import InvalidGeometryError
 from hullmert.geometry import (
     EPS_GEOM,
@@ -574,10 +573,12 @@ class TestEdgeProductMatchesTranslateThenMultiply:
     def test_fallback_is_taken_only_where_it_must_be(
         self, monkeypatch, x, y, a, b, fallback
     ) -> None:
+        # The merge itself multiplies nothing; the fallback builds the
+        # translate by ``__mul__``.
         calls = []
-        translate = semiring_module._translate
+        mul = LowerChainValue.__mul__
         monkeypatch.setattr(
-            semiring_module, "_translate", lambda *args: calls.append(args) or translate(*args)
+            LowerChainValue, "__mul__", lambda *args: calls.append(args) or mul(*args)
         )
         a = LowerChainValue([p[0] for p in a], [p[1] for p in a], [None] * len(a))
         b = LowerChainValue([p[0] for p in b], [p[1] for p in b], [None] * len(b))
