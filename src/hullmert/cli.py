@@ -5,13 +5,8 @@ which emits plot-ready tab-separated (eta, loss) rows.  Exit codes: 0
 success, 1 usage problems (including out-of-range or non-finite flag
 values), 2 data problems, 3 internal invariant violations (including a
 failed ``verify``).  Output bytes depend only on the inputs, never on
-timing.  Every command builds envelopes serially: ``linesearch --threads``
-is checked (below 1 is a usage error) and otherwise changes nothing, and
-``sweep`` and ``optimize`` take no ``--threads``.  Every search
-coalesces surface boundaries at ``linesearch.DEFAULT_MERGE_EPS``, and no
-flag sets another tolerance.  No flag moves a reported eta within its
-interval (``linesearch.pick_eta`` places it), and ``verify`` takes no
-search flags.
+timing.  No flag moves a reported eta within its interval
+(``linesearch.pick_eta`` places it), and ``verify`` takes no search flags.
 The library checks flag values and sentences; the search commands and
 ``verify`` name a sentence with a data error as ``sentence <i> (id '<id>')``.
 ``validate`` reports a cyclic sentence, or one whose goal derives nothing,

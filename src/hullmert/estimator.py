@@ -30,9 +30,8 @@ class MertEstimator:
     Parameters mirror the search knobs: ``metric`` ("exact" or "bleu"),
     ``iterations`` (outer sweeps over coordinate axes), and
     ``initial_weights`` (a {feature: value} mapping, a dense vector, or
-    None for zeros).  As in ``optimize``, boundaries coalesce at
-    ``linesearch.DEFAULT_MERGE_EPS``, ``linesearch.pick_eta`` fixes where an
-    accepted step lands inside its interval, and envelopes are built serially.
+    None for zeros).  As in ``optimize``, ``linesearch.pick_eta`` fixes
+    where an accepted step lands inside its interval.
     """
 
     def __init__(

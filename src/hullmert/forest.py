@@ -288,6 +288,7 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     """Every node's ``LowerChainValue`` by the recursion of
     ``oracle.lower_chain_values``, with edges projected on Python floats
     and summed left to right, every bit as ``project_edge`` sums them.
+    ``w0`` and ``v`` have the same length; the caller checks this.
 
     Each group of consecutive in-edges that share one tail tuple of length
     at most one takes one path, the semiring's distributive law
@@ -307,7 +308,6 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     ``__mul__`` for the rest."""
     edges = graph.edges
     n = len(w0)
-    mismatch = n != len(v)
     zero = LowerChainValue.zero
     inf = math.inf
     values = [zero] * graph.n_nodes
@@ -319,7 +319,7 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
         for pos, ei in enumerate(ins):
             e = edges[ei]
             feats = e.features
-            if mismatch or feats and feats[-1][0] >= n:
+            if feats and feats[-1][0] >= n:
                 _check_dimensions(e, w0, v)
             # x starts at +0.0 and only accumulates, so it is never -0.0;
             # y gets +0.0 after negation, as Point2 canonicalizes.  Sums of

@@ -153,11 +153,19 @@ class Envelope:
 
 def build_envelope(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> Envelope:
     """Inside pass in the lower-chain semiring, one yield per point."""
-    return _envelope(graph, _floats(w0), _floats(v))
+    return _envelope(graph, *_vectors(w0, v))
 
 
-def _floats(vector) -> list[float]:
-    return np.asarray(vector, dtype=float).tolist()
+def _vectors(w0, v) -> tuple[list[float], list[float]]:
+    """w0 and v as lists of floats; ``DimensionMismatchError`` unless both
+    are 1-D and of one length.  Every search checks its vectors here."""
+    w0 = np.asarray(w0, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if w0.ndim != 1:
+        raise DimensionMismatchError(f"weights must be a 1-D vector, got shape {w0.shape}")
+    if v.shape != w0.shape:
+        raise DimensionMismatchError(f"weights have shape {w0.shape}, direction {v.shape}")
+    return w0.tolist(), v.tolist()
 
 
 def _envelope(graph: Hypergraph, w0: list[float], v: list[float]) -> Envelope:
@@ -262,7 +270,9 @@ class CorpusSurface:
     exactly; float ones from a user-defined ``Metric`` are summed in
     boundary order, bit for bit as ``oracle.merge_surfaces`` sums them.
     A NaN boundary, which no sort places as that loop does, raises
-    ``InvalidGeometryError``.  Interval losses are computed once, here.
+    ``InvalidGeometryError``, and so does a surface without one statistics
+    row more than it has boundaries.  Interval losses are computed once,
+    here.
 
     This is the one place ``merge_eps`` is set (``>= 0``, ``inf`` allowed;
     ``ConfigError`` otherwise).  The search entry points pass
@@ -284,6 +294,12 @@ class CorpusSurface:
         )
         if np.isnan(bounds).any():
             raise InvalidGeometryError("a sentence surface has a NaN boundary")
+        for n, s in enumerate(surfaces):
+            if len(s.stats) != len(s.boundaries) + 1:
+                raise InvalidGeometryError(
+                    f"sentence surface {n} has {len(s.stats)} statistics rows "
+                    f"for {len(s.boundaries)} boundaries"
+                )
         # Boundaries in (b, sentence, index) order: the stable sort keeps
         # equal ones (-0.0 and 0.0 included) in sentence order.
         order = np.argsort(bounds, kind="stable")
@@ -335,18 +351,12 @@ def build_envelopes(
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    w0 = np.asarray(w0, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if w0.shape != v.shape:
-        raise DimensionMismatchError(
-            f"weights have shape {w0.shape}, direction has shape {v.shape}"
-        )
-    if not np.any(v):
+    w0, v = _vectors(w0, v)
+    if not any(v):
         _warn(
             "direction is all zeros; every derivation's score is constant in eta",
             DegenerateDirectionWarning,
         )
-    w0, v = w0.tolist(), v.tolist()
     return [_sentence_envelope(n, g, w0, v) for n, (g, _) in enumerate(sentences)]
 
 
@@ -505,8 +515,7 @@ def _decode(sentences, weights: np.ndarray) -> list[Envelope]:
     lower chain, so ``derivations[0]`` is the decoded derivation and its
     surface has a single interval.
     """
-    weights = _floats(weights)
-    zero_v = [0.0] * len(weights)
+    weights, zero_v = _vectors(weights, np.zeros(np.shape(weights)))
     return [_sentence_envelope(n, g, weights, zero_v) for n, (g, _) in enumerate(sentences)]
 
 
@@ -558,14 +567,15 @@ def optimize(
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     w = np.asarray(w0, dtype=float).copy()
+    # One memo serves the initial decode and every axis search: each
+    # distinct yield of a sentence is scored once per call.  The decode
+    # checks w before the axes are built from its length.
+    memo = _stats_memo(sentences)
+    initial_loss = _decode_loss(sentences, w, metric, memo)
     if directions is None:
         dirs = list(np.eye(len(w)))
     else:
         dirs = [np.asarray(v, dtype=float) for v in directions]
-    # One memo serves the initial decode and every axis search: each
-    # distinct yield of a sentence is scored once per call.
-    memo = _stats_memo(sentences)
-    initial_loss = _decode_loss(sentences, w, metric, memo)
     loss = initial_loss
     steps: list[OptimizeStep] = []
     ran = 0

@@ -163,8 +163,8 @@ ConvexHullValue.one = ConvexHullValue.singleton(0.0, 0.0)
 _INF = float("inf")
 
 # (edge_id, j_1, ..., j_k): the edge, then the point index chosen in each
-# tail node's value; None for an opaque point.
-BackPointer = tuple[int, ...] | None
+# tail node's value; () for a point built from raw points.
+BackPointer = tuple[int, ...]
 
 
 def _lower_merge(xa, ya, ba, xb, yb, bb) -> "LowerChainValue":
@@ -242,16 +242,12 @@ def _edge_product(
     and so is the result.  Two inputs take that path itself: a translate in
     which rounding makes two adjacent x values equal (``_product`` re-hulls
     it before the merge), and an empty ``b`` (the translate's own
-    finiteness check raises first) or ``one`` (whose product is the
-    translate itself).  There ``a``, if it is ``one``, is multiplied as a
-    copy, so the translate keeps back-pointer ``(ei, 0)``.
-    Otherwise every point of ``a`` appears in the merge and b's coordinates
-    are finite, so a translate that is not finite yields a product that is
-    not, and ``_product`` refuses it with the same message."""
+    finiteness check raises first).  Otherwise every point of ``a`` appears
+    in the merge and b's coordinates are finite, so a translate that is not
+    finite yields a product that is not, and ``_product`` refuses it with
+    the same message."""
     xb = b.xs
-    if not xb or b is LowerChainValue.one:
-        if a is LowerChainValue.one:
-            a = LowerChainValue(a.xs, a.ys, a.back)
+    if not xb:
         return LowerChainValue([x], [y], [(ei,)]) * a * b
     xa, ya, yb = a.xs, a.ys, b.ys
     px, py, qx, qy = x + xa[0], y + ya[0], xb[0], yb[0]
@@ -308,9 +304,9 @@ class LowerChainValue:
     ``xs`` and ``ys`` list the chain's points by strictly increasing x.
     ``back[i]`` is ``(edge_id, j_1, ..., j_k)`` for a point built by an
     inside pass, where ``j_t`` indexes the point taken from tail t's value
-    (the tail nodes themselves come from the edge), or None for an opaque
-    point.  Equality and hashing look at the points only.  The lists are
-    never mutated after construction.
+    (the tail nodes themselves come from the edge), and ``()`` for a point
+    built from raw points.  Equality and hashing look at the points only.
+    The lists are never mutated after construction.
     """
 
     __slots__ = ("xs", "ys", "back")
@@ -322,12 +318,12 @@ class LowerChainValue:
 
     @classmethod
     def from_raw_points(cls, points: Iterable[tuple[float, float] | Point2]) -> "LowerChainValue":
-        """The lower hull of an arbitrary point set (opaque back-pointers)."""
+        """The lower hull of an arbitrary point set, with back-pointers ``()``."""
         chain = lower_hull(p if isinstance(p, Point2) else Point2(*p) for p in points)
-        return cls([p.x for p in chain], [p.y for p in chain], [None] * len(chain))
+        return cls([p.x for p in chain], [p.y for p in chain], [()] * len(chain))
 
     @classmethod
-    def singleton(cls, x: float, y: float, back: BackPointer = None) -> "LowerChainValue":
+    def singleton(cls, x: float, y: float, back: BackPointer = ()) -> "LowerChainValue":
         return cls([x], [y], [back])
 
     def chain(self) -> ConvexChain:
@@ -364,22 +360,17 @@ class LowerChainValue:
 
         ``minkowski_indexed`` without the wrap-around edge; each output
         point extends the left point's back-pointer by the index of the
-        right point.  Object identity with ``one`` short-circuits, as
-        in ``ConvexHullValue``.  The current points and left back-pointer stay
-        in locals; the loop ends with one chain, and the other's rest follows.
+        right point.  The current points and left back-pointer stay in
+        locals; the loop ends with one chain, and the other's rest follows.
         """
         xa, xb = self.xs, other.xs
         if not xa or not xb:
             return LowerChainValue.zero
-        if self is LowerChainValue.one:
-            return other
-        if other is LowerChainValue.one:
-            return self
         ya, ba, yb = self.ys, self.back, other.ys
         px, py, pb, qx, qy = xa[0], ya[0], ba[0], xb[0], yb[0]
         xs = [px + qx]
         ys = [py + qy]
-        back = [None if pb is None else pb + (0,)]
+        back = [pb + (0,)]
         na, nb = len(xa) - 1, len(xb) - 1
         i = j = 0
         while i < na and j < nb:
@@ -404,17 +395,17 @@ class LowerChainValue:
                 qx, qy = mx, my
             xs.append(px + qx)
             ys.append(py + qy)
-            back.append(None if pb is None else pb + (j,))
+            back.append(pb + (j,))
         while j < nb:
             j += 1
             xs.append(px + xb[j])
             ys.append(py + yb[j])
-            back.append(None if pb is None else pb + (j,))
+            back.append(pb + (j,))
         while i < na:
             i += 1
             xs.append(xa[i] + qx)
             ys.append(ya[i] + qy)
-            back.append(None if ba[i] is None else ba[i] + (j,))
+            back.append(ba[i] + (j,))
         return _product(xs, ys, back)
 
 

@@ -95,20 +95,16 @@ def reference_mul(a: LowerChainValue, b: LowerChainValue) -> LowerChainValue:
     xa, xb = a.xs, b.xs
     if not xa or not xb:
         return LowerChainValue.zero
-    if a is LowerChainValue.one:
-        return b
-    if b is LowerChainValue.one:
-        return a
     ya, ba, yb = a.ys, a.back, b.ys
     if len(xa) == 1:
         x0, y0, b0 = xa[0], ya[0], ba[0]
         xs = [x0 + x for x in xb]
         ys = [y0 + y for y in yb]
-        back = [None] * len(xs) if b0 is None else [b0 + (j,) for j in range(len(xs))]
+        back = [b0 + (j,) for j in range(len(xs))]
     else:
         xs = [xa[0] + xb[0]]
         ys = [ya[0] + yb[0]]
-        back = [None if ba[0] is None else ba[0] + (0,)]
+        back = [ba[0] + (0,)]
         na, nb = len(xa) - 1, len(xb) - 1
         i = j = 0
         while i < na or j < nb:
@@ -132,7 +128,7 @@ def reference_mul(a: LowerChainValue, b: LowerChainValue) -> LowerChainValue:
                     j += 1
             xs.append(xa[i] + xb[j])
             ys.append(ya[i] + yb[j])
-            back.append(None if ba[i] is None else ba[i] + (j,))
+            back.append(ba[i] + (j,))
     return _product(xs, ys, back)
 
 

@@ -542,6 +542,22 @@ def random_vectors(rng, n: int, integer: bool):
     return rng.normal(size=n), rng.normal(size=n)
 
 
+@st.composite
+def sampled_graphs(draw):
+    """A random lattice or branching forest from ``sampling``, float or
+    integer, with vectors for it and v = 0 at times."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+    if draw(st.booleans()):
+        graph = random_forest(rng, n_nodes=14, max_edges_per_node=3, integer_features=integer)
+    else:
+        graph = random_lattice(rng, n_nodes=16, max_parallel=3, integer_features=integer)
+    w0, v = random_vectors(rng, 3, integer)
+    if draw(st.booleans()):
+        v = np.zeros(3)
+    return graph, w0, v
+
+
 def subtrees(tree: tuple):
     """Every subtree of a derivation tree, root first."""
     stack = [tree]
@@ -829,6 +845,25 @@ class TestEnvelopePoints:
         assert goal.xs == goal.ys == goal.back == []
         with pytest.raises(NoHypothesesError, match="goal node derives nothing"):
             build_envelope(g, np.zeros(1), np.ones(1))
+
+    @given(st.one_of(sampled_graphs(), shuffled_lattices(), multi_tail_forests()))
+    @settings(max_examples=150, deadline=None)
+    def test_every_back_pointer_is_an_in_edge_and_one_index_per_tail(self, problem) -> None:
+        # The product extends back-pointers by concatenation, with no
+        # case for a point that has none.
+        graph, w0, v = problem
+        try:
+            values = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
+        except InvalidGeometryError:
+            return  # multi_tail_forests' far points can overflow
+        for node, value in enumerate(values):
+            assert len(value.back) == len(value.xs)
+            for back in value.back:
+                assert type(back) is tuple
+                assert back[0] in graph.in_edges[node]
+                tails = graph.edges[back[0]].tails
+                assert len(back) == 1 + len(tails)
+                assert all(0 <= j < len(values[t].xs) for t, j in zip(tails, back[1:]))
 
     def test_overflowing_sum_raises(self) -> None:
         g = Hypergraph(

@@ -282,6 +282,20 @@ def merged_bits(boundaries, cluster_max, stats, losses) -> tuple:
 
 
 class TestCorpusSurface:
+    def test_surface_with_the_wrong_number_of_rows_is_refused(self) -> None:
+        # Sentence n's rows are read by position, so an extra row would
+        # shift every later sentence's rows and a missing one would run
+        # off the end.
+        metric = ExactMatch()
+        later = ErrorSurface((0.5,), (np.array([0.0]), np.array([1.0])))
+        extra = ErrorSurface((), (np.array([1.0]), np.array([5.0])))
+        missing = ErrorSurface((0.25,), (np.array([1.0]),))
+        for bad in (extra, missing):
+            with pytest.raises(InvalidGeometryError, match="sentence surface 0 has"):
+                CorpusSurface(metric, [bad, later], merge_eps=1e-9)
+            with pytest.raises(InvalidGeometryError, match="sentence surface 1 has"):
+                CorpusSurface(metric, [later, bad], merge_eps=1e-9)
+
     def test_single_surface_passthrough(self) -> None:
         metric = ExactMatch()
         s = ErrorSurface((2.0,), (np.array([1.0]), np.array([0.0])))
@@ -890,6 +904,52 @@ class TestSettingsAreChecked:
         # Every eta inside the winning interval has its loss, so where the
         # eta lands in an unbounded one is fixed by the line search.
         assert "offset" not in inspect.signature(call).parameters
+
+
+# Every search entry point, called on a corpus with two features.  The
+# last two take weights and no direction, so only w0 is checked there.
+VECTOR_CALLS = {
+    "build_envelope": lambda c, w0, v: build_envelope(c[0][0], w0, v),
+    "build_envelopes": build_envelopes,
+    "corpus_surface": lambda c, w0, v: corpus_surface(c, w0, v, ExactMatch()),
+    "line_search": lambda c, w0, v: line_search(c, w0, v, ExactMatch()),
+    "sweep": lambda c, w0, v: sweep(c, w0, v, ExactMatch(), -1.0, 1.0, 3),
+    "optimize": lambda c, w0, v: optimize(c, w0, ExactMatch(), directions=[v]),
+    "decode_loss": lambda c, w0, v: decode_loss(c, w0, ExactMatch()),
+    "optimize-axes": lambda c, w0, v: optimize(c, w0, ExactMatch()),
+}
+BAD_VECTORS = {
+    "0-D": (0.5, 1.0),
+    "2-D": (np.zeros((1, 2)), np.ones((1, 2))),
+    "unequal-lengths": (np.zeros(2), np.ones(3)),
+    "2-D-direction": (np.zeros(2), np.ones((1, 2))),
+}
+
+
+class TestVectorsAreChecked:
+    """Every search refuses weights and a direction that are not 1-D
+    vectors of one length, before any envelope is built.  ``optimize``
+    decodes at w0 first, so it refuses a bad direction at its first search."""
+
+    @pytest.mark.parametrize(
+        "entry, case",
+        [
+            pytest.param(entry, case, id=f"{entry}-{case}")
+            for entry in VECTOR_CALLS
+            for case in BAD_VECTORS
+            if case in ("0-D", "2-D") or entry not in ("decode_loss", "optimize-axes")
+        ],
+    )
+    def test_bad_vectors_raise_before_any_envelope(self, monkeypatch, entry, case) -> None:
+        def forbidden(*_):
+            raise AssertionError("envelope built before the vectors were checked")
+
+        w0, v = BAD_VECTORS[case]
+        if entry != "optimize" or np.ndim(w0) != 1:
+            monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
+        corpus = [two_hypothesis_sentence("good", "bad"), crossing_sentence(0.5)]
+        with pytest.raises(DimensionMismatchError):
+            VECTOR_CALLS[entry](corpus, w0, v)
 
 
 class TestHotPathRepresentation:

@@ -234,7 +234,7 @@ class TestLowerChainValue:
     def test_from_raw_points_is_the_lower_hull(self) -> None:
         v = LowerChainValue.from_raw_points([(0, 0), (2, 0), (1, 1), (1, -1), (2, 3)])
         assert (v.xs, v.ys) == ([0.0, 1.0, 2.0], [0.0, -1.0, 0.0])
-        assert v.back == [None, None, None]
+        assert v.back == [(), (), ()]
 
     def test_sum_merges_by_x_and_keeps_the_lower_point(self) -> None:
         a = LowerChainValue.from_raw_points([(0, 0), (2, 0)])
@@ -254,7 +254,8 @@ class TestLowerChainValue:
         assert (a + LowerChainValue.zero) is a
         assert (LowerChainValue.zero + a) is a
         assert (a * LowerChainValue.zero) is LowerChainValue.zero
-        assert (LowerChainValue.one * a) is a
+        # one is an ordinary one-point value: an identity by value only.
+        assert LowerChainValue.one * a == a == a * LowerChainValue.one
 
     def test_product_appends_the_right_index(self) -> None:
         edge = LowerChainValue.singleton(1.0, 2.0, (7,))
@@ -322,7 +323,7 @@ class TestLowerChainValue:
     def test_non_canonical_value_is_caught(self) -> None:
         # The identity elements come from the values' own type, so the
         # collinear middle point is seen by LowerChainValue's operations.
-        bad = LowerChainValue([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [None] * 3)
+        bad = LowerChainValue([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [()] * 3)
         report = check_axioms([bad])
         assert "plus_idempotent" in report.failed_laws()
 
@@ -383,7 +384,7 @@ class TestInlineSignTest:
         # _edge_product merges alike: translating a by (0, 0) is exact, and
         # edge 0's back-pointers (0, i, j) are a.back[i] + (j,).
         a = LowerChainValue([0.0, 1.0], [0.0, t2], [(0, 0), (0, 1)])
-        b = LowerChainValue([0.0, 1.0], [0.0, t1], [None, None])
+        b = LowerChainValue([0.0, 1.0], [0.0, t1], [(), ()])
         pts, pairs = minkowski_indexed(a.chain(), b.chain())
         # The closed merge ends its open part at the two last vertices.
         end = pairs.index((1, 1)) + 1
@@ -396,7 +397,7 @@ class TestInlineSignTest:
         # The left edge's x step overflows to inf, and inf * 0 = NaN: a NaN
         # sign reads as -1, so the merge steps the right chain only.
         a = LowerChainValue([-1e308, 1e308], [0.0, 5.0], [(0, 0), (0, 1)])
-        b = LowerChainValue([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [None] * 3)
+        b = LowerChainValue([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [()] * 3)
         got = a * b
         assert got.xs == [-1e308, 1e308]
         assert got.ys == [0.0, 6.0]
@@ -464,10 +465,10 @@ def point_lists(draw, huge: bool = False) -> list[tuple[float, float]]:
 
 def sorted_operand(draw, points, tag: str) -> tuple[list, list, list]:
     """The points sorted by x alone (equal x keep their drawn order), with
-    labelled or None back-pointers."""
+    labelled or empty back-pointers."""
     points = sorted(points, key=lambda p: p[0])
-    opaque = draw(st.booleans())
-    back = [None if opaque else (tag, i) for i in range(len(points))]
+    raw = draw(st.booleans())
+    back = [() if raw else (tag, i) for i in range(len(points))]
     return [p[0] for p in points], [p[1] for p in points], back
 
 
@@ -580,8 +581,8 @@ class TestEdgeProductMatchesTranslateThenMultiply:
         monkeypatch.setattr(
             LowerChainValue, "__mul__", lambda *args: calls.append(args) or mul(*args)
         )
-        a = LowerChainValue([p[0] for p in a], [p[1] for p in a], [None] * len(a))
-        b = LowerChainValue([p[0] for p in b], [p[1] for p in b], [None] * len(b))
+        a = LowerChainValue([p[0] for p in a], [p[1] for p in a], [()] * len(a))
+        b = LowerChainValue([p[0] for p in b], [p[1] for p in b], [()] * len(b))
         want = outcome(reference_edge_product, x, y, 3, a, b)
         assert outcome(_edge_product, x, y, 3, a, b) == want
         assert bool(calls) == fallback
