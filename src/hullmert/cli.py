@@ -102,12 +102,13 @@ def _search(corpus: Corpus, search: Callable, *args, **kwargs):
         raise _in_sentence(corpus, idx, exc) from exc
 
 
+def _vector(corpus: Corpus, path: str, label: str):
+    return corpus.features.vectorize(load_vector_map(path, label), label)
+
+
 def _vectors(corpus: Corpus, args, direction: bool):
-    w0 = corpus.features.vectorize(load_vector_map(args.weights, "weights"), "weights")
-    if not direction:
-        return w0, None
-    v = corpus.features.vectorize(load_vector_map(args.direction, "direction"), "direction")
-    return w0, v
+    w0 = _vector(corpus, args.weights, "weights")
+    return w0, (_vector(corpus, args.direction, "direction") if direction else None)
 
 
 def _parse_grid(text: str) -> tuple[float, float]:
@@ -122,9 +123,9 @@ def _parse_grid(text: str) -> tuple[float, float]:
 def cmd_validate(args) -> tuple[str, int]:
     corpus = load_corpus(args.corpus)
     if args.weights:
-        corpus.features.vectorize(load_vector_map(args.weights, "weights"), "weights")
+        _vector(corpus, args.weights, "weights")
     if args.direction:
-        corpus.features.vectorize(load_vector_map(args.direction, "direction"), "direction")
+        _vector(corpus, args.direction, "direction")
     sentences = []
     all_ok = True
     for s in corpus.sentences:

@@ -339,7 +339,7 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
                 k = _edge_product(x, y, ei, first, values[tails[1]])
                 for t in tails[2:]:
                     k = k * values[t]
-                total = k if total is zero else total + k
+                total = total + k
                 continue
             more = pos < last and edges[ins[pos + 1]].tails == tails
             b = (ei,)
@@ -371,7 +371,7 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
                 k = LowerChainValue([x], [y], [b])
             if tails and len(xs) > 1:
                 k = k * first
-            total = k if total is zero else total + k
+            total = total + k
         values[node] = total
     return values
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub, truediv
 from typing import Iterable, Iterator
 
 from .errors import InvalidGeometryError, NoHypothesesError
@@ -261,14 +262,29 @@ def envelope_boundaries(chain: ConvexChain) -> tuple[float, ...]:
 
     For k chain points this is the k-1 strictly increasing slopes between
     consecutive points; point i is the envelope's argmax between boundary
-    i-1 and boundary i.  A singleton has no boundaries.  A crossing that
-    overflows (or is NaN, from inf - inf) raises ``InvalidGeometryError``.
+    i-1 and boundary i.  A singleton has no boundaries.  Two points that
+    share an x, or a crossing that overflows (or is NaN, from inf - inf),
+    raise ``InvalidGeometryError``.
     """
     pts = chain.points
     if not pts:
         raise NoHypothesesError("empty chain has no envelope")
-    bounds = tuple((q.y - p.y) / (q.x - p.x) for p, q in zip(pts, pts[1:]))
-    for b, p, q in zip(bounds, pts, pts[1:]):
+    return _crossings([p.x for p in pts], [p.y for p in pts])
+
+
+def _crossings(xs: list[float], ys: list[float]) -> tuple[float, ...]:
+    """``envelope_boundaries`` of the chain with these coordinate lists.
+    Only a failure walks the pairs, to name the first one that fails."""
+    try:
+        bounds = tuple(map(truediv, map(sub, ys[1:], ys), map(sub, xs[1:], xs)))
+    except ZeroDivisionError:
+        pass
+    else:
+        if all(map(math.isfinite, bounds)):
+            return bounds
+    for p, q in zip(map(Point2, xs, ys), map(Point2, xs[1:], ys[1:])):
+        if q.x == p.x:
+            raise InvalidGeometryError(f"lower chain x not increasing at {p} -> {q}")
+        b = (q.y - p.y) / (q.x - p.x)
         if not math.isfinite(b):
             raise InvalidGeometryError(f"envelope crossing of {p} and {q} is not finite: {b!r}")
-    return bounds

@@ -376,35 +376,26 @@ def _write_dict(obj, out: list[str]) -> None:
 
 
 def _write_canonical(obj, out: list[str]) -> None:
-    """Exact built-in types first; numpy values, bool, None and subclasses
-    take the generic branch.  ``oracle.canonical_json`` is the reference."""
-    kind = type(obj)
-    if kind is float:
+    """One ``isinstance`` test per value, bool before int; numpy values
+    write as their ``tolist()``.  ``oracle.canonical_json`` is the
+    reference; this writer differs from it only by ``_write_items``'s
+    joined float and int lists and by its string encoder."""
+    if isinstance(obj, float):
         out.append(_float_repr(obj))
-    elif kind is str:
+    elif isinstance(obj, str):
         out.append(_encode_str(obj))
-    elif kind is dict:
+    elif isinstance(obj, dict):
         _write_dict(obj, out)
-    elif kind is list or kind is tuple:
+    elif isinstance(obj, (list, tuple)):
         _write_items(obj, out)
-    elif kind is int:
-        out.append(str(obj))
-    elif isinstance(obj, (np.floating, np.integer, np.ndarray)):
-        _write_canonical(obj.tolist(), out)
-    elif obj is None:
-        out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_float_repr(obj))
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif isinstance(obj, (list, tuple)):
-        _write_items(obj, out)
-    elif isinstance(obj, dict):
-        _write_dict(obj, out)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        _write_canonical(obj.tolist(), out)
     else:
         raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
 

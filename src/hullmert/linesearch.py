@@ -37,7 +37,6 @@ import math
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from operator import sub, truediv
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ from .errors import (
     _warn,
 )
 from .forest import Derivation, Hypergraph, _lower_chain_values, _yields
-from .geometry import Point2
+from .geometry import Point2, _crossings
 from .metrics import Metric
 
 # Every search coalesces surface boundaries this close (see ``CorpusSurface``).
@@ -186,20 +185,6 @@ def _envelope(graph: Hypergraph, w0: list[float], v: list[float]) -> Envelope:
     backs = [value.back for value in values]
     tokens = list(_yields(graph.edges, backs, [(goal, i) for i in range(len(xs))]))
     return Envelope._lazy(xs, ys, _crossings(xs, ys), tokens, graph, backs)
-
-
-def _crossings(xs: list[float], ys: list[float]) -> tuple[float, ...]:
-    """``envelope_boundaries`` of the chain with these coordinate lists:
-    the same quotients, and the same error for a crossing that is not
-    finite."""
-    bounds = tuple(map(truediv, map(sub, ys[1:], ys), map(sub, xs[1:], xs)))
-    if not all(map(math.isfinite, bounds)):
-        i = next(i for i, b in enumerate(bounds) if not math.isfinite(b))
-        p, q = Point2(xs[i], ys[i]), Point2(xs[i + 1], ys[i + 1])
-        raise InvalidGeometryError(
-            f"envelope crossing of {p} and {q} is not finite: {bounds[i]!r}"
-        )
-    return bounds
 
 
 @dataclass(frozen=True)
@@ -390,6 +375,8 @@ def _surfaces(envelopes, refs, metric: Metric, memo: _StatsMemo) -> list[ErrorSu
     Every chain-point yield the memo lacks, across all sentences, is
     scored in one ``stats_many`` call; the rows are stored read-only and
     shared by every later lookup.  The library scores yields nowhere else.
+    A result that is not an array of one ``zero_stats()``-shaped row per
+    yield raises ``ConfigError``.
     """
     new = [
         dict.fromkeys(tokens for tokens in env._tokens if tokens not in table)
@@ -398,6 +385,13 @@ def _surfaces(envelopes, refs, metric: Metric, memo: _StatsMemo) -> list[ErrorSu
     hyps = [tokens for fresh in new for tokens in fresh]
     if hyps:
         stats = metric.stats_many(hyps, [ref for fresh, ref in zip(new, refs) for _ in fresh])
+        shape = (len(hyps), *metric.zero_stats().shape)
+        got = stats.shape if isinstance(stats, np.ndarray) else f"a {type(stats).__name__}"
+        if got != shape:
+            raise ConfigError(
+                f"{type(metric).__name__}.stats_many must return an array of shape "
+                f"{shape}, got {got}"
+            )
         stats.flags.writeable = False
         rows = iter(stats)
         for fresh, table in zip(new, memo):

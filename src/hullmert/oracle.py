@@ -8,8 +8,9 @@ it agrees with these slower, more obvious computations.  The reference
 algebra lives here too: ``check_axioms`` tests the semiring laws on
 sample values, and ``convexify_equivalence`` the hull-then-sum identity
 that makes hull multiplication well defined.  ``canonical_json`` is the
-report writer that ``io.canonical_json``'s type-dispatched one must match
-byte for byte, and ``merge_surfaces`` the boundary-order loop that
+report writer that ``io.canonical_json`` must match byte for byte (the
+latter differs only by its joined float and int lists and its string
+encoder), and ``merge_surfaces`` the boundary-order loop that
 ``CorpusSurface``'s sort and cumulative sum must match bit for bit.
 Nothing on the fast path imports this module.
 """

@@ -233,6 +233,11 @@ class TestEnvelopeBoundaries:
         with pytest.raises(NoHypothesesError):
             envelope_boundaries(ConvexChain())
 
+    def test_repeated_x_rejected(self) -> None:
+        chain = ConvexChain((Point2(0, 0), Point2(0, 1)))
+        with pytest.raises(InvalidGeometryError, match=r"x not increasing at .* -> "):
+            envelope_boundaries(chain)
+
     @given(point_lists)
     @settings(max_examples=60)
     def test_boundaries_strictly_increase_and_pick_argmax(

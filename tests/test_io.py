@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -301,6 +302,30 @@ FLOATS = st.floats(allow_nan=False) | st.sampled_from(
     [math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 1e16]
 )
 INTS = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, 10**30])
+
+
+# Subclasses of the built-in types: each writer takes its built-in branch.
+class FloatSub(float):
+    pass
+
+
+class IntSub(int):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
+class Pair(NamedTuple):
+    a: object
+    b: object
+
+
 SCALARS = st.one_of(
     FLOATS,
     INTS,
@@ -316,6 +341,13 @@ SCALARS = st.one_of(
     # Float-only and int-only lists take the writer's joined paths.
     st.lists(FLOATS, max_size=6),
     st.lists(INTS, max_size=6).map(tuple),
+    FLOATS.map(FloatSub),
+    INTS.map(IntSub),
+    TEXT.map(StrSub),
+    st.dictionaries(TEXT, FLOATS | INTS, max_size=3).map(DictSub),
+    st.builds(Pair, FLOATS, FLOATS | INTS),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
 )
 VALUES = st.recursive(
     SCALARS,
@@ -324,12 +356,14 @@ VALUES = st.recursive(
     | st.dictionaries(TEXT, children, max_size=4),
     max_leaves=20,
 )
-# Each is refused: NaN anywhere, a key that is not a string, keys that
-# do not sort.
+# Each is refused: NaN anywhere, a numpy bool, a key that is not a
+# string, keys that do not sort.
 REFUSED = st.sampled_from(
     [
         math.nan,
         np.float64(math.nan),
+        FloatSub(math.nan),
+        np.bool_(True),
         [0.5, math.nan],
         (1, math.nan),
         np.array([0.5, math.nan]),

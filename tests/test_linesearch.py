@@ -1123,6 +1123,28 @@ class BatchOnlyBleu(Bleu):
         raise AssertionError("a yield was scored outside Metric.stats_many")
 
 
+class RowShort(ExactMatch):
+    """``stats_many`` one row short of one per hypothesis."""
+
+    def stats_many(self, hyps, refs) -> np.ndarray:
+        return super().stats_many(hyps, refs)[1:]
+
+
+class RowWide(ExactMatch):
+    """``stats_many`` rows twice as wide as ``zero_stats``."""
+
+    def stats_many(self, hyps, refs) -> np.ndarray:
+        stats = super().stats_many(hyps, refs)
+        return np.concatenate([stats, stats], axis=1)
+
+
+class RowList(ExactMatch):
+    """``stats_many`` rows in a list, not an array."""
+
+    def stats_many(self, hyps, refs):
+        return list(super().stats_many(hyps, refs))
+
+
 def repeated_yield_graph() -> Hypergraph:
     """Three lines, all on the envelope along LINE_W0 + eta * LINE_V (with
     a third, unused feature); the outer two share the yield ``a``."""
@@ -1237,6 +1259,21 @@ class TestOneScoringPath:
         want_score = est.score(corpus)
         monkeypatch.setattr(estimator_module, "get_metric", lambda name: BatchOnlyBleu())
         assert est.score(corpus) == want_score
+
+    @pytest.mark.parametrize(
+        "metric, got",
+        [(RowShort(), r"\(\d+, 1\)"), (RowWide(), r"\(\d+, 2\)"), (RowList(), "a list")],
+        ids=["short", "wide", "list"],
+    )
+    def test_a_batch_of_the_wrong_shape_is_refused(self, rng, metric, got) -> None:
+        corpus = random_corpus(rng, n_sentences=3)
+        w0, v = rng.normal(size=3), rng.normal(size=3)
+        name = type(metric).__name__
+        message = rf"{name}\.stats_many must return an array of shape \(\d+, 1\), got {got}"
+        with pytest.raises(ConfigError, match=message):
+            line_search(corpus, w0, v, metric)
+        with pytest.raises(ConfigError, match=message):
+            decode_loss(corpus, w0, metric)
 
     def test_decode_scores_the_corpus_in_one_batch(self, corpus, rng) -> None:
         metric = CountingBleu()
