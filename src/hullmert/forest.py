@@ -305,15 +305,30 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     other points of the same envelope; at a tie that translation rounds
     over a longer chain, the arc whose own point is lower.  An edge with
     two or more tails takes ``_edge_product`` for its first two tails and
-    ``__mul__`` for the rest."""
+    ``__mul__`` for the rest.
+
+    The nodes that ``validate`` reports unreachable, on no leaf-to-goal
+    path, are neither projected nor computed: each keeps the zero value.
+    No useful node changes, since an edge into one whose tails are all
+    derivable makes those tails useful, and any other edge meets a zero
+    tail either way.  So a stranded edge's overflow cannot fail a search,
+    while its feature ids are still checked against the vectors, in
+    topological order with every other edge's."""
     edges = graph.edges
     n = len(w0)
     zero = LowerChainValue.zero
     inf = math.inf
     values = [zero] * graph.n_nodes
+    stranded = set(graph.validate().unreachable)
     for node in graph.topo_order():
-        total = zero
         ins = graph.in_edges[node]
+        if node in stranded:
+            for ei in ins:
+                feats = edges[ei].features
+                if feats and feats[-1][0] >= n:
+                    _check_dimensions(edges[ei], w0, v)
+            continue
+        total = zero
         last = len(ins) - 1
         run = []
         for pos, ei in enumerate(ins):

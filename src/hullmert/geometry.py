@@ -105,9 +105,7 @@ class ConvexChain:
 
     def check_lower(self) -> None:
         pts = self.points
-        for p, q in zip(pts, pts[1:]):
-            if not q.x > p.x:
-                raise InvalidGeometryError(f"lower chain x not increasing at {p} -> {q}")
+        _check_x_increasing(pts)
         for o, a, b in zip(pts, pts[1:], pts[2:]):
             if orientation(o, a, b) != 1:
                 raise InvalidGeometryError(f"lower chain not strictly convex at {a}")
@@ -260,21 +258,37 @@ def minkowski_indexed(
 def envelope_boundaries(chain: ConvexChain) -> tuple[float, ...]:
     """Crossing x-coordinates of the upper envelope dual to a lower chain.
 
-    For k chain points this is the k-1 strictly increasing slopes between
-    consecutive points; point i is the envelope's argmax between boundary
-    i-1 and boundary i.  A singleton has no boundaries.  Two points that
-    share an x, or a crossing that overflows (or is NaN, from inf - inf),
-    raise ``InvalidGeometryError``.
+    For k chain points this is the k-1 slopes between consecutive points;
+    point i is the envelope's argmax between boundary i-1 and boundary i.
+    A singleton has no boundaries.  ``InvalidGeometryError`` is raised for
+    a chain whose x does not strictly increase, for a crossing that
+    overflows (or is NaN, from inf - inf), and for a crossing below the
+    one before it, as in a chain that is not convex.  Equal crossings
+    pass: the banded sign test of ``orientation`` is not applied here.
     """
     pts = chain.points
     if not pts:
         raise NoHypothesesError("empty chain has no envelope")
-    return _crossings([p.x for p in pts], [p.y for p in pts])
+    _check_x_increasing(pts)
+    bounds = _crossings([p.x for p in pts], [p.y for p in pts])
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b < a:
+            raise InvalidGeometryError(
+                f"lower chain not convex at {pts[i + 1]}: crossing {b!r} after {a!r}"
+            )
+    return bounds
+
+
+def _check_x_increasing(pts: tuple[Point2, ...]) -> None:
+    for p, q in zip(pts, pts[1:]):
+        if not q.x > p.x:
+            raise InvalidGeometryError(f"lower chain x not increasing at {p} -> {q}")
 
 
 def _crossings(xs: list[float], ys: list[float]) -> tuple[float, ...]:
-    """``envelope_boundaries`` of the chain with these coordinate lists.
-    Only a failure walks the pairs, to name the first one that fails."""
+    """The crossings of the chain with these coordinate lists, checked
+    finite but not for order.  Only a failure walks the pairs, to name the
+    first one that fails."""
     try:
         bounds = tuple(map(truediv, map(sub, ys[1:], ys), map(sub, xs[1:], xs)))
     except ZeroDivisionError:

@@ -5,10 +5,18 @@ import math
 import numpy as np
 
 from hullmert import Edge, Hypergraph
-from hullmert.forest import _derivations, _lower_chain_values
-from hullmert.geometry import EPS_GEOM, envelope_boundaries
+from hullmert.errors import InvalidGeometryError
+from hullmert.forest import (
+    _check_dimensions,
+    _derivations,
+    _inside_values,
+    _lower_chain_values,
+    project_edge,
+)
+from hullmert.geometry import EPS_GEOM, _crossings
 from hullmert.linesearch import Envelope
 from hullmert.metrics import EPS_COUNT
+from hullmert.oracle import lower_chain_values
 from hullmert.semiring import LowerChainValue, _product
 
 
@@ -44,6 +52,38 @@ def chain_bits(value: LowerChainValue) -> tuple:
     """A lower chain's coordinates as hex strings (so -0.0 differs from 0.0)
     and its back-pointers."""
     return [x.hex() for x in value.xs], [y.hex() for y in value.ys], value.back
+
+
+def oracle_bits(graph: Hypergraph, w0, v) -> list:
+    """Each node's ``chain_bits`` as ``forest._lower_chain_values`` must
+    give them, or the error it must raise.
+
+    A node that ``validate`` reports unreachable holds
+    ``LowerChainValue.zero``: the kernel checks its in-edges' feature ids
+    against the vectors but neither projects nor computes them.  Every other
+    node holds ``oracle.lower_chain_values``' value.  An overflow that only
+    a stranded node meets fails the full oracle and not the kernel, so the
+    oracle's recursion runs with stranded in-edges valued zero, and the
+    full oracle must agree on every useful node whenever it succeeds."""
+    w0, v = np.asarray(w0, dtype=float), np.asarray(v, dtype=float)
+    stranded = set(graph.validate().unreachable)
+
+    def edge_value(ei: int, edge: Edge) -> LowerChainValue:
+        if edge.head in stranded:
+            _check_dimensions(edge, w0, v)
+            return LowerChainValue.zero
+        (p,) = project_edge(edge, w0, v).points
+        return LowerChainValue.singleton(p.x, p.y, (ei,))
+
+    want = [chain_bits(x) for x in _inside_values(graph, edge_value, LowerChainValue.zero)]
+    try:
+        full = lower_chain_values(graph, w0, v)
+    except InvalidGeometryError:
+        return want
+    for node, value in enumerate(full):
+        if node not in stranded:
+            assert chain_bits(value) == want[node], f"node {node}"
+    return want
 
 
 # Frozen references for the hot loops of ``semiring``, ``forest`` and
@@ -183,9 +223,13 @@ def reference_bleu_loss(max_n: int, aggregate) -> float:
 
 def eager_envelope(graph, w0, v):
     """``build_envelope`` as it was before it kept coordinate lists: the
-    goal value's ``chain()``, ``envelope_boundaries`` over its ``Point2``s
-    and ``_derivations`` over the kernel's back-pointers, all built at
-    once through the eager ``Envelope`` constructor."""
+    goal value's ``chain()``, the crossings of its ``Point2``s and
+    ``_derivations`` over the kernel's back-pointers, all built at once
+    through the eager ``Envelope`` constructor.  The crossings are
+    ``geometry._crossings``, which ``build_envelope`` computes too, and not
+    ``envelope_boundaries``: where the orientation test's cross products
+    overflow, the kernel's chain can give crossings that do not increase,
+    and ``envelope_boundaries`` refuses those."""
     w0 = np.asarray(w0, dtype=float).tolist()
     v = np.asarray(v, dtype=float).tolist()
     values = _lower_chain_values(graph, w0, v)
@@ -194,4 +238,5 @@ def eager_envelope(graph, w0, v):
     backs = [value.back for value in values]
     roots = [(graph.goal, i) for i in range(len(goal))]
     derivations = tuple(_derivations(graph, backs, roots))
-    return Envelope(chain.points, envelope_boundaries(chain), derivations)
+    xs, ys = [p.x for p in chain], [p.y for p in chain]
+    return Envelope(chain.points, _crossings(xs, ys), derivations)

@@ -44,7 +44,7 @@ from hullmert.oracle import Tropical, dual_points, lower_chain_values, probe_eta
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LowerChainValue
 
-from helpers import chain_bits, eager_envelope, reference_yields
+from helpers import chain_bits, eager_envelope, oracle_bits, reference_yields
 
 
 def binary_forest() -> Hypergraph:
@@ -437,14 +437,12 @@ class TestReconstruct:
 
 def assert_matches_hull_reference(graph: Hypergraph, w0, v) -> None:
     """The lower-chain pass against the hull semiring, bit for bit; every
-    node's chain and back-pointers against the generic recursion, which the
-    yields read."""
+    useful node's chain and back-pointers against the generic recursion,
+    which the yields read, and zero at every stranded node."""
     got = forest._lower_chain_values(
         graph, np.asarray(w0, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
     )
-    assert [chain_bits(x) for x in got] == [
-        chain_bits(x) for x in lower_chain_values(graph, w0, v)
-    ]
+    assert [chain_bits(x) for x in got] == oracle_bits(graph, w0, v)
     env = build_envelope(graph, w0, v)
     chain, derivations = env.chain, env.derivations
     value = inside_hull(graph, w0, v)
@@ -618,9 +616,7 @@ class TestEnvelopePoints:
         # are small integers or floats in general position, where every
         # node must still equal the per-edge recursion, bit for bit.
         got = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
-        assert [chain_bits(x) for x in got] == [
-            chain_bits(x) for x in lower_chain_values(graph, w0, v)
-        ]
+        assert [chain_bits(x) for x in got] == oracle_bits(graph, w0, v)
 
     @given(lattice=shuffled_lattices())
     @settings(max_examples=150, deadline=None)
@@ -631,28 +627,27 @@ class TestEnvelopePoints:
         # must still be the per-edge recursion's.
         graph, w0, v = lattice
         got = forest._lower_chain_values(graph, w0.tolist(), v.tolist())
-        assert [chain_bits(x) for x in got] == [
-            chain_bits(x) for x in lower_chain_values(graph, w0, v)
-        ]
+        assert [chain_bits(x) for x in got] == oracle_bits(graph, w0, v)
 
     @given(problem=multi_tail_forests())
     @settings(max_examples=200, deadline=None)
     def test_multi_tail_edges_keep_the_oracle_values(self, problem) -> None:
         # An edge's point is multiplied into its first two tails by one
         # merge that builds no translate, and later tails by ``__mul__``.
-        # Every node's bits and back-pointers, or the error, are the
-        # per-edge recursion's.
+        # Every useful node's bits and back-pointers, or the error, are the
+        # per-edge recursion's; stranded nodes hold zero.
         graph, w0, v = problem
 
-        def outcome(fn, *args):
+        def outcome(bits, *args):
             try:
-                return [chain_bits(x) for x in fn(graph, *args)]
+                return bits(*args)
             except Exception as exc:  # compared, never swallowed
                 return type(exc), str(exc)
 
-        assert outcome(forest._lower_chain_values, w0.tolist(), v.tolist()) == outcome(
-            lower_chain_values, w0, v
-        )
+        def kernel_bits(w0, v):
+            return [chain_bits(x) for x in forest._lower_chain_values(graph, w0, v)]
+
+        assert outcome(kernel_bits, w0.tolist(), v.tolist()) == outcome(oracle_bits, graph, w0, v)
 
     def test_projection_bits_do_not_depend_on_the_vector_type(self, rng) -> None:
         # Edges are projected on Python floats; float64 arrays, lists and
@@ -936,9 +931,7 @@ class TestEnvelopePoints:
         )
         w0, v = np.array(w0), np.array(v)
         got = forest._lower_chain_values(g, w0.tolist(), v.tolist())
-        assert [chain_bits(x) for x in got] == [
-            chain_bits(x) for x in lower_chain_values(g, w0, v)
-        ]
+        assert [chain_bits(x) for x in got] == oracle_bits(g, w0, v)
         derivations = build_envelope(g, w0, v).derivations
         assert derivations[0].tokens == ("s", "a", "w0")
 
@@ -1009,6 +1002,101 @@ class TestEnvelopePoints:
         g = Hypergraph(1, [Edge.make(0, (), {0: 1.0}, ("a",))], goal=0, n_features=1)
         chain = build_envelope(g, np.array([0.0]), np.array([-0.0])).chain
         assert [(p.x.hex(), p.y.hex()) for p in chain] == [("0x0.0p+0", "0x0.0p+0")]
+
+
+def with_stranded_leaves(*features: dict) -> Hypergraph:
+    """Goal 2 over two leaves at node 0; node 1 feeds nothing, so it and
+    its leaves (one per ``features`` entry) are on no leaf-to-goal path."""
+    edges = [
+        Edge.make(0, (), {0: 1.0}, ("a",)),
+        Edge.make(0, (), {1: 2.0}, ("b",)),
+        Edge.make(2, (0,), {0: -1.0}, (0, "c")),
+        *(Edge.make(1, (), f, ("s",)) for f in features),
+    ]
+    return Hypergraph(3, edges, goal=2, n_features=3)
+
+
+def stranded_multi_tail_forest() -> Hypergraph:
+    """Nodes 3 and 4 are derivable but feed nothing the goal uses; node 3
+    has a binary and a ternary in-edge, node 4 a binary one over node 3."""
+    leaves = [(0, {0: 1.0}), (0, {1: 1.0}), (1, {0: 2.0}), (1, {1: -1.0})]
+    inner = [
+        (2, (0, 1), {1: 0.5}),
+        (2, (0,), {0: -1.0}),
+        (3, (0, 1), {0: 0.5}),
+        (3, (0, 1, 2), {1: 2.0}),
+        (4, (3, 0), {0: 1.0}),
+        (5, (2, 0), {1: -1.0}),
+        (5, (2, 1, 0), {0: 1.0}),
+    ]
+    edges = [Edge.make(h, (), f, (f"l{h}",)) for h, f in leaves] + [
+        Edge.make(h, t, f, (*range(len(t)), f"n{h}")) for h, t, f in inner
+    ]
+    return Hypergraph(6, edges, goal=5, n_features=2)
+
+
+class TestStrandedNodes:
+    """The inside pass computes only the nodes that ``validate`` finds on a
+    leaf-to-goal path: a stranded node keeps the zero value, its edges are
+    not projected, and only their feature ids are checked against the
+    vectors."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_at_a_stranded_leaf_does_not_fail_the_search(self) -> None:
+        # The stranded leaf projects to (inf, -inf); the graph without it
+        # gives the same envelope and search.
+        g = with_stranded_leaves({0: 1.7e308, 1: 1.7e308})
+        assert g.validate().unreachable == (1,)
+        w0 = v = np.ones(2)
+        with pytest.raises(InvalidGeometryError, match=r"non-finite point \(inf, -inf\)"):
+            project_edge(g.edges[-1], w0, v)
+        without = with_stranded_leaves()
+        assert envelope_bits(build_envelope(g, w0, v)) == envelope_bits(
+            build_envelope(without, w0, v)
+        )
+        metric = get_metric("exact")
+        got = line_search([(g, ("a", "c"))], w0, v, metric)
+        want = line_search([(without, ("a", "c"))], w0, v, metric)
+        for field in ("boundaries", "interval_losses", "best_interval", "eta", "loss"):
+            assert getattr(got, field) == getattr(want, field)
+        assert got.weights.tolist() == want.weights.tolist()
+
+    def test_stranded_edge_feature_id_is_still_checked(self) -> None:
+        g = with_stranded_leaves({2: 1.0})
+        assert g.validate().unreachable == (1,)
+        w0 = v = np.ones(2)
+        with pytest.raises(DimensionMismatchError, match="feature id 2 but vectors have 2"):
+            build_envelope(g, w0, v)
+        with pytest.raises(DimensionMismatchError, match="feature id 2 but vectors have 2"):
+            line_search([(g, ("a", "c"))], w0, v, get_metric("exact"))
+
+    def test_no_product_is_taken_into_a_stranded_node(self, monkeypatch) -> None:
+        # Every edge the kernel multiplies is recorded: the edge id that
+        # ``_edge_product`` gets, and the edges whose points the left
+        # operand of ``__mul__`` holds.
+        g = stranded_multi_tail_forest()
+        stranded = set(g.validate().unreachable)
+        assert stranded == {3, 4}
+        seen: set[int] = set()
+        edge_product, mul = forest._edge_product, LowerChainValue.__mul__
+
+        def recording_edge_product(x, y, ei, a, b):
+            seen.add(ei)
+            return edge_product(x, y, ei, a, b)
+
+        def recording_mul(self, other):
+            seen.update(back[0] for back in self.back)
+            return mul(self, other)
+
+        monkeypatch.setattr(forest, "_edge_product", recording_edge_product)
+        monkeypatch.setattr(LowerChainValue, "__mul__", recording_mul)
+        w0, v = np.array([1.0, -2.0]), np.array([1.0, 3.0])
+        got = forest._lower_chain_values(g, w0.tolist(), v.tolist())
+        monkeypatch.undo()
+        multi_tail = {ei for ei, e in enumerate(g.edges) if len(e.tails) > 1}
+        assert not {g.edges[ei].head for ei in seen} & stranded
+        assert {ei for ei in multi_tail if g.edges[ei].head not in stranded} <= seen
+        assert [chain_bits(x) for x in got] == oracle_bits(g, w0, v)
 
 
 @st.composite

@@ -238,6 +238,23 @@ class TestEnvelopeBoundaries:
         with pytest.raises(InvalidGeometryError, match=r"x not increasing at .* -> "):
             envelope_boundaries(chain)
 
+    def test_decreasing_x_rejected(self) -> None:
+        # Its one crossing, -1.0, would be read as a valid boundary.
+        chain = ConvexChain((Point2(1, 0), Point2(0, 1)))
+        with pytest.raises(InvalidGeometryError, match=r"x not increasing at .* -> "):
+            envelope_boundaries(chain)
+
+    def test_chain_that_is_not_convex_rejected(self) -> None:
+        # Its crossings, 1.0 then -1.0, would not increase.
+        chain = chain_of((0, 0), (1, 1), (2, 0))
+        with pytest.raises(InvalidGeometryError, match=r"not convex at .*-1\.0 after 1\.0"):
+            envelope_boundaries(chain)
+
+    def test_equal_crossings_pass(self) -> None:
+        # Collinear points, as rounding can leave them in a product, give
+        # equal crossings; the banded orientation test is not applied.
+        assert envelope_boundaries(chain_of((0, 0), (1, 1), (2, 2))) == (1.0, 1.0)
+
     @given(point_lists)
     @settings(max_examples=60)
     def test_boundaries_strictly_increase_and_pick_argmax(
