@@ -97,7 +97,7 @@ class MertEstimator:
         """Decode each sentence's best yield at the fitted weights."""
         self._check_fitted()
         pairs, _, _ = self._materialize(X)
-        return [env._tokens[0] for env in _decode(pairs, self.weights_)]
+        return _decode(pairs, self.weights_)
 
     def score(self, X: Corpus | Pairs, y=None) -> float:
         """Negated corpus loss at the fitted weights (larger is better)."""

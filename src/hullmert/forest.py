@@ -12,7 +12,12 @@ hull semiring (``inside_hull``, the reference) the goal value is the set of
 dual points of all envelope hypotheses, each traceable back to its
 derivation via provenance.  The line search runs the same recursion in the
 lower-chain semiring (``_lower_chain_values``), which keeps only the face
-of the hull that reaches the envelope, with flat back-pointers.  Every
+of the hull that reaches the envelope, with flat back-pointers.  At a
+zero direction every dual point has x = 0 and each node's lower chain is
+one point, its lowest y: the fixed-weight decode runs ``_best_values``,
+which keeps that point per node with no lower-chain operation, the first
+in-edge with the lowest y winning a tie, and stays equal to the kernel at
+v = 0 node for node.  Every
 ``Derivation`` is a root item (node, point index) over per-node
 back-pointer lists: the kernel's, the table that
 ``enumerate_derivations`` fills, or those one walk (``_index``) enters for a
@@ -284,6 +289,24 @@ def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullV
     return inside(graph, lambda ei, e: project_edge(e, w0, v, ei), ConvexHullValue)
 
 
+def _useful_nodes(graph: Hypergraph, w0: list[float], v: list[float]) -> Iterator[int]:
+    """The nodes on a leaf-to-goal path, in topological order.  The
+    stranded nodes between them, which ``validate`` reports unreachable,
+    are skipped; only their edges' feature ids are checked against the
+    vectors, in that order."""
+    edges = graph.edges
+    n = len(w0)
+    stranded = set(graph.validate().unreachable)
+    for node in graph.topo_order():
+        if node not in stranded:
+            yield node
+            continue
+        for ei in graph.in_edges[node]:
+            feats = edges[ei].features
+            if feats and feats[-1][0] >= n:
+                _check_dimensions(edges[ei], w0, v)
+
+
 def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> list:
     """Every node's ``LowerChainValue`` by the recursion of
     ``oracle.lower_chain_values``, with edges projected on Python floats
@@ -319,15 +342,8 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     zero = LowerChainValue.zero
     inf = math.inf
     values = [zero] * graph.n_nodes
-    stranded = set(graph.validate().unreachable)
-    for node in graph.topo_order():
+    for node in _useful_nodes(graph, w0, v):
         ins = graph.in_edges[node]
-        if node in stranded:
-            for ei in ins:
-                feats = edges[ei].features
-                if feats and feats[-1][0] >= n:
-                    _check_dimensions(edges[ei], w0, v)
-            continue
         total = zero
         last = len(ins) - 1
         run = []
@@ -389,6 +405,58 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
             total = total + k
         values[node] = total
     return values
+
+
+def _best_values(graph: Hypergraph, w: list[float]) -> tuple[list, list]:
+    """``_lower_chain_values(graph, w, [0.0] * len(w))`` with one point per
+    node: each node's lowest y, or None where it derives nothing, and its
+    back-pointer list, ``[(edge_id, 0, ..., 0)]`` or empty, as
+    ``_yields`` reads them.
+
+    At a zero direction every dual point has x = 0, so each lower chain is
+    its lowest point, and the first in-edge with the lowest y wins a tie,
+    as the kernel's run sort and left-wins union decide.  Every y and every
+    error is the kernel's: an edge's y is projected as there, its tail
+    values are added in tail order with a finiteness check after each
+    addition, and a tail that derives nothing drops the edge.  Stranded
+    nodes are skipped, their edges' feature ids still checked."""
+    edges = graph.edges
+    n = len(w)
+    inf = math.inf
+    ys: list = [None] * graph.n_nodes
+    backs: list = [[]] * graph.n_nodes
+    for node in _useful_nodes(graph, w, w):
+        best = None
+        for ei in graph.in_edges[node]:
+            e = edges[ei]
+            feats = e.features
+            if feats and feats[-1][0] >= n:
+                _check_dimensions(e, w, w)
+            y = 0.0
+            for i, val in feats:
+                y += w[i] * val
+            y = -y + 0.0
+            if not -inf < y < inf:
+                # The kernel's x at v = 0: 0.0, or NaN from a non-finite
+                # feature value, which leaves y non-finite too.
+                x = 0.0
+                for _, val in feats:
+                    x += 0.0 * val
+                raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
+            for t in e.tails:
+                ty = ys[t]
+                if ty is None:
+                    break
+                y += ty
+                if not -inf < y < inf:
+                    raise InvalidGeometryError("non-finite point in a product of lower chains")
+            else:
+                if best is None or y < best:
+                    best, arg = y, ei
+        if best is not None:
+            ys[node] = best
+            backs[node] = [(arg,) + (0,) * len(edges[arg].tails)]
+    return ys, backs
 
 
 def _yields(edges: Sequence[Edge], backs: list, roots: list) -> Iterator[tuple[str, ...]]:

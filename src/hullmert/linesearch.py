@@ -14,10 +14,12 @@ point; its ``chain`` and ``derivations`` are cached properties, built
 from the kernel's back-pointers on first read, and nothing in this
 module reads them.  Scoring each chain point's yield
 turns the envelope into a piecewise-constant error surface.  A
-fixed-weight decode is the same inside pass at a zero
-direction, whose envelope has a single segment.  Every yield is scored in
-one place, ``_surfaces``: it gathers the chain-point yields of all
-sentences that a per-call memo lacks and scores them in one
+fixed-weight decode needs no envelope: at a zero direction every dual
+point has x = 0, so each node's lower chain is one point, its lowest y,
+and ``forest._best_values`` keeps that point per node, the first in-edge
+with the lowest y winning a tie, as the lower-chain pass at v = 0 does.
+Every yield is scored in one place, ``_stats``: it gathers the yields of
+all sentences that a per-call memo lacks and scores them in one
 ``Metric.stats_many`` batch, and the memo hands out one read-only
 statistics array per (sentence, yield).  A search, a sweep, a decode and
 ``sentence_surface`` all go through it, and ``optimize`` shares its memo
@@ -50,7 +52,7 @@ from .errors import (
     NoHypothesesError,
     _warn,
 )
-from .forest import Derivation, Hypergraph, _lower_chain_values, _yields
+from .forest import Derivation, Hypergraph, _best_values, _lower_chain_values, _yields
 from .geometry import Point2, _crossings
 from .metrics import Metric
 
@@ -342,19 +344,18 @@ def build_envelopes(
             "direction is all zeros; every derivation's score is constant in eta",
             DegenerateDirectionWarning,
         )
-    return [_sentence_envelope(n, g, w0, v) for n, (g, _) in enumerate(sentences)]
+    return [_in_sentence(n, _envelope, g, w0, v) for n, (g, _) in enumerate(sentences)]
 
 
-def _sentence_envelope(n: int, graph: Hypergraph, w0: list[float], v: list[float]) -> Envelope:
-    """``build_envelope`` for the sentence at position n, with w0 and v as
-    lists of floats.
+def _in_sentence(n: int, run, *args):
+    """``run(*args)`` for the sentence at position n.
 
     A ``DataError`` it raises (an overflowing projection, say) leaves with
     the position in its private ``_sentence`` attribute, so the command
     line, which holds the sentence ids, can name the sentence.
     """
     try:
-        return _envelope(graph, w0, v)
+        return run(*args)
     except DataError as exc:
         exc._sentence = n
         raise
@@ -370,17 +371,23 @@ def _stats_memo(sentences: Sequence) -> _StatsMemo:
 
 
 def _surfaces(envelopes, refs, metric: Metric, memo: _StatsMemo) -> list[ErrorSurface]:
-    """The error surface of each envelope against its reference.
+    """The error surface of each envelope against its reference."""
+    rows = _stats([env._tokens for env in envelopes], refs, metric, memo)
+    return [ErrorSurface(env.boundaries, r) for env, r in zip(envelopes, rows)]
 
-    Every chain-point yield the memo lacks, across all sentences, is
-    scored in one ``stats_many`` call; the rows are stored read-only and
-    shared by every later lookup.  The library scores yields nowhere else.
-    A result that is not an array of one ``zero_stats()``-shaped row per
-    yield raises ``ConfigError``.
+
+def _stats(yields, refs, metric: Metric, memo: _StatsMemo) -> list[tuple[np.ndarray, ...]]:
+    """The statistics row of each yield of each sentence.
+
+    Every yield the memo lacks, across all sentences, is scored in one
+    ``stats_many`` call; the rows are stored read-only and shared by every
+    later lookup.  The library scores yields nowhere else.  A result that
+    is not an array of one ``zero_stats()``-shaped row per yield raises
+    ``ConfigError``.
     """
     new = [
-        dict.fromkeys(tokens for tokens in env._tokens if tokens not in table)
-        for env, table in zip(envelopes, memo)
+        dict.fromkeys(tokens for tokens in sentence if tokens not in table)
+        for sentence, table in zip(yields, memo)
     ]
     hyps = [tokens for fresh in new for tokens in fresh]
     if hyps:
@@ -397,10 +404,7 @@ def _surfaces(envelopes, refs, metric: Metric, memo: _StatsMemo) -> list[ErrorSu
         for fresh, table in zip(new, memo):
             for tokens in fresh:
                 table[tokens] = next(rows)
-    return [
-        ErrorSurface(env.boundaries, tuple(map(table.__getitem__, env._tokens)))
-        for env, table in zip(envelopes, memo)
-    ]
+    return [tuple(map(table.__getitem__, sentence)) for sentence, table in zip(yields, memo)]
 
 
 def corpus_surface(
@@ -501,16 +505,25 @@ def _line_search(
     )
 
 
-def _decode(sentences, weights: np.ndarray) -> list[Envelope]:
-    """Each sentence's envelope at fixed weights, in sentence order.
+def _decode(sentences, weights: np.ndarray) -> list[tuple[str, ...]]:
+    """Each sentence's decoded yield at fixed weights, in sentence order.
 
-    Runs the envelope inside pass with a zero direction: all dual points
-    then share x = 0 and only the best-scoring hypothesis survives on the
-    lower chain, so ``derivations[0]`` is the decoded derivation and its
-    surface has a single interval.
+    At a zero direction every dual point has x = 0, so each node's lower
+    chain is one point, its lowest y: ``forest._best_values`` keeps that
+    point per node, the first in-edge with the lowest y winning a tie, and
+    the goal's point is the decoded derivation, the one that the envelope
+    at a zero direction holds.
     """
-    weights, zero_v = _vectors(weights, np.zeros(np.shape(weights)))
-    return [_sentence_envelope(n, g, weights, zero_v) for n, (g, _) in enumerate(sentences)]
+    w, _ = _vectors(weights, np.zeros(np.shape(weights)))
+    return [_in_sentence(n, _best_yield, g, w) for n, (g, _) in enumerate(sentences)]
+
+
+def _best_yield(graph: Hypergraph, w: list[float]) -> tuple[str, ...]:
+    """The yield of the goal's one point at weights ``w``."""
+    ys, backs = _best_values(graph, w)
+    if ys[graph.goal] is None:
+        raise NoHypothesesError("goal node derives nothing; envelope is empty")
+    return next(_yields(graph.edges, backs, [(graph.goal, 0)]))
 
 
 def decode_loss(
@@ -524,8 +537,8 @@ def decode_loss(
 
 def _decode_loss(sentences, weights, metric: Metric, memo: _StatsMemo) -> float:
     refs = [ref for _, ref in sentences]
-    surfaces = _surfaces(_decode(sentences, weights), refs, metric, memo)
-    return metric.loss(sum((s.stats[0] for s in surfaces), metric.zero_stats()))
+    rows = _stats([[tokens] for tokens in _decode(sentences, weights)], refs, metric, memo)
+    return metric.loss(sum((r[0] for r in rows), metric.zero_stats()))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,15 @@ NOT_FINITE = (
     '"reference":"a"}\n'
 )
 
+# Each leaf projects finitely under the fixture weights (lm: 0.8), to
+# y = -1.2e308, but the binary goal edge adds the two and overflows.
+DECODE_OVERFLOW = (
+    '{"id": "s", "nodes": 3, "goal": 2, "reference": "a b", "edges": ['
+    '{"head": 0, "tails": [], "features": {"lm": 1.5e308, "tm": 0}, "yield": ["a"]},'
+    '{"head": 1, "tails": [], "features": {"lm": 1.5e308}, "yield": ["b"]},'
+    '{"head": 2, "tails": [0, 1], "features": {}, "yield": ["$0", "$1"]}]}\n'
+)
+
 OPTIMIZE_CORPUS = (
     '{"id": "s", "nodes": 1, "goal": 0, "edges": ['
     '{"head": 0, "tails": [], "features": {"tm": 1.0, "lm": 0.0}, "yield": ["good"]},'
@@ -618,6 +627,16 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("data error: sentence 1 (id 'lattice'): "), err
         assert "non-finite" in err and "Traceback" not in err
+
+    def test_overflow_in_the_initial_decode_names_the_sentence(self, files, capsys) -> None:
+        argv = ["optimize", files("c.jsonl", DECODE_OVERFLOW),
+                "--weights", str(FIXTURES / "weights.json")]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "data error: sentence 0 (id 's'): non-finite point in a product of lower chains\n"
+        )
 
     @pytest.mark.parametrize("command", ["linesearch", "sweep", "optimize"])
     def test_sentence_with_a_crossing_that_is_not_finite_is_named(

@@ -565,6 +565,27 @@ def subtrees(tree: tuple):
         stack.extend(t[1])
 
 
+def outcome(values, *args):
+    """``values(*args)``, or the type and message of what it raised."""
+    try:
+        return values(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def best_bits(graph: Hypergraph, w: list[float]) -> list:
+    """Each node's y as hex and back-pointers from ``_best_values``, or None."""
+    ys, backs = forest._best_values(graph, w)
+    return [None if y is None else (y.hex(), back) for y, back in zip(ys, backs)]
+
+
+def kernel_best_bits(graph: Hypergraph, w: list[float]) -> list:
+    """``best_bits`` read off the lower-chain kernel at a zero direction."""
+    values = forest._lower_chain_values(graph, w, [0.0] * len(w))
+    assert all(x.xs in ([], [0.0]) for x in values)
+    return [(x.ys[0].hex(), x.back) if x.xs else None for x in values]
+
+
 class TestEnvelopePoints:
     @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     @pytest.mark.parametrize(
@@ -637,12 +658,6 @@ class TestEnvelopePoints:
         # Every useful node's bits and back-pointers, or the error, are the
         # per-edge recursion's; stranded nodes hold zero.
         graph, w0, v = problem
-
-        def outcome(bits, *args):
-            try:
-                return bits(*args)
-            except Exception as exc:  # compared, never swallowed
-                return type(exc), str(exc)
 
         def kernel_bits(w0, v):
             return [chain_bits(x) for x in forest._lower_chain_values(graph, w0, v)]
@@ -1061,6 +1076,20 @@ class TestStrandedNodes:
             assert getattr(got, field) == getattr(want, field)
         assert got.weights.tolist() == want.weights.tolist()
 
+    def test_overflow_at_a_stranded_leaf_does_not_fail_the_decode(self) -> None:
+        # Alone, the leaf's y overflows; stranded, it is skipped, and the
+        # decode is the one of the graph without it.
+        feats = {0: 1.7e308, 1: 1.7e308}
+        g = with_stranded_leaves(feats)
+        alone = Hypergraph(1, [Edge.make(0, (), feats, ("s",))], 0, 3)
+        with pytest.raises(InvalidGeometryError, match=r"non-finite point \(0\.0, -inf\)"):
+            forest._best_values(alone, [1.0, 1.0])
+        assert best_bits(g, [1.0, 1.0]) == kernel_best_bits(g, [1.0, 1.0])
+        metric = get_metric("exact")
+        for ref in (("a", "c"), ("b", "c")):
+            got = decode_loss([(g, ref)], np.ones(2), metric)
+            assert got == decode_loss([(with_stranded_leaves(), ref)], np.ones(2), metric)
+
     def test_stranded_edge_feature_id_is_still_checked(self) -> None:
         g = with_stranded_leaves({2: 1.0})
         assert g.validate().unreachable == (1,)
@@ -1069,6 +1098,10 @@ class TestStrandedNodes:
             build_envelope(g, w0, v)
         with pytest.raises(DimensionMismatchError, match="feature id 2 but vectors have 2"):
             line_search([(g, ("a", "c"))], w0, v, get_metric("exact"))
+        with pytest.raises(DimensionMismatchError, match="feature id 2 but vectors have 2"):
+            forest._best_values(g, w0.tolist())
+        with pytest.raises(DimensionMismatchError, match="feature id 2 but vectors have 2"):
+            decode_loss([(g, ("a", "c"))], w0, get_metric("exact"))
 
     def test_no_product_is_taken_into_a_stranded_node(self, monkeypatch) -> None:
         # Every edge the kernel multiplies is recorded: the edge id that
@@ -1097,6 +1130,47 @@ class TestStrandedNodes:
         assert not {g.edges[ei].head for ei in seen} & stranded
         assert {ei for ei in multi_tail if g.edges[ei].head not in stranded} <= seen
         assert [chain_bits(x) for x in got] == oracle_bits(g, w0, v)
+
+
+@st.composite
+def decode_problems(draw):
+    """A lattice or forest from ``sampling`` (with stranded nodes at
+    times), a shuffled lattice or a forest with up to three tails per edge,
+    at times with two adjacent arcs tied exactly, and weights scaled so
+    that entries reach 1.7e308 and sums overflow."""
+    graph, w, _ = draw(st.one_of(sampled_graphs(), shuffled_lattices(), multi_tail_forests()))
+    if draw(st.booleans()):
+        graph = copy_parallel_features(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), graph)
+    scale = draw(st.sampled_from([1.0, 1e307, 1.7e308 / 3]))
+    return graph, [x * scale for x in w.tolist()]
+
+
+class TestBestValues:
+    """The fixed-weight pass keeps one point per node, and every value and
+    error must be the lower-chain kernel's at v = 0, node for node."""
+
+    @given(problem=decode_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_every_node_is_the_kernel_one_at_a_zero_direction(self, problem) -> None:
+        graph, w = problem
+        assert outcome(best_bits, graph, w) == outcome(kernel_best_bits, graph, w)
+
+    def test_first_partial_sum_overflowing_raises_though_the_next_tail_is_empty(self) -> None:
+        # Edge 1 adds node 0's y, 1.5e308, to its own; node 1 derives
+        # nothing, yet the partial sum's overflow raises, as in the kernel.
+        edges = [
+            Edge.make(0, (), {0: 1.0}, ("a",)),
+            Edge.make(2, (0, 1), {0: 1.0}, (0, 1)),
+            Edge.make(2, (0,), {}, (0,)),
+        ]
+        g = Hypergraph(3, edges, goal=2, n_features=1)
+        w = [-1.5e308]
+        message = "non-finite point in a product of lower chains"
+        for values in (best_bits, kernel_best_bits):
+            with pytest.raises(InvalidGeometryError, match=message):
+                values(g, w)
+        with pytest.raises(InvalidGeometryError, match=message):
+            decode_loss([(g, ("a",))], np.array(w), get_metric("exact"))
 
 
 @st.composite

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hullmert.estimator as estimator_module
+import hullmert.forest as forest_module
 import hullmert.linesearch as linesearch_module
 from hullmert import MertEstimator, cli
 from hullmert.errors import (
@@ -51,7 +52,7 @@ from hullmert.oracle import (
     viterbi_derivation,
 )
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
-from hullmert.semiring import ConvexHullValue
+from hullmert.semiring import ConvexHullValue, LowerChainValue
 
 from helpers import LINE_V, LINE_W0, UNBOUNDED_ETAS, make_line_graph
 
@@ -822,6 +823,15 @@ def settings_cases(values: dict) -> list:
     ]
 
 
+def forbid_inside_passes(monkeypatch, message: str) -> None:
+    """Make the search's inside pass and the decode's raise ``message``."""
+    def forbidden(*_):
+        raise AssertionError(message)
+
+    for name in ("_lower_chain_values", "_best_values"):
+        monkeypatch.setattr(linesearch_module, name, forbidden)
+
+
 def call_entry(entry: str, **settings):
     call, _ = ENTRY_POINTS[entry]
     corpus = [two_hypothesis_sentence("good", "bad"), crossing_sentence(0.5)]
@@ -833,10 +843,7 @@ class TestSettingsAreChecked:
     def test_out_of_range_value_raises_before_any_envelope(
         self, monkeypatch, entry, setting, value
     ) -> None:
-        def forbidden(*_):
-            raise AssertionError("envelope built before the settings were checked")
-
-        monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
+        forbid_inside_passes(monkeypatch, "envelope built before the settings were checked")
         with pytest.raises(ConfigError, match=setting.replace("_", "-")):
             call_entry(entry, **{setting: value})
 
@@ -858,10 +865,7 @@ class TestSettingsAreChecked:
         # The inside pass holds the GIL, so a pool does not pay; only
         # build_envelopes and line_search still take threads. Any count,
         # in the old range or not, is refused before an envelope is built.
-        def forbidden(*_):
-            raise AssertionError("envelope built before the thread count was refused")
-
-        monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
+        forbid_inside_passes(monkeypatch, "envelope built before the thread count was refused")
         with pytest.raises(TypeError, match="threads"):
             call_entry(entry, threads=value)
 
@@ -880,10 +884,7 @@ class TestSettingsAreChecked:
         # Every search coalesces boundaries at DEFAULT_MERGE_EPS; only
         # CorpusSurface takes another tolerance. Any value, in the old
         # range or not, is refused before an envelope is built.
-        def forbidden(*_):
-            raise AssertionError("envelope built before the tolerance was refused")
-
-        monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
+        forbid_inside_passes(monkeypatch, "envelope built before the tolerance was refused")
         with pytest.raises(TypeError, match="merge_eps"):
             call_entry(entry, merge_eps=value)
 
@@ -941,12 +942,9 @@ class TestVectorsAreChecked:
         ],
     )
     def test_bad_vectors_raise_before_any_envelope(self, monkeypatch, entry, case) -> None:
-        def forbidden(*_):
-            raise AssertionError("envelope built before the vectors were checked")
-
         w0, v = BAD_VECTORS[case]
         if entry != "optimize" or np.ndim(w0) != 1:
-            monkeypatch.setattr(linesearch_module, "_lower_chain_values", forbidden)
+            forbid_inside_passes(monkeypatch, "envelope built before the vectors were checked")
         corpus = [two_hypothesis_sentence("good", "bad"), crossing_sentence(0.5)]
         with pytest.raises(DimensionMismatchError):
             VECTOR_CALLS[entry](corpus, w0, v)
@@ -988,6 +986,45 @@ class TestHotPathRepresentation:
         est = MertEstimator(metric="bleu").fit(corpus)
         want = [realize(g, viterbi_derivation(g, est.weights_)[1]).tokens for g, _ in pairs]
         assert est.predict(corpus) == want
+
+    def test_decode_runs_no_lower_chain_operation(self, monkeypatch, rng) -> None:
+        # At a zero direction every node's lower chain is one point, so a
+        # decode takes no union, product or run hull.  decode_loss,
+        # predict and score must still give the zero-direction envelope's
+        # yields and loss, ties included (integer features tie exactly).
+        fixture = load_corpus(FIXTURES / "corpus.jsonl").pairs()
+        sampled = random_corpus(rng, n_sentences=4, integer_features=True)
+        for _ in range(3):
+            graph = random_forest(rng, n_nodes=12, max_edges_per_node=3, integer_features=True)
+            sampled.append((graph, random_derivation(rng, graph).tokens))
+        metric = get_metric("bleu")
+
+        def zero_direction(pairs, w):
+            envs = [build_envelope(g, w, np.zeros_like(w)) for g, _ in pairs]
+            rows = [sentence_surface(env, ref, metric).stats[0] for env, (_, ref) in zip(envs, pairs)]
+            return [env.derivations[0].tokens for env in envs], metric.loss(
+                sum(rows, metric.zero_stats())
+            )
+
+        cases = []
+        for pairs, dim in ((fixture, 2), (sampled, 3)):
+            est = MertEstimator(metric="bleu").fit(pairs)
+            weights = [est.weights_, rng.normal(size=dim), rng.integers(-2, 3, size=dim) * 1.0]
+            cases.append((pairs, est, [(w, *zero_direction(pairs, w)) for w in weights]))
+
+        def forbidden(*_):
+            raise AssertionError("lower-chain operation in a fixed-weight decode")
+
+        monkeypatch.setattr(LowerChainValue, "__add__", forbidden)
+        monkeypatch.setattr(LowerChainValue, "__mul__", forbidden)
+        monkeypatch.setattr(forest_module, "_edge_product", forbidden)
+        monkeypatch.setattr(forest_module, "_strict_lower", forbidden)
+        for pairs, est, wants in cases:
+            for w, _, loss in wants:
+                assert decode_loss(pairs, w, metric) == loss
+            _, tokens, loss = wants[0]
+            assert est.predict(pairs) == tokens
+            assert est.score(pairs) == -loss
 
     def test_corpus_surface_is_one_pass_with_stored_losses(self, monkeypatch, rng) -> None:
         # The corpus surface is a cumulative sum over the sorted sentence
