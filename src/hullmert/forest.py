@@ -108,9 +108,11 @@ class Hypergraph:
     indices under the tail count) are checked eagerly; acyclicity and
     reachability are checked by ``validate`` and cached.  ``n_nodes`` above
     the goal plus every edge's head and tails would leave a node on no edge.
+    ``_width`` is 1 + the largest feature id any edge uses, the length that
+    vectors need to cover the graph.
     """
 
-    __slots__ = ("n_nodes", "edges", "goal", "n_features", "in_edges", "_report")
+    __slots__ = ("n_nodes", "edges", "goal", "n_features", "in_edges", "_width", "_report")
 
     def __init__(self, n_nodes: int, edges: Sequence[Edge], goal: int, n_features: int):
         if n_nodes < 1:
@@ -123,6 +125,7 @@ class Hypergraph:
         if not 0 <= goal < n_nodes:
             raise ForestFormatError(f"goal node {goal} out of range 0..{n_nodes - 1}")
         in_edges: list[list[int]] = [[] for _ in range(n_nodes)]
+        width = 0
         for ei, e in enumerate(edges):
             if not 0 <= e.head < n_nodes:
                 raise ForestFormatError(f"edge {ei}: head {e.head} out of range")
@@ -132,6 +135,8 @@ class Hypergraph:
             for fid, _ in e.features:
                 if not 0 <= fid < n_features:
                     raise ForestFormatError(f"edge {ei}: feature id {fid} out of range")
+                if fid >= width:
+                    width = fid + 1
             slots = sorted(item for item in e.template if isinstance(item, int))
             if slots != list(range(len(e.tails))):
                 raise ForestFormatError(
@@ -144,6 +149,7 @@ class Hypergraph:
         object.__setattr__(self, "goal", goal)
         object.__setattr__(self, "n_features", n_features)
         object.__setattr__(self, "in_edges", tuple(tuple(lst) for lst in in_edges))
+        object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_report", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -261,15 +267,6 @@ def edge_dot(edge: Edge, vec: Sequence[float]) -> float:
     return float(total)
 
 
-def _check_dimensions(edge: Edge, w0: Sequence[float], v: Sequence[float]) -> None:
-    if len(w0) != len(v):
-        raise DimensionMismatchError(f"w0 has {len(w0)} features, direction has {len(v)}")
-    if edge.features and edge.features[-1][0] >= len(w0):
-        raise DimensionMismatchError(
-            f"edge uses feature id {edge.features[-1][0]} but vectors have {len(w0)}"
-        )
-
-
 def project_edge(
     edge: Edge, w0: np.ndarray, v: np.ndarray, edge_id: int | None = None
 ) -> ConvexHullValue:
@@ -279,7 +276,12 @@ def project_edge(
     and -y is its score at the starting weights.  A zero-feature edge
     projects to {(0, 0)}, the multiplicative identity value.
     """
-    _check_dimensions(edge, w0, v)
+    if len(w0) != len(v):
+        raise DimensionMismatchError(f"w0 has {len(w0)} features, direction has {len(v)}")
+    if edge.features and edge.features[-1][0] >= len(w0):
+        raise DimensionMismatchError(
+            f"edge uses feature id {edge.features[-1][0]} but vectors have {len(w0)}"
+        )
     prov = None if edge_id is None else (edge_id, ())
     return ConvexHullValue.singleton(edge_dot(edge, v), -edge_dot(edge, w0), prov)
 
@@ -289,29 +291,26 @@ def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullV
     return inside(graph, lambda ei, e: project_edge(e, w0, v, ei), ConvexHullValue)
 
 
-def _useful_nodes(graph: Hypergraph, w0: list[float], v: list[float]) -> Iterator[int]:
-    """The nodes on a leaf-to-goal path, in topological order.  The
-    stranded nodes between them, which ``validate`` reports unreachable,
-    are skipped; only their edges' feature ids are checked against the
-    vectors, in that order."""
-    edges = graph.edges
-    n = len(w0)
+def _useful_nodes(graph: Hypergraph, n: int) -> list[int]:
+    """The nodes on a leaf-to-goal path, in topological order; the stranded
+    ones, which ``validate`` reports unreachable, are left out.  A cycle
+    raises first, then ``DimensionMismatchError`` unless vectors of length
+    ``n`` cover every feature id of the graph, a stranded edge's too."""
+    order = graph.topo_order()
+    if graph._width > n:
+        raise DimensionMismatchError(
+            f"edge uses feature id {graph._width - 1} but vectors have {n}"
+        )
     stranded = set(graph.validate().unreachable)
-    for node in graph.topo_order():
-        if node not in stranded:
-            yield node
-            continue
-        for ei in graph.in_edges[node]:
-            feats = edges[ei].features
-            if feats and feats[-1][0] >= n:
-                _check_dimensions(edges[ei], w0, v)
+    return [node for node in order if node not in stranded]
 
 
 def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> list:
     """Every node's ``LowerChainValue`` by the recursion of
     ``oracle.lower_chain_values``, with edges projected on Python floats
     and summed left to right, every bit as ``project_edge`` sums them.
-    ``w0`` and ``v`` have the same length; the caller checks this.
+    ``w0`` and ``v`` have the same length; the caller checks this, and
+    ``_useful_nodes`` checks that they cover the graph's feature ids.
 
     Each group of consecutive in-edges that share one tail tuple of length
     at most one takes one path, the semiring's distributive law
@@ -320,8 +319,8 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     have no V).  Over a one-point chain (every chain at v = 0) each point is
     translated first, so the group is one hull of translates.  Those
     translates, and the ones of arcs that a group's hull drops, miss
-    ``_product``'s finiteness check, so they are checked here; errors and
-    their order are the oracle's.  The values
+    ``_product``'s finiteness check, so they are checked here; overflows
+    and their order are the oracle's.  The values
     are the oracle's bit for bit where its per-edge union does not depend
     on the order of its operands (v = 0, small integer coordinates, general
     position).  A group with a turn inside ``EPS_GEOM``'s band may keep
@@ -334,29 +333,23 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     path, are neither projected nor computed: each keeps the zero value.
     No useful node changes, since an edge into one whose tails are all
     derivable makes those tails useful, and any other edge meets a zero
-    tail either way.  So a stranded edge's overflow cannot fail a search,
-    while its feature ids are still checked against the vectors, in
-    topological order with every other edge's."""
+    tail either way.  So a stranded edge's overflow cannot fail a search."""
     edges = graph.edges
-    n = len(w0)
     zero = LowerChainValue.zero
     inf = math.inf
     values = [zero] * graph.n_nodes
-    for node in _useful_nodes(graph, w0, v):
+    for node in _useful_nodes(graph, len(w0)):
         ins = graph.in_edges[node]
         total = zero
         last = len(ins) - 1
         run = []
         for pos, ei in enumerate(ins):
             e = edges[ei]
-            feats = e.features
-            if feats and feats[-1][0] >= n:
-                _check_dimensions(e, w0, v)
             # x starts at +0.0 and only accumulates, so it is never -0.0;
             # y gets +0.0 after negation, as Point2 canonicalizes.  Sums of
             # canonical coordinates stay canonical: products need no pass.
             x = y = 0.0
-            for i, val in feats:
+            for i, val in e.features:
                 x += v[i] * val
                 y += w0[i] * val
             y = -y + 0.0
@@ -418,20 +411,16 @@ def _best_values(graph: Hypergraph, w: list[float]) -> tuple[list, list]:
     as the kernel's run sort and left-wins union decide.  Every y and every
     error is the kernel's: an edge's y is projected as there, its tail
     values are added in tail order with a finiteness check after each
-    addition, and a tail that derives nothing drops the edge.  Stranded
-    nodes are skipped, their edges' feature ids still checked."""
+    addition, and a tail that derives nothing drops the edge."""
     edges = graph.edges
-    n = len(w)
     inf = math.inf
     ys: list = [None] * graph.n_nodes
     backs: list = [[]] * graph.n_nodes
-    for node in _useful_nodes(graph, w, w):
+    for node in _useful_nodes(graph, len(w)):
         best = None
         for ei in graph.in_edges[node]:
             e = edges[ei]
             feats = e.features
-            if feats and feats[-1][0] >= n:
-                _check_dimensions(e, w, w)
             y = 0.0
             for i, val in feats:
                 y += w[i] * val

@@ -5,9 +5,8 @@ import math
 import numpy as np
 
 from hullmert import Edge, Hypergraph
-from hullmert.errors import InvalidGeometryError
+from hullmert.errors import DimensionMismatchError, InvalidGeometryError
 from hullmert.forest import (
-    _check_dimensions,
     _derivations,
     _inside_values,
     _lower_chain_values,
@@ -31,6 +30,19 @@ def make_line_graph(lines: list[tuple[float, float]]) -> Hypergraph:
 
 LINE_W0 = np.array([0.0, 1.0])
 LINE_V = np.array([1.0, 0.0])
+
+
+def three_node_run(into_1: list, into_2: list, n_features: int) -> Hypergraph:
+    """A leaf at node 0, one arc per ``into_1`` entry from node 0 to node 1
+    and one per ``into_2`` entry from node 1 to the goal, node 2."""
+    return Hypergraph(
+        3,
+        [Edge.make(0, (), {}, ("s",))]
+        + [Edge.make(1, (0,), f, (0, f"a{i}")) for i, f in enumerate(into_1)]
+        + [Edge.make(2, (1,), f, (0, f"w{i}")) for i, f in enumerate(into_2)],
+        goal=2,
+        n_features=n_features,
+    )
 
 
 # A single crossing c, with the etas placed in the unbounded intervals
@@ -58,19 +70,24 @@ def oracle_bits(graph: Hypergraph, w0, v) -> list:
     """Each node's ``chain_bits`` as ``forest._lower_chain_values`` must
     give them, or the error it must raise.
 
-    A node that ``validate`` reports unreachable holds
-    ``LowerChainValue.zero``: the kernel checks its in-edges' feature ids
-    against the vectors but neither projects nor computes them.  Every other
-    node holds ``oracle.lower_chain_values``' value.  An overflow that only
-    a stranded node meets fails the full oracle and not the kernel, so the
-    oracle's recursion runs with stranded in-edges valued zero, and the
-    full oracle must agree on every useful node whenever it succeeds."""
+    A cycle raises first.  Then vectors that do not cover every feature id
+    of the graph, a stranded edge's too, raise ``DimensionMismatchError``
+    before any edge is projected.  A node that ``validate`` reports
+    unreachable holds ``LowerChainValue.zero``: the kernel neither projects
+    nor computes it.  Every other node holds ``oracle.lower_chain_values``'
+    value.  An overflow that only a stranded node meets fails the full
+    oracle and not the kernel, so the oracle's recursion runs with stranded
+    in-edges valued zero, and the full oracle must agree on every useful
+    node whenever it succeeds."""
     w0, v = np.asarray(w0, dtype=float), np.asarray(v, dtype=float)
+    graph.topo_order()
+    top = max((fid for edge in graph.edges for fid, _ in edge.features), default=-1)
+    if top >= len(w0):
+        raise DimensionMismatchError(f"edge uses feature id {top} but vectors have {len(w0)}")
     stranded = set(graph.validate().unreachable)
 
     def edge_value(ei: int, edge: Edge) -> LowerChainValue:
         if edge.head in stranded:
-            _check_dimensions(edge, w0, v)
             return LowerChainValue.zero
         (p,) = project_edge(edge, w0, v).points
         return LowerChainValue.singleton(p.x, p.y, (ei,))

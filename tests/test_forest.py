@@ -44,7 +44,7 @@ from hullmert.oracle import Tropical, dual_points, lower_chain_values, probe_eta
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LowerChainValue
 
-from helpers import chain_bits, eager_envelope, oracle_bits, reference_yields
+from helpers import chain_bits, eager_envelope, oracle_bits, reference_yields, three_node_run
 
 
 def binary_forest() -> Hypergraph:
@@ -888,31 +888,21 @@ class TestEnvelopePoints:
             build_envelope(g, np.ones(1), np.zeros(1))
 
     @pytest.mark.parametrize(
-        "n_features, into_1, into_2",
+        "into_1, into_2",
         [
-            (2, [{0: 1.0}], [{}, {0: 1.0, 1: 1.0}, {1: 2.0}]),
-            (3, [{0: 1.0}], [{}, {0: 1.0, 1: 1.0}, {2: 1.0}]),
-            (2, [{0: 1.0}, {1: 1.0}], [{0: 1.0}]),
+            ([{0: 1.0}], [{}, {0: 1.0, 1: 1.0}, {1: 2.0}]),
+            ([{0: 1.0}, {1: 1.0}], [{0: 1.0}]),
         ],
-        ids=["dominated-arc", "before-a-bad-feature-id", "lone-arc-over-two-points"],
+        ids=["dominated-arc", "lone-arc-over-two-points"],
     )
-    def test_run_raises_as_the_oracle_raises(self, n_features, into_1, into_2) -> None:
+    def test_run_raises_as_the_oracle_raises(self, into_1, into_2) -> None:
         # With one 0 -> 1 arc, node 1's chain is {(0, 1e308)}.  The 1 -> 2
         # arcs project to (0, 0), (1, 1e308) and (2, 0); the middle one lies
         # above the chord, off the run's hull, yet its translate (1, 2e308)
-        # overflows.  With n_features=3 the last arc uses feature id 2,
-        # beyond the vectors: the earlier arc's overflow must raise first.
-        # With two 0 -> 1 arcs, node 1's chain is {(0, 1e308), (1, 0)}, and
-        # the lone 1 -> 2 arc at (0, 1e308) translates its first point to
-        # (0, 2e308).
-        g = Hypergraph(
-            3,
-            [Edge.make(0, (), {}, ("s",))]
-            + [Edge.make(1, (0,), f, (0, f"a{i}")) for i, f in enumerate(into_1)]
-            + [Edge.make(2, (1,), f, (0, f"w{i}")) for i, f in enumerate(into_2)],
-            goal=2,
-            n_features=n_features,
-        )
+        # overflows.  With two 0 -> 1 arcs, node 1's chain is
+        # {(0, 1e308), (1, 0)}, and the lone 1 -> 2 arc at (0, 1e308)
+        # translates its first point to (0, 2e308).
+        g = three_node_run(into_1, into_2, n_features=2)
         w0, v = np.array([-1e308, 0.0]), np.array([0.0, 1.0])
         with pytest.raises(InvalidGeometryError) as want:
             lower_chain_values(g, w0, v)
@@ -921,6 +911,39 @@ class TestEnvelopePoints:
         assert str(got.value) == str(want.value)
         with pytest.raises(InvalidGeometryError, match=re.escape(str(want.value))):
             build_envelope(g, w0, v)
+
+    def test_feature_id_beyond_the_vectors_raises_before_any_projection(self) -> None:
+        # The dominated-arc graph with its last arc on feature id 2.  The
+        # per-edge oracle meets the middle arc's overflow first; the search
+        # and the decode check the graph's width once, before any edge.
+        g = three_node_run([{0: 1.0}], [{}, {0: 1.0, 1: 1.0}, {2: 1.0}], n_features=3)
+        w0, v = np.array([-1e308, 0.0]), np.array([0.0, 1.0])
+        with pytest.raises(InvalidGeometryError):
+            lower_chain_values(g, w0, v)
+        corpus, metric = [(g, ("s", "a0", "w0"))], get_metric("exact")
+        message = "feature id 2 but vectors have 2"
+        with pytest.raises(DimensionMismatchError, match=message):
+            build_envelope(g, w0, v)
+        with pytest.raises(DimensionMismatchError, match=message):
+            line_search(corpus, w0, v, metric)
+        with pytest.raises(DimensionMismatchError, match=message):
+            forest._best_values(g, w0.tolist())
+        with pytest.raises(DimensionMismatchError, match=message):
+            decode_loss(corpus, w0, metric)
+
+    def test_cycle_raises_before_a_feature_id_beyond_the_vectors(self) -> None:
+        edges = [Edge.make(0, (1,), {2: 1.0}, (0,)), Edge.make(1, (0,), {}, (0,))]
+        g = Hypergraph(2, edges, goal=1, n_features=3)
+        w0, v = np.ones(2), np.ones(2)
+        corpus, metric = [(g, ("a",))], get_metric("exact")
+        with pytest.raises(CyclicForestError):
+            build_envelope(g, w0, v)
+        with pytest.raises(CyclicForestError):
+            line_search(corpus, w0, v, metric)
+        with pytest.raises(CyclicForestError):
+            forest._best_values(g, w0.tolist())
+        with pytest.raises(CyclicForestError):
+            decode_loss(corpus, w0, metric)
 
     @pytest.mark.parametrize(
         "w0, v, arcs",
@@ -1052,9 +1075,9 @@ def stranded_multi_tail_forest() -> Hypergraph:
 
 class TestStrandedNodes:
     """The inside pass computes only the nodes that ``validate`` finds on a
-    leaf-to-goal path: a stranded node keeps the zero value, its edges are
-    not projected, and only their feature ids are checked against the
-    vectors."""
+    leaf-to-goal path: a stranded node keeps the zero value and its edges
+    are not projected, though the vectors must still cover their feature
+    ids."""
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_at_a_stranded_leaf_does_not_fail_the_search(self) -> None:

@@ -54,7 +54,7 @@ from hullmert.oracle import (
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LowerChainValue
 
-from helpers import LINE_V, LINE_W0, UNBOUNDED_ETAS, make_line_graph
+from helpers import LINE_V, LINE_W0, UNBOUNDED_ETAS, make_line_graph, three_node_run
 
 INF = float("inf")
 ONE_NAN = float("nan")
@@ -1446,6 +1446,48 @@ class TestExactSignDecisions:
         w0, v = np.array([0.0, 0.0, 1.7e308]), np.array([0.0, 1.0, 0.0])
         result = line_search(corpus, w0, v, ExactMatch())
         assert result.loss == decode_loss(corpus, result.weights, ExactMatch())
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: cross products near 1e307 overflow in the union, and the "
+        "boundaries decrease",
+    )
+    def test_overflowing_union_keeps_the_boundaries_in_order(self) -> None:
+        # The chain's crossings come out as (-0.1726, -0.4471), so the
+        # middle derivation owns no interval.
+        into_1 = [{}, {0: -1.7377742421218663, 1: 1.4162379937648573}]
+        into_2 = [{0: 0.21591443740985394, 2: 0.4908921168698788}, {0: 0.43017750128204546}]
+        graph = three_node_run(into_1, into_2, n_features=3)
+        w0 = np.array([-1.333962947220392e307, 1.6925112750416922e306, -3.219420903826353e306])
+        v = np.array([-5.384589522872527e307, 3.8579958430087605e307, -1.7680086986756901e307])
+        boundaries = build_envelope(graph, w0, v).boundaries
+        assert all(lo <= hi for lo, hi in zip(boundaries, boundaries[1:]))
+
+
+class TestEqualExactSlopes:
+    """Two derivations whose exact slopes are equal never cross, however
+    their float sums round."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 13: slopes that are equal exactly are summed one ulp apart, "
+        "so the envelope crosses where the exact one does not",
+    )
+    @pytest.mark.parametrize(
+        "w0, ref",
+        [([-2.0, -2.0, -2.0], "b"), ([1.0, 0.0, 0.0], "a")],
+        ids=["far-right", "far-left"],
+    )
+    def test_no_crossing_from_rounding_alone(self, w0, ref) -> None:
+        # Both exact slopes are 12 times the float 3e-6; the kernel sums
+        # them to 1.2e-05 and 1.2000000000000002e-05.  At w0 the other leaf
+        # scores higher everywhere, so the exact minimum is 1.0; the search
+        # reports 0.0 beyond a crossing at eta 1.65e22 or -4.13e21.
+        leaves = [{0: -4.0, 1: -4.0, 2: -4.0}, {0: 3.0, 1: -4.0, 2: 3.0}]
+        edges = [Edge.make(0, (), f, (word,)) for f, word in zip(leaves, "ab")]
+        corpus = [(Hypergraph(1, edges, goal=0, n_features=3), (ref,))]
+        v = np.array([3e-6, -3e-6, -3e-6])
+        assert line_search(corpus, np.array(w0), v, ExactMatch()).loss == 1.0
 
 
 @st.composite
