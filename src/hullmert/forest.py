@@ -17,7 +17,9 @@ zero direction every dual point has x = 0 and each node's lower chain is
 one point, its lowest y: the fixed-weight decode runs ``_best_values``,
 which keeps that point per node with no lower-chain operation, the first
 in-edge with the lowest y winning a tie, and stays equal to the kernel at
-v = 0 node for node.  Every
+v = 0 node for node.  Both passes and ``enumerate_derivations`` run over
+the plan that ``validate`` builds once per graph (``Hypergraph``): an edge
+is projected only if it lies on some leaf-to-goal derivation.  Every
 ``Derivation`` is a root item (node, point index) over per-node
 back-pointer lists: the kernel's, the table that
 ``enumerate_derivations`` fills, or those one walk (``_index``) enters for a
@@ -106,13 +108,20 @@ class Hypergraph:
 
     Structural bounds (index ranges, feature ids under ``n_features``, slot
     indices under the tail count) are checked eagerly; acyclicity and
-    reachability are checked by ``validate`` and cached.  ``n_nodes`` above
+    reachability are checked by ``validate`` and cached with the graph's
+    plan, ``_plan``: each useful node (on a leaf-to-goal path) in
+    topological order, with its in-edges whose tails all derive something,
+    exactly the edges on some leaf-to-goal derivation.  Any other edge has
+    a head no derivation uses or a tail whose zero value annihilates it, so
+    a pass over the plan alone changes no value on it.  ``n_nodes`` above
     the goal plus every edge's head and tails would leave a node on no edge.
     ``_width`` is 1 + the largest feature id any edge uses, the length that
     vectors need to cover the graph.
     """
 
-    __slots__ = ("n_nodes", "edges", "goal", "n_features", "in_edges", "_width", "_report")
+    __slots__ = (
+        "n_nodes", "edges", "goal", "n_features", "in_edges", "_width", "_report", "_plan"
+    )
 
     def __init__(self, n_nodes: int, edges: Sequence[Edge], goal: int, n_features: int):
         if n_nodes < 1:
@@ -151,6 +160,7 @@ class Hypergraph:
         object.__setattr__(self, "in_edges", tuple(tuple(lst) for lst in in_edges))
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Hypergraph is immutable")
@@ -160,7 +170,8 @@ class Hypergraph:
         return len(self.edges)
 
     def validate(self) -> ValidationReport:
-        """Topological order, goal derivability, and reachability flags."""
+        """Topological order, goal derivability, and reachability flags,
+        cached with the plan."""
         if self._report is not None:
             return self._report
         # Kahn's algorithm on tail -> head arcs; ready nodes in index order.
@@ -197,26 +208,28 @@ class Hypergraph:
         goal_ok = derivable[self.goal]
         if not goal_ok:
             warnings.append(f"goal node {self.goal} derives nothing (empty language)")
-        # Useful nodes, reached from the goal through fully derivable edges,
-        # are derivable; every other node is stranded.
+        # From the goal down, a useful node makes the tails of its in-edges
+        # whose tails all derive something useful; those edges are its plan,
+        # which shares the in-edge tuple when it keeps every in-edge.
         useful = [False] * self.n_nodes
         useful[self.goal] = goal_ok
-        stack = [self.goal] if goal_ok else []
-        while stack:
-            v = stack.pop()
-            for ei in self.in_edges[v]:
-                e = self.edges[ei]
-                if all(derivable[t] for t in e.tails):
-                    for t in e.tails:
-                        if not useful[t]:
-                            useful[t] = True
-                            stack.append(t)
+        plan = []
+        for v in reversed(order):
+            if useful[v]:
+                ins = self.in_edges[v]
+                kept = [ei for ei in ins if all(derivable[t] for t in self.edges[ei].tails)]
+                for ei in kept:
+                    for t in self.edges[ei].tails:
+                        useful[t] = True
+                plan.append((v, ins if len(kept) == len(ins) else kept))
+        plan.reverse()
         stranded = tuple(v for v in range(self.n_nodes) if not useful[v])
         if stranded and goal_ok:
             warnings.append(f"nodes not on any leaf-to-goal path: {list(stranded)}")
         report = ValidationReport(
             True, tuple(order), (), tuple(warnings), None, goal_ok, stranded
         )
+        object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_report", report)
         return report
 
@@ -291,18 +304,17 @@ def inside_hull(graph: Hypergraph, w0: np.ndarray, v: np.ndarray) -> ConvexHullV
     return inside(graph, lambda ei, e: project_edge(e, w0, v, ei), ConvexHullValue)
 
 
-def _useful_nodes(graph: Hypergraph, n: int) -> list[int]:
-    """The nodes on a leaf-to-goal path, in topological order; the stranded
-    ones, which ``validate`` reports unreachable, are left out.  A cycle
-    raises first, then ``DimensionMismatchError`` unless vectors of length
-    ``n`` cover every feature id of the graph, a stranded edge's too."""
-    order = graph.topo_order()
+def _useful_nodes(graph: Hypergraph, n: int) -> list[tuple[int, list[int]]]:
+    """The graph's plan, ``(node, in-edge ids)`` per useful node in
+    topological order.  A cycle raises first, then ``DimensionMismatchError``
+    unless vectors of length ``n`` cover every feature id of the graph, an
+    edge's off the plan too."""
+    graph.topo_order()
     if graph._width > n:
         raise DimensionMismatchError(
             f"edge uses feature id {graph._width - 1} but vectors have {n}"
         )
-    stranded = set(graph.validate().unreachable)
-    return [node for node in order if node not in stranded]
+    return graph._plan
 
 
 def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> list:
@@ -312,11 +324,11 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     ``w0`` and ``v`` have the same length; the caller checks this, and
     ``_useful_nodes`` checks that they cover the graph's feature ids.
 
-    Each group of consecutive in-edges that share one tail tuple of length
-    at most one takes one path, the semiring's distributive law
-    sum_e ({p_e} * V) = (sum_e {p_e}) * V: the hull of its arcs' points (a
-    lone arc is one point) is multiplied once by the tail chain V (leaves
-    have no V).  Over a one-point chain (every chain at v = 0) each point is
+    Each group of consecutive in-edges on the plan that share one tail
+    tuple of length at most one takes one path, the semiring's
+    distributive law sum_e ({p_e} * V) = (sum_e {p_e}) * V: the hull of
+    its arcs' points (a lone arc is one point) is multiplied once by the
+    tail chain V (leaves have no V).  Over a one-point chain (every chain at v = 0) each point is
     translated first, so the group is one hull of translates.  Those
     translates, and the ones of arcs that a group's hull drops, miss
     ``_product``'s finiteness check, so they are checked here; overflows
@@ -329,17 +341,13 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
     two or more tails takes ``_edge_product`` for its first two tails and
     ``__mul__`` for the rest.
 
-    The nodes that ``validate`` reports unreachable, on no leaf-to-goal
-    path, are neither projected nor computed: each keeps the zero value.
-    No useful node changes, since an edge into one whose tails are all
-    derivable makes those tails useful, and any other edge meets a zero
-    tail either way.  So a stranded edge's overflow cannot fail a search."""
+    Only the graph's plan is computed (see ``Hypergraph``): every tail
+    chain it reads is non-empty, and a node off it keeps the zero value."""
     edges = graph.edges
     zero = LowerChainValue.zero
     inf = math.inf
     values = [zero] * graph.n_nodes
-    for node in _useful_nodes(graph, len(w0)):
-        ins = graph.in_edges[node]
+    for node, ins in _useful_nodes(graph, len(w0)):
         total = zero
         last = len(ins) - 1
         run = []
@@ -357,10 +365,7 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
                 raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
             tails = e.tails
             if len(tails) > 1:
-                first = values[tails[0]]
-                if not first.xs:
-                    continue
-                k = _edge_product(x, y, ei, first, values[tails[1]])
+                k = _edge_product(x, y, ei, values[tails[0]], values[tails[1]])
                 for t in tails[2:]:
                     k = k * values[t]
                 total = total + k
@@ -370,8 +375,6 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
             if tails:
                 first = values[tails[0]]
                 xs, ys = first.xs, first.ys
-                if not xs:
-                    continue
                 # Rounded addition is monotone: a translate is finite
                 # exactly when its four extreme sums are.
                 if (run or more or len(xs) == 1) and not (
@@ -402,23 +405,23 @@ def _lower_chain_values(graph: Hypergraph, w0: list[float], v: list[float]) -> l
 
 def _best_values(graph: Hypergraph, w: list[float]) -> tuple[list, list]:
     """``_lower_chain_values(graph, w, [0.0] * len(w))`` with one point per
-    node: each node's lowest y, or None where it derives nothing, and its
+    node: each node's lowest y, or None off the graph's plan, and its
     back-pointer list, ``[(edge_id, 0, ..., 0)]`` or empty, as
     ``_yields`` reads them.
 
     At a zero direction every dual point has x = 0, so each lower chain is
     its lowest point, and the first in-edge with the lowest y wins a tie,
     as the kernel's run sort and left-wins union decide.  Every y and every
-    error is the kernel's: an edge's y is projected as there, its tail
+    error is the kernel's: an edge's y is projected as there, and its tail
     values are added in tail order with a finiteness check after each
-    addition, and a tail that derives nothing drops the edge."""
+    addition."""
     edges = graph.edges
     inf = math.inf
     ys: list = [None] * graph.n_nodes
     backs: list = [[]] * graph.n_nodes
-    for node in _useful_nodes(graph, len(w)):
-        best = None
-        for ei in graph.in_edges[node]:
+    for node, ins in _useful_nodes(graph, len(w)):
+        best = inf
+        for ei in ins:
             e = edges[ei]
             feats = e.features
             y = 0.0
@@ -433,18 +436,13 @@ def _best_values(graph: Hypergraph, w: list[float]) -> tuple[list, list]:
                     x += 0.0 * val
                 raise InvalidGeometryError(f"non-finite point ({x!r}, {y!r})")
             for t in e.tails:
-                ty = ys[t]
-                if ty is None:
-                    break
-                y += ty
+                y += ys[t]
                 if not -inf < y < inf:
                     raise InvalidGeometryError("non-finite point in a product of lower chains")
-            else:
-                if best is None or y < best:
-                    best, arg = y, ei
-        if best is not None:
-            ys[node] = best
-            backs[node] = [(arg,) + (0,) * len(edges[arg].tails)]
+            if y < best:
+                best, arg = y, ei
+        ys[node] = best
+        backs[node] = [(arg,) + (0,) * len(edges[arg].tails)]
     return ys, backs
 
 
@@ -648,21 +646,17 @@ def enumerate_derivations(
     graph: Hypergraph, cap: int = DEFAULT_DERIVATION_CAP
 ) -> list[Derivation]:
     """All derivations of the goal, in deterministic (edge, tail-combination)
-    order, entered in one back-pointer table that the results share; the
-    nodes that ``validate`` reports unreachable get no entries.
+    order, entered in one back-pointer table that the results share; only
+    the graph's plan gets entries, and every entry is on a derivation.
     Raises EnumerationOverflowError when the count exceeds ``cap``."""
     n = count_derivations(graph)
     if n > cap:
         raise EnumerationOverflowError(f"{n} derivations exceed the cap of {cap}")
-    report = graph.validate()
-    skip = set(report.unreachable)
     edges = graph.edges
     backs: list[list] = [[] for _ in range(graph.n_nodes)]
-    for node in report.topo_order:
-        if node in skip:
-            continue
+    for node, ins in graph._plan:
         table = backs[node]
-        for ei in graph.in_edges[node]:
+        for ei in ins:
             for tails in iter_product(*(range(len(backs[t])) for t in edges[ei].tails)):
                 table.append((ei, *tails))
     roots = [(graph.goal, j) for j in range(len(backs[graph.goal]))]

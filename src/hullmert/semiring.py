@@ -232,24 +232,20 @@ def _product(xs: list[float], ys: list[float], back: list) -> "LowerChainValue":
 def _edge_product(
     x: float, y: float, ei: int, a: "LowerChainValue", b: "LowerChainValue"
 ) -> "LowerChainValue":
-    """({(x, y)} * a) * b for edge ``ei``'s point and a non-empty ``a``,
-    with back-pointers ``(ei, i, j)``, by one open Minkowski merge that
-    reads a's points translated by (x, y) and builds no translate.
+    """({(x, y)} * a) * b for edge ``ei``'s point and non-empty ``a`` and
+    ``b``, with back-pointers ``(ei, i, j)``, by one open Minkowski merge
+    that reads a's points translated by (x, y) and builds no translate.
 
     Each translated coordinate is formed as ``x + xa[i]`` and differenced
     as such, so every band decision and every sum is that of the
     translate-then-multiply ``LowerChainValue([x], [y], [(ei,)]) * a * b``,
-    and so is the result.  Two inputs take that path itself: a translate in
-    which rounding makes two adjacent x values equal (``_product`` re-hulls
-    it before the merge), and an empty ``b`` (the translate's own
-    finiteness check raises first).  Otherwise every point of ``a`` appears
-    in the merge and b's coordinates are finite, so a translate that is not
-    finite yields a product that is not, and ``_product`` refuses it with
-    the same message."""
-    xb = b.xs
-    if not xb:
-        return LowerChainValue([x], [y], [(ei,)]) * a * b
-    xa, ya, yb = a.xs, a.ys, b.ys
+    and so is the result.  A translate in which rounding makes two adjacent
+    x values equal takes that path itself (``_product`` re-hulls it before
+    the merge).  Otherwise every point of ``a`` appears in the merge and
+    b's coordinates are finite, so a translate that is not finite yields a
+    product that is not, and ``_product`` refuses it with the same
+    message."""
+    xa, ya, xb, yb = a.xs, a.ys, b.xs, b.ys
     px, py, qx, qy = x + xa[0], y + ya[0], xb[0], yb[0]
     xs = [px + qx]
     ys = [py + qy]

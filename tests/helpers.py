@@ -66,28 +66,60 @@ def chain_bits(value: LowerChainValue) -> tuple:
     return [x.hex() for x in value.xs], [y.hex() for y in value.ys], value.back
 
 
+def on_derivations(graph: Hypergraph) -> tuple[set[int], set[int]]:
+    """The useful nodes and the edges that lie on some leaf-to-goal
+    derivation of an acyclic graph, by brute force.
+
+    A node derives something once one of its in-edges has only such tails;
+    the scan repeats until nothing changes.  A depth-first search from a
+    goal that derives something then follows every edge whose tails all
+    derive something: the nodes it reaches are the useful ones, and the
+    edges it follows lie on a derivation."""
+    derivable: set[int] = set()
+    grown = True
+    while grown:
+        grown = False
+        for edge in graph.edges:
+            if edge.head not in derivable and derivable.issuperset(edge.tails):
+                derivable.add(edge.head)
+                grown = True
+    useful: set[int] = set()
+    used: set[int] = set()
+    stack = [graph.goal] if graph.goal in derivable else []
+    while stack:
+        node = stack.pop()
+        if node in useful:
+            continue
+        useful.add(node)
+        for ei in graph.in_edges[node]:
+            if derivable.issuperset(graph.edges[ei].tails):
+                used.add(ei)
+                stack.extend(graph.edges[ei].tails)
+    return useful, used
+
+
 def oracle_bits(graph: Hypergraph, w0, v) -> list:
     """Each node's ``chain_bits`` as ``forest._lower_chain_values`` must
     give them, or the error it must raise.
 
     A cycle raises first.  Then vectors that do not cover every feature id
-    of the graph, a stranded edge's too, raise ``DimensionMismatchError``
-    before any edge is projected.  A node that ``validate`` reports
-    unreachable holds ``LowerChainValue.zero``: the kernel neither projects
-    nor computes it.  Every other node holds ``oracle.lower_chain_values``'
-    value.  An overflow that only a stranded node meets fails the full
-    oracle and not the kernel, so the oracle's recursion runs with stranded
-    in-edges valued zero, and the full oracle must agree on every useful
-    node whenever it succeeds."""
+    of the graph, an edge's on no derivation too, raise
+    ``DimensionMismatchError`` before any edge is projected.  The kernel
+    projects only the edges on some leaf-to-goal derivation
+    (``on_derivations``), so the oracle's recursion runs with every other
+    edge valued zero: a node on no such derivation holds
+    ``LowerChainValue.zero``, and an overflow that only such an edge meets
+    fails the full oracle and not the kernel.  The full oracle must agree
+    on every useful node whenever it succeeds."""
     w0, v = np.asarray(w0, dtype=float), np.asarray(v, dtype=float)
     graph.topo_order()
     top = max((fid for edge in graph.edges for fid, _ in edge.features), default=-1)
     if top >= len(w0):
         raise DimensionMismatchError(f"edge uses feature id {top} but vectors have {len(w0)}")
-    stranded = set(graph.validate().unreachable)
+    useful, used = on_derivations(graph)
 
     def edge_value(ei: int, edge: Edge) -> LowerChainValue:
-        if edge.head in stranded:
+        if ei not in used:
             return LowerChainValue.zero
         (p,) = project_edge(edge, w0, v).points
         return LowerChainValue.singleton(p.x, p.y, (ei,))
@@ -97,9 +129,8 @@ def oracle_bits(graph: Hypergraph, w0, v) -> list:
         full = lower_chain_values(graph, w0, v)
     except InvalidGeometryError:
         return want
-    for node, value in enumerate(full):
-        if node not in stranded:
-            assert chain_bits(value) == want[node], f"node {node}"
+    for node in useful:
+        assert chain_bits(full[node]) == want[node], f"node {node}"
     return want
 
 

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hullmert import forest, linesearch
@@ -44,7 +44,14 @@ from hullmert.oracle import Tropical, dual_points, lower_chain_values, probe_eta
 from hullmert.sampling import random_corpus, random_derivation, random_forest, random_lattice
 from hullmert.semiring import ConvexHullValue, LowerChainValue
 
-from helpers import chain_bits, eager_envelope, oracle_bits, reference_yields, three_node_run
+from helpers import (
+    chain_bits,
+    eager_envelope,
+    on_derivations,
+    oracle_bits,
+    reference_yields,
+    three_node_run,
+)
 
 
 def binary_forest() -> Hypergraph:
@@ -116,6 +123,25 @@ class TestConstruction:
             g.goal = 0
 
 
+@st.composite
+def plan_graphs(draw):
+    """A small acyclic graph whose nodes have zero to three in-edges over
+    lower-numbered nodes, so that some derive nothing, with at most 2000
+    derivations."""
+    n_nodes = draw(st.integers(1, 7))
+    edges = []
+    for node in range(n_nodes):
+        for _ in range(draw(st.integers(0, 3))):
+            arity = 0 if node == 0 else draw(st.integers(0, 3))
+            tails = tuple(draw(st.integers(0, node - 1)) for _ in range(arity))
+            edges.append(Edge.make(node, tails, {}, tuple(range(arity))))
+    touched = 1 + sum(1 + len(e.tails) for e in edges)
+    assume(n_nodes <= touched)
+    graph = Hypergraph(n_nodes, edges, n_nodes - 1, 0)
+    assume(count_derivations(graph) <= 2000)
+    return graph
+
+
 class TestValidate:
     def test_single_nullary_edge(self) -> None:
         g = Hypergraph(1, [Edge.make(0, (), {}, ("w",))], goal=0, n_features=0)
@@ -165,6 +191,18 @@ class TestValidate:
     def test_report_is_cached(self) -> None:
         g = Hypergraph(1, [Edge.make(0, (), {}, ())], goal=0, n_features=0)
         assert g.validate() is g.validate()
+
+    @given(graph=plan_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_plan_holds_the_edges_on_some_derivation(self, graph) -> None:
+        report = graph.validate()
+        useful, _ = on_derivations(graph)
+        assert report.unreachable == tuple(v for v in range(graph.n_nodes) if v not in useful)
+        used = {ei for d in enumerate_derivations(graph) for ei in d.edge_ids()}
+        plan = graph._plan
+        assert [node for node, _ in plan] == [v for v in report.topo_order if v in useful]
+        for node, ins in plan:
+            assert list(ins) == [ei for ei in graph.in_edges[node] if ei in used]
 
 
 class TestInside:
@@ -1074,10 +1112,9 @@ def stranded_multi_tail_forest() -> Hypergraph:
 
 
 class TestStrandedNodes:
-    """The inside pass computes only the nodes that ``validate`` finds on a
-    leaf-to-goal path: a stranded node keeps the zero value and its edges
-    are not projected, though the vectors must still cover their feature
-    ids."""
+    """The inside pass computes only the graph's plan: a stranded node
+    keeps the zero value, and an edge on no leaf-to-goal derivation is not
+    projected, though the vectors must still cover its feature ids."""
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_at_a_stranded_leaf_does_not_fail_the_search(self) -> None:
@@ -1154,6 +1191,71 @@ class TestStrandedNodes:
         assert {ei for ei in multi_tail if g.edges[ei].head not in stranded} <= seen
         assert [chain_bits(x) for x in got] == oracle_bits(g, w0, v)
 
+    @pytest.mark.parametrize(
+        "edges, w0, v",
+        [
+            # The last edge's own point is (inf, -inf).
+            (
+                [
+                    Edge.make(0, (), {0: 1.0}, ("a",)),
+                    Edge.make(2, (0,), {1: 2.0}, (0,)),
+                    Edge.make(2, (1,), {0: 1.7e308, 1: 1.7e308}, (0,)),
+                ],
+                [1.0, 1.0],
+                [1.0, 1.0],
+            ),
+            # The last edge's y, 1.5e308, plus node 0's overflows before
+            # node 1 is read.
+            (
+                [
+                    Edge.make(0, (), {0: 1.0}, ("a",)),
+                    Edge.make(2, (0,), {}, (0,)),
+                    Edge.make(2, (0, 1), {0: 1.0}, (0, 1)),
+                ],
+                [-1.5e308, 0.0],
+                [1.0, 0.0],
+            ),
+            # The last edge translates node 0's chain, (0, 0) and
+            # (1e308, -1), by x = 1e308 before it meets node 1.
+            (
+                [
+                    Edge.make(0, (), {}, ("a",)),
+                    Edge.make(0, (), {0: 1e308, 1: 1.0}, ("b",)),
+                    Edge.make(2, (0,), {}, (0,)),
+                    Edge.make(2, (0, 1), {0: 1e308}, (0, 1)),
+                ],
+                [0.0, 1.0],
+                [1.0, 0.0],
+            ),
+        ],
+        ids=["projection", "partial-sum", "translate"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_on_an_edge_with_an_underivable_tail_does_not_fail(
+        self, edges, w0, v
+    ) -> None:
+        # Node 1 has no in-edge, so the goal's last in-edge is on no
+        # derivation: every pass must be that of the graph without it.
+        g = Hypergraph(3, edges, goal=2, n_features=2)
+        without = Hypergraph(3, edges[:-1], goal=2, n_features=2)
+        assert g.validate().unreachable == (1,)
+        w0, v = np.array(w0), np.array(v)
+        got = forest._lower_chain_values(g, w0.tolist(), v.tolist())
+        want = forest._lower_chain_values(without, w0.tolist(), v.tolist())
+        assert [chain_bits(x) for x in got] == [chain_bits(x) for x in want]
+        assert best_bits(g, w0.tolist()) == best_bits(without, w0.tolist())
+        assert envelope_bits(build_envelope(g, w0, v)) == envelope_bits(
+            build_envelope(without, w0, v)
+        )
+        metric = get_metric("exact")
+        ref = ("a",)
+        got = line_search([(g, ref)], w0, v, metric)
+        want = line_search([(without, ref)], w0, v, metric)
+        for field in ("boundaries", "interval_losses", "best_interval", "eta", "loss"):
+            assert getattr(got, field) == getattr(want, field)
+        assert got.weights.tolist() == want.weights.tolist()
+        assert decode_loss([(g, ref)], w0, metric) == decode_loss([(without, ref)], w0, metric)
+
 
 @st.composite
 def decode_problems(draw):
@@ -1177,23 +1279,6 @@ class TestBestValues:
     def test_every_node_is_the_kernel_one_at_a_zero_direction(self, problem) -> None:
         graph, w = problem
         assert outcome(best_bits, graph, w) == outcome(kernel_best_bits, graph, w)
-
-    def test_first_partial_sum_overflowing_raises_though_the_next_tail_is_empty(self) -> None:
-        # Edge 1 adds node 0's y, 1.5e308, to its own; node 1 derives
-        # nothing, yet the partial sum's overflow raises, as in the kernel.
-        edges = [
-            Edge.make(0, (), {0: 1.0}, ("a",)),
-            Edge.make(2, (0, 1), {0: 1.0}, (0, 1)),
-            Edge.make(2, (0,), {}, (0,)),
-        ]
-        g = Hypergraph(3, edges, goal=2, n_features=1)
-        w = [-1.5e308]
-        message = "non-finite point in a product of lower chains"
-        for values in (best_bits, kernel_best_bits):
-            with pytest.raises(InvalidGeometryError, match=message):
-                values(g, w)
-        with pytest.raises(InvalidGeometryError, match=message):
-            decode_loss([(g, ("a",))], np.array(w), get_metric("exact"))
 
 
 @st.composite

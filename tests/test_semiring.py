@@ -542,12 +542,7 @@ class TestEdgeProductMatchesTranslateThenMultiply:
     the reference builds the translate through ``_product`` and multiplies
     it by b.  Every point, back-pointer and error must be the same."""
 
-    @given(
-        TRANSLATIONS,
-        TRANSLATIONS,
-        product_operand(),
-        st.one_of(product_operand(), st.just(LowerChainValue.zero)),
-    )
+    @given(TRANSLATIONS, TRANSLATIONS, product_operand(), product_operand())
     @settings(max_examples=300, deadline=None)
     def test_same_bits_back_pointers_and_errors(self, x, y, a, b) -> None:
         want = outcome(reference_edge_product, x, y, 7, a, b)
@@ -560,15 +555,12 @@ class TestEdgeProductMatchesTranslateThenMultiply:
             (1e17, 0.0, [(0.0, 0.0), (1.0, -1.0), (3.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)], True),
             (1e17, 0.0, [(0.0, 0.0), (1.0, -1.0), (3.0, 0.0)], [(0.0, 0.0)], True),
             (1e308, 0.0, [(0.0, 0.0), (1e308, -1.0)], [(0.0, 0.0), (1.0, 0.0)], False),
-            (1e308, 0.0, [(0.0, 0.0), (1e308, -1.0)], [], True),
             (0.0, 1e308, [(0.0, 0.0), (1.0, 1e308)], [(0.0, 0.0), (1.0, 0.0)], False),
             (1e308, 0.0, [(0.0, 0.0)], [(0.0, 0.0), (1e308, 0.0)], False),
-            (0.0, 0.0, [(0.0, 0.0), (1.0, -1.0)], [], True),
         ],
         ids=[
             "distinct-translate", "rounded-together", "rounded-together-one-point-b",
-            "translate-overflows", "translate-overflows-empty-b", "translate-y-overflows",
-            "sum-overflows", "empty-b",
+            "translate-overflows", "translate-y-overflows", "sum-overflows",
         ],
     )
     def test_fallback_is_taken_only_where_it_must_be(
