@@ -135,10 +135,12 @@ class Hypergraph:
             raise ForestFormatError(f"goal node {goal} out of range 0..{n_nodes - 1}")
         in_edges: list[list[int]] = [[] for _ in range(n_nodes)]
         width = 0
+        is_int = int.__instancecheck__  # isinstance(item, int) as a C function
         for ei, e in enumerate(edges):
-            if not 0 <= e.head < n_nodes:
-                raise ForestFormatError(f"edge {ei}: head {e.head} out of range")
-            for t in e.tails:
+            head, tails = e.head, e.tails
+            if not 0 <= head < n_nodes:
+                raise ForestFormatError(f"edge {ei}: head {head} out of range")
+            for t in tails:
                 if not 0 <= t < n_nodes:
                     raise ForestFormatError(f"edge {ei}: tail {t} out of range")
             for fid, _ in e.features:
@@ -146,13 +148,13 @@ class Hypergraph:
                     raise ForestFormatError(f"edge {ei}: feature id {fid} out of range")
                 if fid >= width:
                     width = fid + 1
-            slots = sorted(item for item in e.template if isinstance(item, int))
-            if slots != list(range(len(e.tails))):
+            slots = sorted(filter(is_int, e.template))
+            if slots != list(range(len(tails))):
                 raise ForestFormatError(
-                    f"edge {ei}: yield must use each of the {len(e.tails)} tail "
+                    f"edge {ei}: yield must use each of the {len(tails)} tail "
                     f"slots exactly once, got {slots}"
                 )
-            in_edges[e.head].append(ei)
+            in_edges[head].append(ei)
         object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "goal", goal)
@@ -174,14 +176,16 @@ class Hypergraph:
         cached with the plan."""
         if self._report is not None:
             return self._report
+        n, edges, in_edges = self.n_nodes, self.edges, self.in_edges
         # Kahn's algorithm on tail -> head arcs; ready nodes in index order.
-        indeg = [0] * self.n_nodes
-        succs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for e in self.edges:
+        indeg = [0] * n
+        succs: list[list[int]] = [[] for _ in range(n)]
+        for e in edges:
+            h = e.head
             for t in e.tails:
-                indeg[e.head] += 1
-                succs[t].append(e.head)
-        queue = deque(v for v in range(self.n_nodes) if indeg[v] == 0)
+                indeg[h] += 1
+                succs[t].append(h)
+        queue = deque([v for v in range(n) if indeg[v] == 0])
         order: list[int] = []
         while queue:
             v = queue.popleft()
@@ -193,16 +197,20 @@ class Hypergraph:
         errors: list[str] = []
         warnings: list[str] = []
         cyclic_node = None
-        if len(order) != self.n_nodes:
-            cyclic_node = min(v for v in range(self.n_nodes) if indeg[v] > 0)
+        if len(order) != n:
+            cyclic_node = min(v for v in range(n) if indeg[v] > 0)
             errors.append(f"cycle through node {cyclic_node}")
             report = ValidationReport(False, None, tuple(errors), (), cyclic_node, False)
             object.__setattr__(self, "_report", report)
             return report
-        derivable = [False] * self.n_nodes
+        # A node derives something once one in-edge has only such tails.
+        derivable = [False] * n
         for v in order:
-            for ei in self.in_edges[v]:
-                if all(derivable[t] for t in self.edges[ei].tails):
+            for ei in in_edges[v]:
+                for t in edges[ei].tails:
+                    if not derivable[t]:
+                        break
+                else:
                     derivable[v] = True
                     break
         goal_ok = derivable[self.goal]
@@ -211,19 +219,25 @@ class Hypergraph:
         # From the goal down, a useful node makes the tails of its in-edges
         # whose tails all derive something useful; those edges are its plan,
         # which shares the in-edge tuple when it keeps every in-edge.
-        useful = [False] * self.n_nodes
+        useful = [False] * n
         useful[self.goal] = goal_ok
         plan = []
         for v in reversed(order):
             if useful[v]:
-                ins = self.in_edges[v]
-                kept = [ei for ei in ins if all(derivable[t] for t in self.edges[ei].tails)]
-                for ei in kept:
-                    for t in self.edges[ei].tails:
-                        useful[t] = True
+                ins = in_edges[v]
+                kept = []
+                for ei in ins:
+                    tails = edges[ei].tails
+                    for t in tails:
+                        if not derivable[t]:
+                            break
+                    else:
+                        kept.append(ei)
+                        for t in tails:
+                            useful[t] = True
                 plan.append((v, ins if len(kept) == len(ins) else kept))
         plan.reverse()
-        stranded = tuple(v for v in range(self.n_nodes) if not useful[v])
+        stranded = tuple([v for v in range(n) if not useful[v]])
         if stranded and goal_ok:
             warnings.append(f"nodes not on any leaf-to-goal path: {list(stranded)}")
         report = ValidationReport(

@@ -47,6 +47,11 @@ from .metrics import tokenize
 _SLOT_RE = re.compile(r"\$([0-9]+)")  # fullmatch: no trailing newline, ASCII digits
 _SENTENCE_KEYS = {"id", "nodes", "goal", "edges", "reference"}
 _EDGE_KEYS = {"head", "tails", "features", "yield"}
+# Classes a valid edge's values may have, tested by identity: a bool is
+# not an int here.
+_FLOAT = frozenset([float])
+_NUMBER = frozenset([int, float])
+_STR = frozenset([str])
 
 
 class FeatureIndex:
@@ -164,17 +169,6 @@ def _parse_reference(value, where: str) -> tuple[str, ...]:
     raise _fail(where, f"'reference' must be a string or list of tokens, got {value!r}")
 
 
-def _parse_features(features: dict, where: str) -> dict[str, float]:
-    """The map as it is when every value is a finite float; else each
-    value checked in order, and an integer made a float."""
-    values = features.values()
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-        return features
-    return {
-        name: _check_number(val, where, f"feature {name!r}") for name, val in features.items()
-    }
-
-
 def _parse_template(value, where: str) -> tuple[str | int, ...]:
     if not isinstance(value, list):
         raise _fail(where, f"'yield' must be a list, got {value!r}")
@@ -183,12 +177,33 @@ def _parse_template(value, where: str) -> tuple[str | int, ...]:
         if not isinstance(item, str):
             raise _fail(where, f"yield entries must be strings, got {item!r}")
         m = _SLOT_RE.fullmatch(item) if item[:1] == "$" else None
-        out.append(int(m.group(1)) if m else item)
+        if m:
+            try:
+                item = int(m.group(1))
+            except ValueError:  # more digits than int() reads
+                digits = f"{len(item) - 1} digits, past the digit limit"
+                raise _fail(where, f"yield slot {item[:10]}... has {digits}") from None
+        out.append(item)
     return tuple(out)
 
 
+def _edge_error(e, where: str) -> ForestFormatError:
+    """The error of an edge that is not an object of known keys with a 'head'."""
+    if not isinstance(e, dict):
+        return _fail(where, "edge must be a JSON object")
+    bad = e.keys() - _EDGE_KEYS
+    if bad:
+        return _fail(where, f"unknown keys: {sorted(bad)}")
+    return _fail(where, "missing 'head'")
+
+
 def _parse_doc(doc, where: str) -> dict:
-    """Structural checks on one sentence document; features stay named."""
+    """Structural checks on one sentence document; features stay named.
+
+    An edge is checked in this order, and its first failure is the
+    error: an object of known keys with a 'head'; the head; tails;
+    features; yield.  A JSON integer feature becomes a float.
+    """
     if not isinstance(doc, dict):
         raise _fail(where, "sentence document must be a JSON object")
     missing = _SENTENCE_KEYS - doc.keys()
@@ -205,25 +220,44 @@ def _parse_doc(doc, where: str) -> dict:
         raise _fail(where, "'edges' must be a list")
     edges = []
     for k, e in enumerate(doc["edges"]):
-        ewhere = f"{where}, edge {k}"
-        if not isinstance(e, dict):
-            raise _fail(ewhere, "edge must be a JSON object")
-        bad = e.keys() - _EDGE_KEYS
-        if bad:
-            raise _fail(ewhere, f"unknown keys: {sorted(bad)}")
-        if "head" not in e:
-            raise _fail(ewhere, "missing 'head'")
-        head = _check_int(e["head"], ewhere, "'head'")
+        # A value that fails its class test goes to the check that writes
+        # its message and raises; only then is "line i, edge k" built.
+        if type(e) is not dict or not _EDGE_KEYS.issuperset(e) or "head" not in e:
+            raise _edge_error(e, f"{where}, edge {k}")
+        head = e["head"]
+        if type(head) is not int:
+            _check_int(head, f"{where}, edge {k}", "'head'")
         tails = e.get("tails", [])
-        if not isinstance(tails, list):
-            raise _fail(ewhere, "'tails' must be a list")
-        tails = tuple(_check_int(t, ewhere, "tail") for t in tails)
+        if type(tails) is not list:
+            raise _fail(f"{where}, edge {k}", "'tails' must be a list")
+        for t in tails:
+            if type(t) is not int:
+                _check_int(t, f"{where}, edge {k}", "tail")
         features = e.get("features", {})
-        if not isinstance(features, dict):
-            raise _fail(ewhere, "'features' must be an object")
-        feats = _parse_features(features, ewhere)
-        template = _parse_template(e.get("yield", []), ewhere)
-        edges.append((head, tails, feats, template))
+        if type(features) is not dict:
+            raise _fail(f"{where}, edge {k}", "'features' must be an object")
+        values = features.values()
+        try:  # an integer too large for a float overflows
+            finite = _NUMBER.issuperset(map(type, values)) and all(map(math.isfinite, values))
+        except OverflowError:
+            finite = False
+        if not finite:
+            for name, val in features.items():
+                _check_number(val, f"{where}, edge {k}", f"feature {name!r}")
+        if not _FLOAT.issuperset(map(type, values)):
+            features = dict(zip(features, map(float, values)))  # a JSON 2 is 2.0
+        template = e.get("yield", [])
+        if type(template) is not list or not _STR.issuperset(map(type, template)):
+            _parse_template(template, f"{where}, edge {k}")
+        out = []
+        try:
+            for x in template:
+                if x[:1] == "$" and _SLOT_RE.fullmatch(x):
+                    x = int(x[1:])
+                out.append(x)
+        except ValueError:  # a slot past the interpreter's digit limit
+            _parse_template(template, f"{where}, edge {k}")
+        edges.append((head, tuple(tails), features, tuple(out)))
     return {
         "id": doc["id"],
         "n_nodes": n_nodes,
@@ -236,11 +270,12 @@ def _parse_doc(doc, where: str) -> dict:
 def loads_corpus(text: str) -> Corpus:
     """Parse line-delimited sentence documents into a Corpus.
 
-    Two passes: the first collects every feature name so the global index
+    Lines end at "\n" alone; a "\r" before it is JSON whitespace.  Two
+    passes: the first collects every feature name so the global index
     covers the whole corpus, the second builds the hypergraphs.
     """
     docs = []
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"line {i}"
@@ -277,8 +312,7 @@ def load_corpus(path: str) -> Corpus:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The lines before the bad byte, and ("x") the one it stands on.
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = data.count(b"\n", 0, exc.start) + 1
         byte = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         raise _fail(f"corpus file {path}, line {line}", byte) from None
     return loads_corpus(text)

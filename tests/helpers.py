@@ -1,16 +1,29 @@
 """Shared builders used by several test modules."""
 
+import json
 import math
+from collections import deque
 
 import numpy as np
 
-from hullmert import Edge, Hypergraph
-from hullmert.errors import DimensionMismatchError, InvalidGeometryError
+from hullmert import Corpus, Edge, FeatureIndex, Hypergraph
+from hullmert.errors import DimensionMismatchError, ForestFormatError, InvalidGeometryError
 from hullmert.forest import (
     _derivations,
     _inside_values,
     _lower_chain_values,
+    ValidationReport,
     project_edge,
+)
+from hullmert.io import (
+    _EDGE_KEYS,
+    _SENTENCE_KEYS,
+    _SLOT_RE,
+    _check_int,
+    _check_number,
+    _fail,
+    _parse_nodes,
+    _parse_reference,
 )
 from hullmert.geometry import EPS_GEOM, _crossings
 from hullmert.linesearch import Envelope
@@ -288,3 +301,223 @@ def eager_envelope(graph, w0, v):
     derivations = tuple(_derivations(graph, backs, roots))
     xs, ys = [p.x for p in chain], [p.y for p in chain]
     return Envelope(chain.points, _crossings(xs, ys), derivations)
+
+
+# A frozen reference for corpus set-up: ``loads_corpus``, the
+# ``Hypergraph`` constructor's checks and ``validate`` in the form they had
+# before each edge was accepted by class tests alone.  It changes in two
+# places only: lines end at "\n" alone, and a yield slot past the
+# interpreter's digit limit is a ForestFormatError.  The helpers it imports
+# were not rewritten.
+
+
+def _reference_parse_features(features: dict, where: str) -> dict:
+    values = features.values()
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return features
+    return {
+        name: _check_number(val, where, f"feature {name!r}") for name, val in features.items()
+    }
+
+
+def _reference_parse_template(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise _fail(where, f"'yield' must be a list, got {value!r}")
+    out: list = []
+    for item in value:
+        if not isinstance(item, str):
+            raise _fail(where, f"yield entries must be strings, got {item!r}")
+        m = _SLOT_RE.fullmatch(item) if item[:1] == "$" else None
+        try:
+            out.append(int(m.group(1)) if m else item)
+        except ValueError:
+            digits = f"{len(item) - 1} digits, past the digit limit"
+            raise _fail(where, f"yield slot {item[:10]}... has {digits}") from None
+    return tuple(out)
+
+
+def _reference_parse_doc(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise _fail(where, "sentence document must be a JSON object")
+    missing = _SENTENCE_KEYS - doc.keys()
+    if missing:
+        raise _fail(where, f"missing keys: {sorted(missing)}")
+    unknown = doc.keys() - _SENTENCE_KEYS
+    if unknown:
+        raise _fail(where, f"unknown keys: {sorted(unknown)}")
+    if not isinstance(doc["id"], str):
+        raise _fail(where, f"'id' must be a string, got {doc['id']!r}")
+    n_nodes = _parse_nodes(doc["nodes"], where)
+    goal = _check_int(doc["goal"], where, "'goal'")
+    if not isinstance(doc["edges"], list):
+        raise _fail(where, "'edges' must be a list")
+    edges = []
+    for k, e in enumerate(doc["edges"]):
+        ewhere = f"{where}, edge {k}"
+        if not isinstance(e, dict):
+            raise _fail(ewhere, "edge must be a JSON object")
+        bad = e.keys() - _EDGE_KEYS
+        if bad:
+            raise _fail(ewhere, f"unknown keys: {sorted(bad)}")
+        if "head" not in e:
+            raise _fail(ewhere, "missing 'head'")
+        head = _check_int(e["head"], ewhere, "'head'")
+        tails = e.get("tails", [])
+        if not isinstance(tails, list):
+            raise _fail(ewhere, "'tails' must be a list")
+        tails = tuple(_check_int(t, ewhere, "tail") for t in tails)
+        features = e.get("features", {})
+        if not isinstance(features, dict):
+            raise _fail(ewhere, "'features' must be an object")
+        feats = _reference_parse_features(features, ewhere)
+        template = _reference_parse_template(e.get("yield", []), ewhere)
+        edges.append((head, tails, feats, template))
+    return {
+        "id": doc["id"],
+        "n_nodes": n_nodes,
+        "goal": goal,
+        "edges": edges,
+        "reference": _parse_reference(doc["reference"], where),
+    }
+
+
+def _reference_graph(n_nodes: int, edges: list, goal: int, n_features: int) -> tuple:
+    """The constructor's checks; ``(in_edges, width)``."""
+    if n_nodes < 1:
+        raise ForestFormatError("a forest needs at least one node")
+    touched = 1
+    for e in edges:
+        touched += 1 + len(e.tails)
+    if n_nodes > touched:
+        raise ForestFormatError(f"{n_nodes} nodes; the goal and edges name at most {touched}")
+    if not 0 <= goal < n_nodes:
+        raise ForestFormatError(f"goal node {goal} out of range 0..{n_nodes - 1}")
+    in_edges: list[list[int]] = [[] for _ in range(n_nodes)]
+    width = 0
+    for ei, e in enumerate(edges):
+        if not 0 <= e.head < n_nodes:
+            raise ForestFormatError(f"edge {ei}: head {e.head} out of range")
+        for t in e.tails:
+            if not 0 <= t < n_nodes:
+                raise ForestFormatError(f"edge {ei}: tail {t} out of range")
+        for fid, _ in e.features:
+            if not 0 <= fid < n_features:
+                raise ForestFormatError(f"edge {ei}: feature id {fid} out of range")
+            if fid >= width:
+                width = fid + 1
+        slots = sorted(item for item in e.template if isinstance(item, int))
+        if slots != list(range(len(e.tails))):
+            raise ForestFormatError(
+                f"edge {ei}: yield must use each of the {len(e.tails)} tail "
+                f"slots exactly once, got {slots}"
+            )
+        in_edges[e.head].append(ei)
+    return tuple(tuple(lst) for lst in in_edges), width
+
+
+def _reference_validate(n_nodes: int, edges: list, in_edges: tuple, goal: int) -> tuple:
+    """``validate``'s report and plan (None for a cycle)."""
+    indeg = [0] * n_nodes
+    succs: list[list[int]] = [[] for _ in range(n_nodes)]
+    for e in edges:
+        for t in e.tails:
+            indeg[e.head] += 1
+            succs[t].append(e.head)
+    queue = deque(v for v in range(n_nodes) if indeg[v] == 0)
+    order: list[int] = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for h in succs[v]:
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                queue.append(h)
+    warnings: list[str] = []
+    if len(order) != n_nodes:
+        cyclic_node = min(v for v in range(n_nodes) if indeg[v] > 0)
+        errors = (f"cycle through node {cyclic_node}",)
+        return ValidationReport(False, None, errors, (), cyclic_node, False), None
+    derivable = [False] * n_nodes
+    for v in order:
+        for ei in in_edges[v]:
+            if all(derivable[t] for t in edges[ei].tails):
+                derivable[v] = True
+                break
+    goal_ok = derivable[goal]
+    if not goal_ok:
+        warnings.append(f"goal node {goal} derives nothing (empty language)")
+    useful = [False] * n_nodes
+    useful[goal] = goal_ok
+    plan = []
+    for v in reversed(order):
+        if useful[v]:
+            ins = in_edges[v]
+            kept = [ei for ei in ins if all(derivable[t] for t in edges[ei].tails)]
+            for ei in kept:
+                for t in edges[ei].tails:
+                    useful[t] = True
+            plan.append((v, ins if len(kept) == len(ins) else kept))
+    plan.reverse()
+    stranded = tuple(v for v in range(n_nodes) if not useful[v])
+    if stranded and goal_ok:
+        warnings.append(f"nodes not on any leaf-to-goal path: {list(stranded)}")
+    report = ValidationReport(True, tuple(order), (), tuple(warnings), None, goal_ok, stranded)
+    return report, plan
+
+
+def _edge_bits(edge: Edge) -> tuple:
+    """An edge with each feature value's type and ``float.hex`` and each
+    template entry's type."""
+    feats = tuple((fid, type(v).__name__, float.hex(v)) for fid, v in edge.features)
+    template = tuple((type(x).__name__, x) for x in edge.template)
+    return edge.head, edge.tails, feats, template
+
+
+def reference_setup(text: str) -> tuple:
+    """What ``setup_bits`` reads off ``loads_corpus(text)`` after every
+    graph is validated, by the frozen reference."""
+    docs = []
+    for i, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"line {i}"
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            raise _fail(where, f"invalid JSON: {exc}") from None
+        docs.append((where, _reference_parse_doc(raw, where)))
+    names = {name for _, doc in docs for _, _, feats, _ in doc["edges"] for name in feats}
+    index = FeatureIndex(names)
+    ids = index.ids
+    graphs = []
+    for where, doc in docs:
+        edges = [
+            Edge(head, tails, tuple(sorted([(ids[n], v) for n, v in feats.items()])), template)
+            for head, tails, feats, template in doc["edges"]
+        ]
+        try:
+            in_edges, width = _reference_graph(doc["n_nodes"], edges, doc["goal"], len(index))
+        except ForestFormatError as exc:
+            raise _fail(where, str(exc)) from None
+        graphs.append((doc, edges, in_edges, width))
+    out = []
+    for doc, edges, in_edges, width in graphs:
+        report, plan = _reference_validate(doc["n_nodes"], edges, in_edges, doc["goal"])
+        out.append((
+            doc["id"], doc["reference"], doc["n_nodes"], doc["goal"], len(index),
+            [_edge_bits(e) for e in edges], in_edges, width, report, plan,
+        ))
+    return index.names, out
+
+
+def setup_bits(corpus: Corpus) -> tuple:
+    """A validated corpus as ``reference_setup`` gives it."""
+    out = []
+    for s in corpus.sentences:
+        g = s.graph
+        report = g.validate()
+        out.append((
+            s.sid, s.reference, g.n_nodes, g.goal, g.n_features,
+            [_edge_bits(e) for e in g.edges], g.in_edges, g._width, report, g._plan,
+        ))
+    return corpus.features.names, out

@@ -557,6 +557,21 @@ class TestArgumentHandling:
             "byte 0xff is not UTF-8 (invalid start byte)\n"
         )
 
+    def test_slot_past_the_digit_limit_is_a_data_error(self, files, capsys) -> None:
+        corpus = files("c.jsonl", TWO_HYP.replace('["b"]', '["b", "$' + "9" * 5000 + '"]'))
+        assert cli.run(["validate", corpus]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "internal error" not in err and "9" * 100 not in err
+        assert err == (
+            "data error: line 1, edge 1: yield slot $999999999... has 5000 digits, "
+            "past the digit limit\n"
+        )
+
+    def test_line_separator_in_a_token_is_read(self, files, capsys) -> None:
+        corpus = files("c.jsonl", TWO_HYP.replace('["b"]', '["b\u2028c"]'))
+        doc, code = run_json(capsys, ["validate", corpus])
+        assert code == 0 and doc["ok"]
+
     @pytest.mark.parametrize("where", ["corpus", "weights", "direction"])
     def test_integer_too_large_for_a_float_is_a_data_error(
         self, files, capsys, where

@@ -100,6 +100,18 @@ class TestConstruction:
         with pytest.raises(ForestFormatError):
             Hypergraph(1, [Edge.make(0, (), {2: 1.0}, ())], goal=0, n_features=2)
 
+    def test_unsorted_feature_ids_are_checked_in_order(self) -> None:
+        # Built without Edge.make: the first id out of range is named, and
+        # the width is 1 + the largest id wherever it stands.
+        bad = Edge(0, (), ((1, 1.0), (5, 2.0), (0, 3.0), (7, 4.0)), ("w",))
+        with pytest.raises(ForestFormatError, match=r"^edge 1: feature id 5 out of range$"):
+            Hypergraph(1, [Edge.make(0, (), {}, ()), bad], goal=0, n_features=4)
+        unsorted = Edge(0, (), ((2, 1.0), (3, 2.0), (0, 3.0)), ("w",))
+        assert Hypergraph(1, [unsorted], goal=0, n_features=4)._width == 4
+        assert Hypergraph(1, [unsorted], goal=0, n_features=9)._width == 4
+        no_features = Edge(0, (), (), ("w",))
+        assert Hypergraph(1, [no_features], goal=0, n_features=3)._width == 0
+
     @pytest.mark.parametrize("template", [(), (0, 0), (1,), (0, 1)])
     def test_tail_slots_must_appear_exactly_once(self, template) -> None:
         with pytest.raises(ForestFormatError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -23,6 +24,8 @@ from hullmert.io import (
     loads_corpus,
     serialize_corpus,
 )
+
+from helpers import reference_setup, setup_bits
 
 SENTENCE = (
     '{"id": "s1", "nodes": 3, "goal": 2, "edges": ['
@@ -174,6 +177,53 @@ class TestLoadsCorpus:
         with pytest.raises(ForestFormatError, match=fragment):
             loads_corpus(text)
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"], ids=["u2028", "u2029", "nel"])
+    def test_unicode_line_separators_stay_inside_their_line(self, sep: str) -> None:
+        # Only "\n" ends a line: JSON strings may hold these raw.
+        token = f"a{sep}b"
+        line = json.dumps(
+            {"id": f"s{sep}", "nodes": 1, "goal": 0, "reference": f"x{sep}y",
+             "edges": [{"head": 0, "tails": [], "features": {}, "yield": [token]}]},
+            ensure_ascii=False,
+        )
+        assert sep in line
+        corpus = loads_corpus(line + "\r\n" + doc_with(id="t") + "\n")
+        s = corpus.sentences[0]
+        assert (s.sid, s.graph.edges[0].template, s.reference) == (f"s{sep}", (token,), ("x", "y"))
+        text = serialize_corpus(corpus)
+        assert sep in text
+        again = loads_corpus(text)
+        assert serialize_corpus(again) == text
+        assert [t.graph.edges for t in again] == [t.graph.edges for t in corpus]
+        with pytest.raises(ForestFormatError, match=r"^line 2: 'goal' must be an integer"):
+            loads_corpus(line + "\n" + doc_with(goal="0") + "\n")
+
+    def test_only_a_newline_ends_a_line(self) -> None:
+        # A lone "\r" or form feed is not a line break, and not JSON whitespace.
+        for sep in ("\r", "\x0c"):
+            with pytest.raises(ForestFormatError, match="^line 1: invalid JSON: Extra data"):
+                loads_corpus(doc_with() + sep + doc_with(id="t") + "\n")
+
+    def test_slot_past_the_digit_limit_is_a_format_error(self) -> None:
+        edges = [
+            {"head": 0, "features": {}, "yield": ["w"]},
+            {"head": 1, "tails": [0], "features": {}, "yield": ["$0", "$" + "1" * 5000]},
+        ]
+        message = (
+            r"^line 1, edge 1: yield slot \$111111111\.\.\. has 5000 digits, past the digit limit$"
+        )
+        with pytest.raises(ForestFormatError, match=message):
+            loads_corpus(doc_with(nodes=2, goal=1, edges=edges))
+        edges[1]["yield"] = [3, "$" + "1" * 5000]  # a wrong class is found first
+        with pytest.raises(ForestFormatError, match="yield entries must be strings, got 3"):
+            loads_corpus(doc_with(nodes=2, goal=1, edges=edges))
+
+    def test_integer_features_become_floats(self) -> None:
+        edges = [{"head": 0, "features": {"b": 2, "a": -3, "c": 0.5}, "yield": ["w"]}]
+        (edge,) = loads_corpus(doc_with(edges=edges)).sentences[0].graph.edges
+        assert edge.features == ((0, -3.0), (1, 2.0), (2, 0.5))
+        assert {type(v) for _, v in edge.features} == {float}
+
     def test_structural_errors_carry_the_line_number(self) -> None:
         text = doc_with() + "\n" + doc_with(goal=5) + "\n"
         with pytest.raises(ForestFormatError, match="line 2"):
@@ -217,8 +267,9 @@ class TestSerializeCorpus:
             ([b"\xff"], 1, "0xff"),
             ([SENTENCE.encode(), b"", b'{"id": "\xc3"}'], 3, "0xc3"),
             ([SENTENCE.encode().replace(b"the", b"\xe2\x80the")], 1, "0xe2"),
+            ([SENTENCE.encode().replace(b"the", "\u2028the".encode()), b"\xff"], 2, "0xff"),
         ],
-        ids=["first-line", "after-a-blank-line", "cut-sequence"],
+        ids=["first-line", "after-a-blank-line", "cut-sequence", "after-a-line-separator"],
     )
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, lines, line, byte) -> None:
         p = tmp_path / "c.jsonl"
@@ -402,3 +453,150 @@ class TestCanonicalJsonMatchesTheReference:
         # The first refused value in writing order raises, in both writers.
         obj = {f"k{i}": x for i, x in enumerate(items)} if as_dict else items
         assert write_outcome(canonical_json, obj) == write_outcome(oracle.canonical_json, obj)
+
+
+# What a mutation puts where the corpus format expects something else:
+# wrong classes, bools, numbers too large or not finite, "$" forms that are
+# and are not slots, and ids out of range.
+NOT_INTS = [None, True, False, "0", 1.5, 2.0, 2**70, -(10**400), [], {}]
+NODE_IDS = st.integers(-1, 4) | st.sampled_from(NOT_INTS)
+FEATURE_VALUES = st.floats(-4, 4) | st.integers(-3, 3) | st.sampled_from([-0.0, 2**53 + 1])
+ODD_FEATURES = st.sampled_from(
+    [True, False, None, "1", [], {}, 10**400, -(10**400), 2**70, math.inf, -math.inf, math.nan]
+)
+ODD_TOKENS = st.sampled_from(
+    [
+        "$", "$0", "$1", "$2", "$00", "$01", "$-1", "$+1", "$ 1", "$1_0", "$x", "$0\n", "$\u0663",
+        "$\u00b2", "$" + "9" * 5000, "$" + "0" * 4999 + "1", "\u2028", "\x85", "\r",
+        None, 0, 1, True, 1.5, [], {},
+    ]
+)
+ODD_FIELDS = st.sampled_from([None, True, 0, 1.5, "x", "$0", [], {}, [0], {"f": 1.0}])
+NAMES = st.sampled_from(["a", "b", "c", "lm"])
+
+
+@st.composite
+def sentence_docs(draw) -> dict:
+    """A valid sentence document over a small acyclic forest."""
+    n = draw(st.integers(1, 4))
+    edges = []
+    for head in range(n):
+        for _ in range(draw(st.integers(0 if head < n - 1 else 1, 2))):
+            tails = draw(st.lists(st.integers(0, head - 1), max_size=2)) if head else []
+            words = draw(st.lists(st.sampled_from(["w", "x", "$y", "a b"]), max_size=2))
+            template = words + [f"${i}" for i in range(len(tails))]
+            edges.append({
+                "head": head,
+                "tails": tails,
+                "features": draw(st.dictionaries(NAMES, FEATURE_VALUES, max_size=3)),
+                "yield": draw(st.permutations(template)),
+            })
+    nodes = list(range(n)) if draw(st.booleans()) else n
+    reference = draw(st.sampled_from(["w x", ["w", "x"], "a b", ""]))
+    return {"id": "s", "nodes": nodes, "goal": n - 1, "edges": edges, "reference": reference}
+
+
+def mutate(doc: dict, data, k: int) -> None:
+    """One structural change to a document, in place.  Most go to an edge,
+    most often edge k (modulo the edge count), so that changes meet in one
+    edge."""
+    kind = data.draw(st.sampled_from(
+        3 * ["feature", "tail", "yield", "head"]
+        + ["field", "edge-drop", "edge-add", "edge", "cycle", "doc", "drop", "add"]
+    ))
+    if kind == "doc":
+        doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(ODD_FIELDS | NODE_IDS)
+        return
+    if kind == "drop":
+        del doc[data.draw(st.sampled_from(sorted(doc)))]
+        return
+    if kind == "add":
+        doc["extra"] = 1
+        return
+    edges = doc.get("edges")
+    if not isinstance(edges, list) or not edges:
+        return
+    other = data.draw(st.sampled_from([False, False, False, True]))
+    k = data.draw(st.integers(0, len(edges) - 1)) if other else k % len(edges)
+    e = edges[k]
+    if not isinstance(e, dict):
+        return
+    if kind == "edge":
+        edges[k] = data.draw(ODD_FIELDS)
+    elif kind == "edge-drop" and e:
+        del e[data.draw(st.sampled_from(sorted(e)))]
+    elif kind == "edge-add":
+        e["weight"] = 1
+    elif kind == "field":
+        e[data.draw(st.sampled_from(["tails", "features", "yield"]))] = data.draw(ODD_FIELDS)
+    elif kind == "cycle" and isinstance(e.get("tails"), list) and e["tails"]:
+        e["tails"][0] = e.get("head")
+    elif kind == "head":
+        e["head"] = data.draw(NODE_IDS)
+    elif kind == "tail" and isinstance(e.get("tails"), list):
+        tails = e["tails"]
+        i = data.draw(st.integers(0, len(tails)))
+        tails[i:i + 1] = [data.draw(NODE_IDS)]
+    elif kind == "feature" and isinstance(e.get("features"), dict):
+        e["features"][data.draw(NAMES)] = data.draw(ODD_FEATURES | FEATURE_VALUES)
+    elif kind == "yield" and isinstance(e.get("yield"), list):
+        template = e["yield"]
+        i = data.draw(st.integers(0, len(template)))
+        template[i:i + 1] = [data.draw(ODD_TOKENS)]
+
+
+def setup_outcome(load, text: str):
+    try:
+        return load(text)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+class TestSetUpMatchesTheReference:
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_corpus_or_same_error(self, data) -> None:
+        # Each document is valid until mutated; the same error, or equal
+        # edges (feature values to the bit, with their types), in-edges,
+        # validate reports and plans, must come from both.
+        lines = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            doc = data.draw(sentence_docs())
+            k = data.draw(st.integers(0, 7))
+            for _ in range(data.draw(st.sampled_from([0, 1, 1, 2, 3]))):
+                mutate(doc, data, k)
+            lines.append(json.dumps(doc, ensure_ascii=data.draw(st.booleans())))
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+        got = setup_outcome(lambda t: setup_bits(loads_corpus(t)), text)
+        assert got == setup_outcome(reference_setup, text)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            pair
+            for pair in itertools.combinations(
+                [
+                    ("weight", 1),
+                    ("head", True),
+                    ("head", 3),
+                    ("tails", [0, None]),
+                    ("tails", [4]),
+                    ("features", {"f": 1.0, "g": math.inf}),
+                    ("features", {"f": 2, "g": False}),
+                    ("yield", ["w", 3]),
+                    ("yield", ["$" + "9" * 5000]),
+                ],
+                2,
+            )
+            if pair[0][0] != pair[1][0]
+        ],
+    )
+    def test_first_of_two_faults_in_one_edge(self, faults) -> None:
+        # The check order within an edge, which random mutations seldom
+        # put to the test: both faults sit in the one edge.
+        edge = {"head": 0, "tails": [], "features": {"f": 1.0}, "yield": ["w"]}
+        edge.update(faults)
+        text = doc_with(edges=[edge]) + "\n"
+        got = setup_outcome(lambda t: setup_bits(loads_corpus(t)), text)
+        assert got[0] is ForestFormatError
+        assert got == setup_outcome(reference_setup, text)
