@@ -21,10 +21,10 @@ import sys
 import warnings
 from typing import Callable, Sequence
 
-from .errors import ConfigError, DataError, MertError, UsageError
+from .errors import ConfigError, DataError, UsageError
 from .forest import DEFAULT_DERIVATION_CAP, count_derivations
 from .io import Corpus, canonical_json, load_corpus, load_vector_map
-from .linesearch import line_search, optimize, sweep
+from .linesearch import _in_sentence, line_search, optimize, sweep
 from .metrics import get_metric
 from .oracle import duality_report
 
@@ -85,21 +85,18 @@ def _load_searchable(path: str) -> Corpus:
     return corpus
 
 
-def _in_sentence(corpus: Corpus, idx: int, exc: DataError) -> DataError:
-    """``exc`` as a data error that names sentence idx by position and id."""
-    return DataError(f"sentence {idx} (id {corpus.sentences[idx].sid!r}): {exc}")
-
-
 def _search(corpus: Corpus, search: Callable, *args, **kwargs):
-    """``search(corpus.pairs(), *args, **kwargs)``; a data error raised for
-    one sentence names it."""
+    """``search(corpus.pairs(), *args, **kwargs)``.  A data error that
+    ``linesearch._in_sentence`` tagged with a sentence position leaves as
+    one that names the sentence as ``sentence <i> (id '<id>')``; this is
+    the one place a command names a sentence."""
     try:
         return search(corpus.pairs(), *args, **kwargs)
     except DataError as exc:
         idx = getattr(exc, "_sentence", None)
         if idx is None:
             raise
-        raise _in_sentence(corpus, idx, exc) from exc
+        raise DataError(f"sentence {idx} (id {corpus.sentences[idx].sid!r}): {exc}") from exc
 
 
 def _vector(corpus: Corpus, path: str, label: str):
@@ -242,16 +239,17 @@ def cmd_optimize(args) -> tuple[str, int]:
     return canonical_json(doc) + "\n", 0
 
 
+def _duality_reports(sentences, w0, v) -> list:
+    """``duality_report`` for each sentence; a data error carries its position."""
+    return [_in_sentence(n, duality_report, g, w0, v) for n, (g, _) in enumerate(sentences)]
+
+
 def cmd_verify(args) -> tuple[str, int]:
     corpus = _load_searchable(args.corpus)
     w0, v = _vectors(corpus, args, direction=True)
     sentences = []
     all_ok = True
-    for idx, s in enumerate(corpus.sentences):
-        try:
-            report = duality_report(s.graph, w0, v)
-        except DataError as exc:
-            raise _in_sentence(corpus, idx, exc) from exc
+    for s, report in zip(corpus.sentences, _search(corpus, _duality_reports, w0, v)):
         all_ok = all_ok and report.ok
         sentences.append(
             {
@@ -297,9 +295,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except MertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports everything
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -287,18 +287,13 @@ def _check_x_increasing(pts: tuple[Point2, ...]) -> None:
 
 def _crossings(xs: list[float], ys: list[float]) -> tuple[float, ...]:
     """The crossings of the chain with these coordinate lists, checked
-    finite but not for order.  Only a failure walks the pairs, to name the
-    first one that fails."""
-    try:
-        bounds = tuple(map(truediv, map(sub, ys[1:], ys), map(sub, xs[1:], xs)))
-    except ZeroDivisionError:
-        pass
-    else:
-        if all(map(math.isfinite, bounds)):
-            return bounds
+    finite but not for order.  Callers pass strictly increasing x, so no
+    difference of x is zero.  Only a crossing that is not finite (one whose
+    differences overflow) walks the pairs, to name the first one that fails."""
+    bounds = tuple(map(truediv, map(sub, ys[1:], ys), map(sub, xs[1:], xs)))
+    if all(map(math.isfinite, bounds)):
+        return bounds
     for p, q in zip(map(Point2, xs, ys), map(Point2, xs[1:], ys[1:])):
-        if q.x == p.x:
-            raise InvalidGeometryError(f"lower chain x not increasing at {p} -> {q}")
         b = (q.y - p.y) / (q.x - p.x)
         if not math.isfinite(b):
             raise InvalidGeometryError(f"envelope crossing of {p} and {q} is not finite: {b!r}")

@@ -140,13 +140,11 @@ def _as_float(value: int | float) -> float:
         return math.inf
 
 
-def _check_number(value, where: str, what: str) -> float:
+def _check_number(value, where: str, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(where, f"{what} must be a number, got {value!r}")
-    number = _as_float(value)
-    if not math.isfinite(number):
+    if not math.isfinite(_as_float(value)):
         raise _fail(where, f"{what} must be finite, got {value!r}")
-    return number
 
 
 def _parse_nodes(value, where: str) -> int:
@@ -169,22 +167,21 @@ def _parse_reference(value, where: str) -> tuple[str, ...]:
     raise _fail(where, f"'reference' must be a string or list of tokens, got {value!r}")
 
 
-def _parse_template(value, where: str) -> tuple[str | int, ...]:
+def _template_error(value, where: str) -> ForestFormatError:
+    """The error of a yield template that the parser refuses: one that is
+    not a list, or else its first entry that is not a string or is a slot
+    past the digit limit."""
     if not isinstance(value, list):
-        raise _fail(where, f"'yield' must be a list, got {value!r}")
-    out: list[str | int] = []
+        return _fail(where, f"'yield' must be a list, got {value!r}")
     for item in value:
         if not isinstance(item, str):
-            raise _fail(where, f"yield entries must be strings, got {item!r}")
-        m = _SLOT_RE.fullmatch(item) if item[:1] == "$" else None
-        if m:
+            return _fail(where, f"yield entries must be strings, got {item!r}")
+        if item[:1] == "$" and _SLOT_RE.fullmatch(item):
             try:
-                item = int(m.group(1))
+                int(item[1:])
             except ValueError:  # more digits than int() reads
                 digits = f"{len(item) - 1} digits, past the digit limit"
-                raise _fail(where, f"yield slot {item[:10]}... has {digits}") from None
-        out.append(item)
-    return tuple(out)
+                return _fail(where, f"yield slot {item[:10]}... has {digits}")
 
 
 def _edge_error(e, where: str) -> ForestFormatError:
@@ -220,8 +217,8 @@ def _parse_doc(doc, where: str) -> dict:
         raise _fail(where, "'edges' must be a list")
     edges = []
     for k, e in enumerate(doc["edges"]):
-        # A value that fails its class test goes to the check that writes
-        # its message and raises; only then is "line i, edge k" built.
+        # A value that fails its class test goes to the helper that writes
+        # its message; only then is "line i, edge k" built.
         if type(e) is not dict or not _EDGE_KEYS.issuperset(e) or "head" not in e:
             raise _edge_error(e, f"{where}, edge {k}")
         head = e["head"]
@@ -248,7 +245,7 @@ def _parse_doc(doc, where: str) -> dict:
             features = dict(zip(features, map(float, values)))  # a JSON 2 is 2.0
         template = e.get("yield", [])
         if type(template) is not list or not _STR.issuperset(map(type, template)):
-            _parse_template(template, f"{where}, edge {k}")
+            raise _template_error(template, f"{where}, edge {k}")
         out = []
         try:
             for x in template:
@@ -256,7 +253,7 @@ def _parse_doc(doc, where: str) -> dict:
                     x = int(x[1:])
                 out.append(x)
         except ValueError:  # a slot past the interpreter's digit limit
-            _parse_template(template, f"{where}, edge {k}")
+            raise _template_error(template, f"{where}, edge {k}") from None
         edges.append((head, tuple(tails), features, tuple(out)))
     return {
         "id": doc["id"],
@@ -319,7 +316,12 @@ def load_corpus(path: str) -> Corpus:
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Canonical line-delimited form; loads_corpus inverts it exactly."""
+    """Canonical line-delimited form; loads_corpus inverts it exactly.
+
+    A reference is written as one string, or as a list where splitting
+    that string would not give its tokens back (a token that is empty or
+    holds whitespace).
+    """
     names = corpus.features.names
     lines = []
     for s in corpus.sentences:
@@ -333,12 +335,13 @@ def serialize_corpus(corpus: Corpus) -> str:
                     "yield": [f"${x}" if isinstance(x, int) else x for x in e.template],
                 }
             )
+        ref = " ".join(s.reference)
         doc = {
             "id": s.sid,
             "nodes": s.graph.n_nodes,
             "goal": s.graph.goal,
             "edges": edges,
-            "reference": " ".join(s.reference),
+            "reference": ref if tokenize(ref) == s.reference else list(s.reference),
         }
         lines.append(canonical_json(doc))
     return "\n".join(lines) + "\n" if lines else ""

@@ -631,7 +631,9 @@ def sweep(
 
     The surface is built once and the grid read off it by one ``searchsorted``,
     so a sweep samples exactly the function the line search minimizes.  Grid
-    ties go to the smallest eta.  A single step evaluates the range start only.
+    ties go to the smallest eta.  The grid is ``np.linspace(lo, hi, steps)``:
+    a single step evaluates the range start only, and a start of -0.0 is 0.0
+    at any step count.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -640,10 +642,7 @@ def sweep(
     if not math.isfinite(hi - lo):
         raise ConfigError(f"range must have a finite width, got [{lo}, {hi}]")
     surface = corpus_surface(sentences, w0, v, metric)
-    if steps == 1:
-        etas: tuple[float, ...] = (float(lo),)
-    else:
-        etas = tuple(np.linspace(lo, hi, steps).tolist())
+    etas = tuple(np.linspace(lo, hi, steps).tolist())
     at = np.searchsorted(surface.boundaries, etas, side="right")
     losses = tuple(map(surface.interval_losses().__getitem__, at.tolist()))
     best_index = losses.index(min(losses))

@@ -308,16 +308,16 @@ def eager_envelope(graph, w0, v):
 # before each edge was accepted by class tests alone.  It changes in two
 # places only: lines end at "\n" alone, and a yield slot past the
 # interpreter's digit limit is a ForestFormatError.  The helpers it imports
-# were not rewritten.
+# keep their messages; ``_check_number`` checks a value and returns nothing.
 
 
 def _reference_parse_features(features: dict, where: str) -> dict:
     values = features.values()
     if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
         return features
-    return {
-        name: _check_number(val, where, f"feature {name!r}") for name, val in features.items()
-    }
+    for name, val in features.items():
+        _check_number(val, where, f"feature {name!r}")
+    return {name: float(val) for name, val in features.items()}
 
 
 def _reference_parse_template(value, where: str) -> tuple:

@@ -121,6 +121,18 @@ class TestValidate:
             "warning: MissingFeatureWarning: weights: features defaulting to 0.0: ['tm']\n"
         )
 
+    def test_direction_coverage_is_warned(self, files, capsys) -> None:
+        corpus = files("c.jsonl", TWO_HYP)
+        direction = files("v.json", '{"lm": 1.0}')
+        code = cli.run(["validate", corpus, "--direction", direction])
+        out, err = capsys.readouterr()
+        assert code == 0 and json.loads(out)["ok"]
+        assert err == (
+            "warning: UnknownFeatureWarning: direction: "
+            "ignoring feature names not in the corpus: ['lm']\n"
+            "warning: MissingFeatureWarning: direction: features defaulting to 0.0: ['tm']\n"
+        )
+
     def test_module_run_warns_without_a_location(self, files) -> None:
         weights = files("w.json", "{}")
         proc = subprocess.run(
@@ -272,6 +284,19 @@ class TestLineSearch:
 
 
 class TestSweep:
+    def test_one_step_from_negative_zero_is_the_first_row_of_two(self, capsys) -> None:
+        argv = [
+            "sweep", str(FIXTURES / "corpus.jsonl"),
+            "--weights", str(FIXTURES / "weights.json"),
+            "--direction", str(FIXTURES / "direction.json"),
+            "--range=-0:1",
+        ]
+        assert cli.run(argv + ["--steps", "1"]) == 0
+        one = capsys.readouterr().out
+        assert cli.run(argv + ["--steps", "2"]) == 0
+        two = capsys.readouterr().out
+        assert one == "0\t3\n" and two.startswith(one)
+
     def test_flat_surface_emits_constant_column(self, files, capsys) -> None:
         corpus = files("c.jsonl", ONE_HYP)
         weights = files("w.json", '{"tm": 0.5}')

@@ -86,6 +86,10 @@ class TestConstruction:
         e = Edge.make(0, (), {3: 1.0, 1: 2.0}, ())
         assert e.features == ((1, 2.0), (3, 1.0))
 
+    def test_needs_a_node(self) -> None:
+        with pytest.raises(ForestFormatError, match="^a forest needs at least one node$"):
+            Hypergraph(0, [], goal=0, n_features=0)
+
     def test_goal_out_of_range(self) -> None:
         with pytest.raises(ForestFormatError):
             Hypergraph(1, [], goal=1, n_features=0)
@@ -1427,6 +1431,10 @@ class TestRandomDerivation:
         assert drawn[1].tokens == ("a0", "x", "b0", "z", "a1")
         assert drawn[2].features.tolist() == [0.5, 5.0]
         assert int(rng.integers(0, 1000)) == 543
+
+    def test_random_forest_needs_its_two_terminals_and_a_goal(self) -> None:
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            random_forest(np.random.default_rng(0), n_nodes=2)
 
 
 class TestEnumeration:

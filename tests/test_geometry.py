@@ -287,6 +287,11 @@ class TestChainChecks:
         with pytest.raises(InvalidGeometryError):
             chain_of((1, 0), (0, 0), (1, 1)).check_full_hull()
 
+    def test_full_check_rejects_degenerate_two_point_hull(self) -> None:
+        with pytest.raises(InvalidGeometryError, match="degenerate two-point hull"):
+            chain_of((0, 0), (0, 0)).check_full_hull()
+        chain_of((0, 0), (1, 0)).check_full_hull()
+
     def test_full_check_rejects_collinear_triple(self) -> None:
         with pytest.raises(InvalidGeometryError):
             chain_of((0, 0), (1, 0), (2, 0)).check_full_hull()

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -247,6 +248,24 @@ class TestSerializeCorpus:
         assert [s.sid for s in corpus] == ["s1", "s2"]
         assert corpus.sentences[0].graph.edges == loads_corpus(text).sentences[0].graph.edges
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [("a b",), ("x", "a\u2028b"), ("",), ("x", "", "y"), (" ",)],
+        ids=["space", "line-separator", "empty", "empty-inside", "blank"],
+    )
+    def test_reference_that_a_string_cannot_hold_is_written_as_a_list(self, tokens) -> None:
+        text = doc_with(reference=list(tokens)) + "\n"
+        out = serialize_corpus(loads_corpus(text))
+        assert loads_corpus(out).sentences[0].reference == tokens
+        assert json.loads(out)["reference"] == list(tokens)
+
+    @pytest.mark.parametrize("reference", [["w", "x"], "w  x", "", []])
+    def test_reference_that_a_string_holds_is_written_as_one(self, reference) -> None:
+        corpus = loads_corpus(doc_with(reference=reference) + "\n")
+        out = serialize_corpus(corpus)
+        assert json.loads(out)["reference"] == " ".join(corpus.sentences[0].reference)
+        assert loads_corpus(out).sentences[0].reference == corpus.sentences[0].reference
+
     def test_slots_serialize_back_to_dollar_forms(self) -> None:
         corpus = loads_corpus(SENTENCE)
         out = serialize_corpus(corpus)
@@ -455,23 +474,31 @@ class TestCanonicalJsonMatchesTheReference:
         assert write_outcome(canonical_json, obj) == write_outcome(oracle.canonical_json, obj)
 
 
+def pool(values: list) -> st.SearchStrategy:
+    """One of ``values``, drawn as a fresh deep copy.  ``mutate`` changes
+    documents in place, so a drawn list or dict must never be the pool's own:
+    a later example would draw the altered value, and an edge could end up
+    holding itself."""
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
 # What a mutation puts where the corpus format expects something else:
 # wrong classes, bools, numbers too large or not finite, "$" forms that are
 # and are not slots, and ids out of range.
 NOT_INTS = [None, True, False, "0", 1.5, 2.0, 2**70, -(10**400), [], {}]
-NODE_IDS = st.integers(-1, 4) | st.sampled_from(NOT_INTS)
+NODE_IDS = st.integers(-1, 4) | pool(NOT_INTS)
 FEATURE_VALUES = st.floats(-4, 4) | st.integers(-3, 3) | st.sampled_from([-0.0, 2**53 + 1])
-ODD_FEATURES = st.sampled_from(
+ODD_FEATURES = pool(
     [True, False, None, "1", [], {}, 10**400, -(10**400), 2**70, math.inf, -math.inf, math.nan]
 )
-ODD_TOKENS = st.sampled_from(
+ODD_TOKENS = pool(
     [
         "$", "$0", "$1", "$2", "$00", "$01", "$-1", "$+1", "$ 1", "$1_0", "$x", "$0\n", "$\u0663",
         "$\u00b2", "$" + "9" * 5000, "$" + "0" * 4999 + "1", "\u2028", "\x85", "\r",
         None, 0, 1, True, 1.5, [], {},
     ]
 )
-ODD_FIELDS = st.sampled_from([None, True, 0, 1.5, "x", "$0", [], {}, [0], {"f": 1.0}])
+ODD_FIELDS = pool([None, True, 0, 1.5, "x", "$0", [], {}, [0], {"f": 1.0}])
 NAMES = st.sampled_from(["a", "b", "c", "lm"])
 
 
@@ -492,7 +519,7 @@ def sentence_docs(draw) -> dict:
                 "yield": draw(st.permutations(template)),
             })
     nodes = list(range(n)) if draw(st.booleans()) else n
-    reference = draw(st.sampled_from(["w x", ["w", "x"], "a b", ""]))
+    reference = draw(pool(["w x", ["w", "x"], "a b", ""]))
     return {"id": "s", "nodes": nodes, "goal": n - 1, "edges": edges, "reference": reference}
 
 

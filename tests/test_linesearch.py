@@ -715,6 +715,19 @@ class TestSweep:
         assert result.etas == (-5.0,)
         assert result.losses == (1.0,)
 
+    def test_single_step_from_negative_zero_starts_the_grid_as_more_steps_do(
+        self, two_line_graph
+    ) -> None:
+        # Every step count reads its grid off np.linspace, whose first point
+        # is 0.0 for a start of -0.0.
+        corpus = [(two_line_graph, ("steep",))]
+        w0, v = np.array([2.0]), np.array([1.0])
+        one = sweep(corpus, w0, v, ExactMatch(), -0.0, 1.0, 1)
+        two = sweep(corpus, w0, v, ExactMatch(), -0.0, 1.0, 2)
+        assert one.etas == (0.0,) and math.copysign(1.0, one.etas[0]) == 1.0
+        assert math.copysign(1.0, two.etas[0]) == 1.0
+        assert one.losses == two.losses[:1]
+
     def test_validates_arguments(self, two_line_graph) -> None:
         corpus = [(two_line_graph, ("steep",))]
         with pytest.raises(ConfigError):
